@@ -58,6 +58,8 @@ def log_star(x) -> int:
     """
     if x < 1:
         raise DomainError(f"log_star requires x >= 1, got {x}")
+    if x != x or x == math.inf:
+        raise DomainError(f"log_star requires a finite argument, got {x}")
     count = 0
     while x > 1:
         if isinstance(x, (int, float)):

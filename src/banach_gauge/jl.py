@@ -199,6 +199,8 @@ def jl_embed(points: PointSet | np.ndarray, eps: float, constant: float = 8.0,
     """
     if not 0 < eps <= 1:
         raise BadEpsilon(f"eps must lie in (0, 1], got {eps}")
+    if not (0 < constant < math.inf):
+        raise DomainError(f"constant must be positive and finite, got {constant}")
     pts = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
     n, source_dim = pts.shape
     if n < 2:
@@ -294,6 +296,8 @@ class WalshEnsemble:
             m = max(1, math.ceil(math.log2(len(V))))
         if len(V) > 1 << m:
             raise DomainError(f"{len(V)} vectors do not fit in 2^{m}")
+        if m > WALSH_M_CAP:
+            raise MTooLarge(f"m={m} exceeds cap {WALSH_M_CAP}")
         base = np.zeros((1 << m, V.shape[1]))
         base[: len(V)] = V
         g = np.random.default_rng(seed).standard_normal(1 << m)

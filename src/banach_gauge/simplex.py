@@ -1,14 +1,23 @@
-"""Dense two-phase simplex over exact rationals.
+"""Dense two-phase simplex over exact rationals, in integer arithmetic.
 
-Small and deliberately boring: Bland's rule everywhere (no cycling), all
-arithmetic in ``Fraction``.  Problem sizes in this package are a few dozen
-rows and columns, where exactness matters far more than speed.
+Small and deliberately boring: Bland's rule everywhere (no cycling).  Each
+tableau row is kept as a list of Python ints, a positive integer multiple of
+the true rational row whose scale is the row's entry in its basic column.  A
+pivot sets ``row_i <- piv*row_i - row_i[enter]*row_leave`` and divides out
+the row's gcd (fraction-free elimination in the style of Bareiss, 1968); a
+row whose pivot entry is negative is negated first.  Positive scaling keeps
+every sign and every ratio, so the entering column (first negative reduced
+cost), the ratio test (compared by cross-multiplying) and its tie-break on
+the basis pick exactly the pivots a ``Fraction`` tableau would, and the
+solver returns the same vertex.  The objective row is a positive multiple of
+the reduced costs; only its signs are read.
 
     minimize c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,44 +29,62 @@ class LPResult:
     objective: Fraction | None
 
 
+def _reduce(row):
+    g = math.gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
+
+
+def _int_row(row):
+    """The rational row times the least common multiple of its denominators."""
+    scale = math.lcm(*(v.denominator for v in row))
+    return _reduce([v.numerator * (scale // v.denominator) for v in row])
+
+
+def _eliminate(row, prow, col):
+    """Clear row[col] with the pivot row prow, whose entry prow[col] is > 0."""
+    piv, f = prow[col], row[col]
+    return _reduce([piv * v - f * p for v, p in zip(row, prow)])
+
+
+def _pivot(rows, basis, leave, enter):
+    """Make column enter basic in row leave, negating that row if its entry is < 0."""
+    if rows[leave][enter] < 0:
+        rows[leave] = [-v for v in rows[leave]]
+    prow = rows[leave]
+    for i, row in enumerate(rows):
+        if i != leave and row[enter]:
+            rows[i] = _eliminate(row, prow, enter)
+    basis[leave] = enter
+
+
 def _optimize(rows, basis, cost, ncols):
-    """Bland-rule simplex on a feasible tableau; mutates rows/basis in place."""
-    m = len(rows)
-    zrow = list(cost) + [Fraction(0)]
-    for i in range(m):
-        cb = cost[basis[i]]
-        if cb:
-            ri = rows[i]
-            zrow = [z - cb * v for z, v in zip(zrow, ri)]
+    """Bland-rule simplex on a feasible tableau; mutates rows/basis in place.
+
+    Returns the status and a positive multiple of the reduced-cost row.
+    """
+    zrow = _int_row(list(cost) + [Fraction(0)])
+    for row, b in zip(rows, basis):
+        if zrow[b]:
+            zrow = _eliminate(zrow, row, b)
     while True:
-        enter = -1
-        for j in range(ncols):
-            if zrow[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if zrow[j] < 0), -1)
         if enter < 0:
             return "optimal", zrow
         leave = -1
-        best = None
-        for i in range(m):
-            a = rows[i][enter]
+        for i, row in enumerate(rows):
+            a = row[enter]
             if a > 0:
-                ratio = rows[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs, rhs = row[-1] * rows[leave][enter], rows[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
         if leave < 0:
             return "unbounded", zrow
-        piv = rows[leave][enter]
-        rows[leave] = [v / piv for v in rows[leave]]
-        prow = rows[leave]
-        for i in range(m):
-            if i != leave and rows[i][enter]:
-                f = rows[i][enter]
-                rows[i] = [v - f * p for v, p in zip(rows[i], prow)]
+        _pivot(rows, basis, leave, enter)
         if zrow[enter]:
-            f = zrow[enter]
-            zrow = [v - f * p for v, p in zip(zrow, prow)]
-        basis[leave] = enter
+            zrow = _eliminate(zrow, rows[leave], enter)
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
@@ -95,11 +122,12 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
     for j, i in enumerate(art_rows):
         rows[i][base_cols + j] = Fraction(1)
         basis[i] = base_cols + j
+    rows = [_int_row(row) for row in rows]
 
     if art_rows:
         phase1 = [Fraction(0)] * base_cols + [Fraction(1)] * len(art_rows)
         status, zrow = _optimize(rows, basis, phase1, ncols)
-        if -zrow[-1] > 0:
+        if zrow[-1] < 0:
             return LPResult("infeasible", None, None)
         # drive leftover zero-value artificials out of the basis
         for i in range(len(rows)):
@@ -109,17 +137,10 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
                 )
                 if pivot_col is None:
                     continue  # redundant row; dropped below
-                piv = rows[i][pivot_col]
-                rows[i] = [v / piv for v in rows[i]]
-                prow = rows[i]
-                for r in range(len(rows)):
-                    if r != i and rows[r][pivot_col]:
-                        f = rows[r][pivot_col]
-                        rows[r] = [v - f * p for v, p in zip(rows[r], prow)]
-                basis[i] = pivot_col
+                _pivot(rows, basis, i, pivot_col)
         # drop redundant rows still pinned to an artificial, excise artificial columns
         keep = [i for i in range(len(rows)) if basis[i] < base_cols]
-        rows = [rows[i][:base_cols] + rows[i][-1:] for i in keep]
+        rows = [_reduce(rows[i][:base_cols] + rows[i][-1:]) for i in keep]
         basis = [basis[i] for i in keep]
         ncols = base_cols
 
@@ -131,7 +152,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
     x_full = [Fraction(0)] * ncols
     for i, b in enumerate(basis):
         if b < ncols:
-            x_full[b] = rows[i][-1]
+            x_full[b] = Fraction(rows[i][-1], rows[i][b])
     x = tuple(x_full[:n])
     objective = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
     return LPResult("optimal", x, objective)

@@ -1,5 +1,6 @@
 import json
 import math
+import signal
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,23 @@ def test_growth_examples(capsys):
     assert run(capsys, "growth", "log-star", "16") == (0, "3\n")
     code, out = run(capsys, "growth", "delta-bound", "4")
     assert code == 0 and float(out) == 2.0
+
+
+@pytest.mark.parametrize("x", ["1e400", "inf", "nan"])
+def test_growth_log_star_non_finite_exits_1(capsys, x):
+    # log(inf) is inf, so an unchecked loop would never end: guard with an alarm
+    def hung(signum, frame):
+        raise TimeoutError(f"growth log-star {x} did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        code, out = run(capsys, "growth", "log-star", x)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
 
 
 def test_top_level_delta_bound(capsys):
@@ -172,6 +190,15 @@ def test_jl_embed_command(capsys, tmp_path):
     assert data["min_ratio"] == 1.0
     assert data["distortion"] <= 1.9
     assert "manifest" in data
+
+
+@pytest.mark.parametrize("constant", ["-1", "0", "nan", "inf"])
+def test_jl_embed_rejects_bad_constant(capsys, tmp_path, constant):
+    pts = write_vectors(tmp_path, "pts.json", [[0, 0], [1, 0], [0, 1]])
+    code, out = run(capsys, "jl-embed", "--points", pts, "--eps", "0.5",
+                    "--constant", constant)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
 
 
 def test_walsh_command(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -146,3 +147,42 @@ def test_c2_lower_respects_john_cap():
     for N in range(3, 9):
         cc = cotype_certificate_from_witness(search_flat(N).witness)
         assert cc.c2_lower <= N**0.5 + 1e-12
+
+
+# theta, witness, rounds, pool size and a digest of the cut pool for N = 3..12,
+# recorded from the Fraction-tableau simplex: any change to the LP's pivot
+# sequence (and so to the vertex it returns on ties) shows up here
+TRAJECTORIES = [
+    (3, "1", {3: "1"}, 1, 3, "24ea225e8f254996"),
+    (4, "1/2", {3: "1/2", 4: "1/2"}, 1, 4, "b218d87c2bc06a67"),
+    (5, "1/3", {3: "1/3", 4: "1/3", 5: "1/3"}, 1, 5, "4c60cb4976c0e8bb"),
+    (6, "1/3", {3: "1/3", 5: "1/3", 6: "1/3"}, 2, 7, "9ecbc78f9b5b1ad7"),
+    (7, "3/11", {3: "3/11", 4: "2/11", 5: "2/11", 6: "2/11", 7: "2/11"},
+     5, 11, "5a9b4a833e2a3fec"),
+    (8, "5/19", {3: "5/19", 4: "4/19", 5: "2/19", 6: "4/19", 7: "2/19", 8: "2/19"},
+     8, 15, "38204ae5f35b281c"),
+    (9, "1/4", {3: "1/4", 4: "3/20", 5: "1/10", 6: "1/10", 7: "1/10", 8: "1/5",
+                9: "1/10"},
+     9, 17, "3b0ff1ef58f7052a"),
+    (10, "1/4", {3: "1/4", 4: "1/6", 5: "1/12", 6: "1/18", 7: "1/18", 8: "1/18",
+                 9: "7/36", 10: "5/36"},
+     17, 26, "bab0c4b7eb5823cb"),
+    (11, "5/22", {3: "5/22", 4: "3/22", 5: "1/11", 6: "1/11", 7: "1/11", 8: "1/11",
+                  9: "1/11", 10: "1/11", 11: "1/11"},
+     21, 31, "b052cf504a23394e"),
+    (12, "9/40", {3: "9/40", 4: "1/8", 5: "1/10", 6: "1/10", 7: "1/20", 8: "1/10",
+                  9: "1/20", 10: "1/10", 11: "1/10", 12: "1/20"},
+     26, 37, "1bf49a2961262cc7"),
+]
+
+
+@pytest.mark.parametrize("N,theta,witness,rounds,pool_size,pool_digest", TRAJECTORIES)
+def test_search_trajectory_pinned(N, theta, witness, rounds, pool_size, pool_digest):
+    res = search_flat(N)
+    assert res.converged
+    assert res.witness.theta == F(theta)
+    assert res.witness.x == FinVec({j: F(v) for j, v in witness.items()})
+    assert res.rounds == rounds
+    assert len(res.pool) == pool_size
+    canon = repr([sorted((j, str(v)) for j, v in lam.items()) for lam in res.pool])
+    assert hashlib.sha256(canon.encode()).hexdigest()[:16] == pool_digest

@@ -9,6 +9,7 @@ from banach_gauge import (
     BadEpsilon,
     EmbeddingFailed,
     LinearMap,
+    MTooLarge,
     PointSet,
     RatioUndefined,
     SpaceOracle,
@@ -20,6 +21,7 @@ from banach_gauge import (
     walsh_orthogonality_check,
     walsh_pointset,
 )
+from banach_gauge.jl import WALSH_M_CAP
 
 
 # --------------------------------------------------------------------------
@@ -183,6 +185,12 @@ def test_walsh_padding_rule():
         assert len(ens.base) == 1 << ens.m
         if k >= 2:
             assert 2 ** (ens.m - 1) < k <= 2**ens.m
+
+
+def test_walsh_cap_checked_before_allocation():
+    # 2^(cap+1) x 2 floats would be allocated if the cap were checked later
+    with pytest.raises(MTooLarge):
+        WalshEnsemble.from_vectors([[1.0, 2.0]], m=WALSH_M_CAP + 1)
 
 
 def test_orthogonality_check_examples():
