@@ -36,7 +36,7 @@ for x in examples:
     brute = tsirelson_norm_bruteforce(x)
     status = "ok" if res.value == brute else "MISMATCH"
     print(f"  ||{x}|| = {res.value}   (oracle {brute}, {status}; "
-          f"{res.stats.expansions} subproblems)")
+          f"ranges {res.stats.expansions}, chain cells {res.stats.memo_entries})")
 
 print()
 print("=== certificates are checkable objects ===")

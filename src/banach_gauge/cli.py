@@ -161,18 +161,21 @@ def _load_json(path: str):
 def _load_finvec(path: str) -> FinVec:
     try:
         return FinVec.from_json(_load_json(path))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"{path}: {exc}") from exc
 
 
 def _parse_entry(v):
     if isinstance(v, bool):
         raise DomainError(f"cannot use boolean {v} as a vector entry")
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, int):
-        return Fraction(v)
+    if isinstance(v, (str, int)):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"bad vector entry {v!r}: {exc}") from exc
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise DomainError(f"vector entry {v} is not finite")
         return v
     raise DomainError(f"bad vector entry {v!r}")
 
@@ -364,7 +367,14 @@ def _parse_intish(s: str) -> int:
     try:
         return int(s)
     except ValueError:
-        return int(float(s))
+        pass
+    try:
+        f = float(s)
+    except ValueError:
+        f = math.nan
+    if not math.isfinite(f):
+        raise DomainError(f"{s!r} is not a finite number")
+    return int(f)
 
 
 def cmd_growth(args) -> Output:

@@ -13,11 +13,12 @@ terminate and this module computes the fixed point directly.
 
 Three engines live here:
 
-* ``tsirelson_norm`` -- a dynamic program over successive support intervals.
-  Fattening each A_j to an interval can only increase its term while
-  preserving admissibility (the norm is 1-unconditional and monotone under
-  restriction), so intervals suffice; the reduction is cross-checked against
-  the all-subsets oracle rather than assumed.
+* ``tsirelson_norm`` -- a dynamic program over ranges of support positions,
+  filled bottom-up in one table (no Python recursion, support capped at
+  ``MAX_DP_SUPPORT``).  Fattening each A_j to an interval can only increase
+  its term while preserving admissibility (the norm is 1-unconditional and
+  monotone under restriction), so intervals suffice; the reduction is
+  cross-checked against the all-subsets oracle rather than assumed.
 * ``tsirelson_norm_bruteforce`` -- exhaustive recursion over *all* admissible
   families of arbitrary finite subsets, memoized on support bitmasks.  Slow,
   capped, and deliberately independent of the interval argument.
@@ -41,6 +42,7 @@ usable as cutting planes (see ``norming_functional``).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -266,90 +268,107 @@ def _scaled_weights(x: FinVec) -> tuple[tuple[int, ...], list[int], int]:
 # Interval dynamic program
 # --------------------------------------------------------------------------
 
+#: Largest support the interval DP accepts.  At this size one Python 3.11 core
+#: of a shared 2-core Xeon takes ~6 s from index 1 and ~14 s in the worst case
+#: (a support starting near index s/2, where most part budgets bind), with
+#: ~20 MiB of tables.
+MAX_DP_SUPPORT = 200
+
+
+def _best_sum(left: list[int], right: list[int], lo: int) -> tuple[int, int]:
+    """max_k left[k] + right[k] and the first k attaining it, offset by lo."""
+    sums = list(map(operator.add, left, right))
+    top = max(sums)
+    return top, lo + sums.index(top)
+
+
 def tsirelson_norm(x: FinVec) -> NormResult:
     """Exact ||x||_T with a certificate attaining it.
 
-    Subproblems are contiguous ranges of the support; each range takes the
-    max of its best single coordinate and, over every admissible threshold,
-    half the best partition of the allowed tail into successive intervals.
-    For tail start index b the largest admissible threshold is n = b - 1
-    (larger part budgets only help), which is the only n worth trying.
+    One bottom-up table over ranges [i, j] of support positions, right end j
+    ascending and left end i descending.  A range's value is the max of its
+    best coordinate and half of G(p, j) over first-block starts p >= i with
+    sup[p] >= 3, where G(p, j) is the best cover of [p, j] by 2..b successive
+    blocks for the part budget b = min(sup[p]-1, j-p+1) (the threshold
+    n = sup[p]-1 is the largest admissible one, and larger budgets only
+    help).  G(p, j) does not depend on i, so the max over p is a running
+    suffix max.  Covers of [i, j] by at most t blocks ("chains") are kept per
+    column j only for the budgets a first block ending at j can ask for:
+    unbounded, and t <= min(sup[pb]-2, sup[i]-3) for the last start pb whose
+    budget binds (sup[pb]-1 < j-pb+1).  Once indices pass the support size no
+    budget binds, one chain per range remains and the cost is O(s^3); budgets
+    that bind add a factor up to s.  Ties keep the leaf, then the smallest p,
+    then the smallest first-block end; the tests pin the certificate trees
+    this order picks.  The certificate is read off the argmax tables once,
+    at the end.
+
+    ``stats.expansions`` counts the ranges evaluated (s(s+1)/2 once the
+    support starts at index 3) and ``stats.memo_entries`` the chain cells
+    stored.  Supports above ``MAX_DP_SUPPORT`` raise SupportTooLarge before
+    any table is allocated.
     """
+    if len(x) > MAX_DP_SUPPORT:
+        raise SupportTooLarge(f"support {len(x)} exceeds interval-DP cap {MAX_DP_SUPPORT}")
     sup, w, scale = _scaled_weights(x)
     s = len(sup)
     if s == 0:
         zero = Fraction(0)
         return NormResult(zero, NormCertificate(Leaf(1), zero), EvalStats(0, 0))
 
-    imemo: dict[tuple[int, int], tuple[int, CertNode]] = {}
-    cmemo: dict[tuple[int, int, int], tuple[int, int | None]] = {}
-    expansions = 0
+    iv = [[0] * s for _ in range(s)]  # iv[i][j]: scaled norm of positions [i, j]
+    cut: list[list[tuple[int, int] | None]] = [[None] * s for _ in range(s)]
+    chain_end: list = [None] * s  # [j][t][i]: first block's end, -1 if one block
+    cells = ranges = 0
+    for j in range(s):
+        if sup[j] < 3 and j < s - 1:
+            continue  # no block can start at or before j: only the root range reads [., j]
+        ranges += j + 1
+        iv[j][j] = w[j]
+        t_max = max((sup[p] - 2 for p in range(j) if 3 <= sup[p] < j - p + 2), default=0)
+        # val[t][i]: best cover of [i, j] by at most t blocks; t = 0 is unbounded
+        val = [[w[j]] * (j + 1) for _ in range(t_max + 1)]
+        end = [[-1] * (j + 1) for _ in range(t_max + 1)]
+        leaf, g_best, g_cut = j, -1, None
+        for i in range(j - 1, -1, -1):
+            n = j - i + 1
+            if w[i] >= w[leaf]:
+                leaf = i
+            if sup[i] >= 3:
+                row = iv[i][i:j]
+                b = sup[i] - 2 if sup[i] - 2 < n - 1 else 0  # the rest's budget; 0 = unbounded
+                g, c = _best_sum(row, val[b][i + 1:], i)
+                if g >= g_best:
+                    g_best, g_cut = g, (i, c)
+            top = w[leaf]
+            if g_best // 2 > top:
+                top, cut[i][j] = g_best // 2, g_cut
+            iv[i][j] = top
+            if sup[i] < 4:
+                continue  # chains are only read after a first block, which starts at index >= 3
+            unb = (g, c) if b == 0 else _best_sum(row, val[0][i + 1:], i)
+            k = min(t_max, sup[i] - 3)  # an earlier first block leaves at most sup[i]-3 blocks
+            for t in range(k + 1):
+                lv, lc = (unb if t == 0 or t >= n
+                          else _best_sum(row, val[t - 1][i + 1:], i) if t > 1 else (-1, -1))
+                val[t][i], end[t][i] = (lv, lc) if lv > top else (top, -1)
+            cells += k + 1
+        chain_end[j] = end
 
-    def interval(i: int, j: int) -> tuple[int, CertNode]:
-        key = (i, j)
-        hit = imemo.get(key)
-        if hit is not None:
-            return hit
-        nonlocal expansions
-        expansions += 1
-        # leaf branch
-        best_p = max(range(i, j + 1), key=lambda q: w[q])
-        best_v = w[best_p]
-        best_node: CertNode = Leaf(sup[best_p])
-        # split branches: first block starts at p, threshold n = sup[p]-1
-        for p in range(i, j):  # need at least 2 blocks, so p < j
-            n_thr = sup[p] - 1
-            if n_thr < 2:
-                continue
-            budget = min(n_thr, j - p + 1)
-            if budget < 2:
-                continue
-            # first block [p, c] with c < j, remaining blocks from chain()
-            for c in range(p, j):
-                v1, _ = interval(p, c)
-                v2, _ = chain(c + 1, j, budget - 1)
-                total = v1 + v2
-                if total // 2 > best_v:
-                    best_v = total // 2
-                    blocks = [(p, c)] + chain_blocks(c + 1, j, budget - 1)
-                    parts = tuple(
-                        Part(sup[a], sup[b], interval(a, b)[1]) for a, b in blocks
-                    )
-                    best_node = Split(n_thr, parts)
-        imemo[key] = (best_v, best_node)
-        return best_v, best_node
+    def node(i: int, j: int) -> CertNode:
+        if cut[i][j] is None:
+            return Leaf(sup[max(range(i, j + 1), key=w.__getitem__)])
+        p, c = cut[i][j]
+        t = sup[p] - 2 if sup[p] - 2 < j - p else 0
+        blocks = [(p, c)]
+        while c >= 0:
+            a, c = c + 1, chain_end[j][t][c + 1]
+            blocks.append((a, j if c < 0 else c))
+            t = t - 1 if t else 0
+        return Split(sup[p] - 1, tuple(Part(sup[a], sup[b], node(a, b)) for a, b in blocks))
 
-    def chain(i: int, j: int, t: int) -> tuple[int, int | None]:
-        """Best cover of positions [i, j] by at most t successive blocks.
-
-        Returns (value, end of first block or None when one block is best).
-        """
-        t = min(t, j - i + 1)
-        key = (i, j, t)
-        hit = cmemo.get(key)
-        if hit is not None:
-            return hit
-        best_v, _ = interval(i, j)
-        best_c: int | None = None
-        if t >= 2:
-            for c in range(i, j):
-                v = interval(i, c)[0] + chain(c + 1, j, t - 1)[0]
-                if v > best_v:
-                    best_v, best_c = v, c
-        cmemo[key] = (best_v, best_c)
-        return best_v, best_c
-
-    def chain_blocks(i: int, j: int, t: int) -> list[tuple[int, int]]:
-        t = min(t, j - i + 1)
-        _, c = cmemo.get((i, j, t)) or chain(i, j, t)
-        if c is None:
-            return [(i, j)]
-        return [(i, c)] + chain_blocks(c + 1, j, t - 1)
-
-    raw, node = interval(0, s - 1)
-    value = Fraction(raw, scale)
-    stats = EvalStats(len(imemo) + len(cmemo), expansions)
-    return NormResult(value, NormCertificate(node, value), stats)
+    value = Fraction(iv[0][s - 1], scale)
+    stats = EvalStats(cells, ranges)
+    return NormResult(value, NormCertificate(node(0, s - 1), value), stats)
 
 
 # --------------------------------------------------------------------------

@@ -72,6 +72,13 @@ def test_growth_log_star_non_finite_exits_1(capsys, x):
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
+@pytest.mark.parametrize("cap", ["1e400", "inf", "nan", "lots"])
+def test_growth_g_bad_cap_exits_1(capsys, cap):
+    code, out = run(capsys, "growth", "g", "3", "5", "--cap", cap)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
 def test_top_level_delta_bound(capsys):
     code, out = run(capsys, "delta-bound", "1000000")
     assert code == 0
@@ -115,6 +122,35 @@ def test_domain_error_exit_1(capsys, tmp_path):
     assert code == 1
     err = json.loads(out)
     assert err["error"]["type"] == "SupportTooLarge"
+
+
+def test_norm_support_over_dp_cap_exits_1(capsys, tmp_path, monkeypatch):
+    from banach_gauge.tsirelson import MAX_DP_SUPPORT
+
+    monkeypatch.setattr("banach_gauge.tsirelson._scaled_weights",
+                        lambda x: pytest.fail("the DP ran past its support cap"))
+    vec = write_vec(tmp_path, "big.json", {j: 1 for j in range(1, MAX_DP_SUPPORT + 2)})
+    for space in ("T", "T2"):
+        code, out = run(capsys, "norm", "--space", space, "--vec", vec)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "SupportTooLarge"
+
+
+def test_norm_zero_denominator_entry_exits_1(capsys, tmp_path):
+    vec = write_vec(tmp_path, "x.json", {3: "1/0"})
+    code, out = run(capsys, "norm", "--space", "T", "--vec", vec)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", '"1/0"', '"one"'])
+def test_ratio_exact_bad_entry_exits_1(capsys, tmp_path, entry):
+    path = tmp_path / "fam.json"
+    path.write_text(f'[[{entry}, 1], [1, 2]]')
+    code, out = run(capsys, "ratio", "--space", "l1", "--kind", "type",
+                    "--mode", "exact", "--vecs", str(path))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
 
 
 def test_unreadable_and_malformed_inputs_exit_1(capsys, tmp_path):

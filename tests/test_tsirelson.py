@@ -1,7 +1,12 @@
+import hashlib
+import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banach_gauge import (
     FinVec,
@@ -28,6 +33,7 @@ from banach_gauge import (
     tsirelson_norm_bruteforce,
     validate_certificate,
 )
+from banach_gauge.tsirelson import MAX_DP_SUPPORT
 
 from conftest import random_finvec
 
@@ -263,3 +269,91 @@ def test_modified_unconditional_and_homogeneous(rng):
         signs = {j: rng.choice([-1, 1]) for j in x.support()}
         assert modified_norm(flip_signs(x, signs)) == modified_norm(x)
         assert modified_norm(Fraction(3, 2) * x) == Fraction(3, 2) * modified_norm(x)
+
+
+# --------------------------------------------------------------------------
+# interval DP: pinned outputs, properties, size limits
+# --------------------------------------------------------------------------
+
+_PIN_INDICES = {
+    "offset-1": lambda rng, s: range(1, s + 1),
+    "offset-quarter": lambda rng, s: range(max(1, s // 4), max(1, s // 4) + s),
+    "offset-far": lambda rng, s: range(2 * s + 5, 3 * s + 5),
+    "sparse": lambda rng, s: sorted(rng.sample(range(1, 4 * s + 2), s)),
+}
+_PIN_ENTRIES = {
+    "fractions": lambda rng: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                      rng.choice([1, 2, 3, 4, 6])),
+    "ones": lambda rng: rng.choice([-1, 1]),
+    "one-two": lambda rng: rng.choice([-2, -1, 1, 2]),
+}
+
+# digest of (value, certificate JSON) for supports 0..40, recorded from the
+# top-down memoized recursion: any change to a value or to the tie order that
+# picks a certificate tree shows up here (flat search uses the trees as cuts)
+NORM_PINS = [
+    ("offset-1", "fractions", "9d800e302df273c3"),
+    ("offset-1", "ones", "f74426ee4e6ac094"),
+    ("offset-1", "one-two", "10711cb2092ee179"),
+    ("offset-quarter", "fractions", "81e39d0f7d05c50d"),
+    ("offset-quarter", "ones", "707098b316019939"),
+    ("offset-quarter", "one-two", "ad105e45ee1c6804"),
+    ("offset-far", "fractions", "0ed3c88a8c6db9bb"),
+    ("offset-far", "ones", "60dffaf994860cd7"),
+    ("offset-far", "one-two", "2a2b146316620abc"),
+    ("sparse", "fractions", "51fe5eaef79c043b"),
+    ("sparse", "ones", "6c33fc3b27c09458"),
+    ("sparse", "one-two", "96d6d431a39ae52a"),
+]
+
+
+@pytest.mark.parametrize("indices,entries,digest", NORM_PINS)
+def test_norm_certificates_pinned(indices, entries, digest):
+    rng = random.Random(f"{indices}/{entries}")
+    canon = []
+    for s in range(41):
+        idx = _PIN_INDICES[indices](rng, s)
+        x = FinVec({j: _PIN_ENTRIES[entries](rng) for j in idx})
+        res = tsirelson_norm(x)
+        canon.append((str(res.value), certificate_to_json(res.certificate)))
+    assert hashlib.sha256(json.dumps(canon, sort_keys=True).encode()).hexdigest()[:16] == digest
+
+
+_entries = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.sampled_from([1, 1, 2, 3]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.dictionaries(st.integers(1, 40), _entries, max_size=10))
+def test_dp_matches_bruteforce_any_offsets(entries):
+    x = FinVec(entries)
+    res = tsirelson_norm(x)
+    assert res.value == tsirelson_norm_bruteforce(x)
+    assert certificate_value(res.certificate, x) == res.value
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_dp_is_not_recursive():
+    # a top-down recursion over support 150 needs hundreds of frames
+    x = FinVec({j: Fraction(j % 7 + 1, 3) for j in range(1000, 1150)})
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        res = tsirelson_norm(x)
+    finally:
+        sys.setrecursionlimit(previous)
+    assert res.stats.expansions == 150 * 151 // 2
+    assert certificate_value(res.certificate, x) == res.value
+
+
+def test_dp_support_cap_checked_first(monkeypatch):
+    # at cap + 1 the check must come before scaling and table allocation
+    monkeypatch.setattr("banach_gauge.tsirelson._scaled_weights",
+                        lambda x: pytest.fail("the DP ran past its support cap"))
+    with pytest.raises(SupportTooLarge, match=str(MAX_DP_SUPPORT)):
+        tsirelson_norm(FinVec({j: 1 for j in range(1, MAX_DP_SUPPORT + 2)}))
