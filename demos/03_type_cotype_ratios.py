@@ -30,7 +30,7 @@ def basis_family(space, k):
     return VectorFamily.make(vecs, space)
 
 
-print("=== exact sign averages (all 2^n patterns) ===")
+print("=== exact sign averages (2^(n-1) patterns: eps and -eps pair up) ===")
 for tag, dim, kind in [("l1", 2, "type"), ("l2", 4, "type"), ("l2", 4, "cotype"),
                        ("linf", 2, "cotype")]:
     space = SpaceOracle.from_tag(tag, dim)

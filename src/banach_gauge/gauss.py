@@ -3,9 +3,14 @@ finite-family equality for those constants.
 
 Two estimation modes:
 
-* ``rademacher_ratio`` averages over all sign patterns exactly.  When the
-  space oracle evaluates squared norms in rational arithmetic the ratio is an
-  exact ``Fraction`` and can serve as a certificate.
+* ``rademacher_ratio`` averages over all sign patterns exactly.  Every
+  supported norm is even, so it pairs eps with -eps and walks the 2^(n-1)
+  patterns with eps_n = +1 in Gray code order, one vector update per
+  pattern, on integer numerators over the family's common denominator
+  (floats are read as the exact binary rationals they are).  That is
+  2^(n-1) ``norm_sq`` calls on the sign sums.  When the space oracle
+  evaluates squared norms in rational arithmetic the ratio is an exact
+  ``Fraction`` and can serve as a certificate.
 * ``gaussian_ratio`` is seeded Monte Carlo over i.i.d. standard Gaussian
   coefficients, with a 95% normal confidence interval.
 
@@ -322,12 +327,6 @@ class SpaceOracle:
             return np.linalg.norm(pts, ord=self.p, axis=1)
         return np.array([self.norm(row.tolist()) for row in pts])
 
-    @property
-    def is_exact(self) -> bool:
-        return self.tag in ("t2_span", "mod2_span", "tsirelson_span", "polytope") or (
-            self.tag == "lp" and self.p in (1.0, 2.0, math.inf)
-        )
-
     def spot_check(self, seed: int = 0, trials: int = 25) -> bool:
         """Sampled norm axioms: homogeneity, positive-definiteness, triangle."""
         rng = np.random.default_rng(seed)
@@ -401,71 +400,121 @@ def rademacher_ratio(family: VectorFamily, kind: str) -> RatioEstimate:
 
     type:   mean_eps ||sum eps_i x_i||^2  /  sum ||x_i||^2
     cotype: sum ||x_i||^2  /  mean_eps ||sum eps_i x_i||^2
+
+    Every supported norm is even, so eps and -eps give the same squared norm:
+    the average over the 2^(n-1) patterns with eps_n = +1 equals the average
+    over all 2^n.  Those patterns are visited in binary reflected Gray code
+    order (Knuth, TAOCP 7.2.1.1), so each step flips one sign and updates the
+    sign sum on that vector's nonzero coordinates only.  The walk runs on
+    integer numerators over the family's common denominator L (see
+    ``_half_pattern_total``), and norms are homogeneous, so the mean is the
+    sum of the 2^(n-1) squared norms divided by L^2 2^(n-1) once.  That is
+    n + 2^(n-1) ``norm_sq`` calls; ``samples`` still reports the 2^n patterns
+    averaged.
+
+    ``exact`` is the ratio as a ``Fraction`` when every squared norm is
+    rational, and None when the oracle evaluates in float or a coordinate
+    sums unlike square roots.
     """
     _check_kind(kind)
     n = len(family)
     if n > RADEMACHER_CAP:
         raise TooManyVectors(f"{n} vectors exceed the 2^n enumeration cap {RADEMACHER_CAP}")
+    if n == 0:
+        raise ZeroFamily("empty family")
     space = family.space
-    norm_sqs = [space.norm_sq(list(v)) for v in family.vectors]
-    S = _sum_values(norm_sqs)
-    total = None
-    for mask in range(1 << n):
-        acc: list = [Fraction(0)] * space.dim
-        for i, vec in enumerate(family.vectors):
-            flip = mask >> i & 1
-            for k, e in enumerate(vec):
-                if isinstance(e, (int, Fraction)) and e == 0:
-                    continue
-                acc[k] = acc[k] + (-e if flip else e)
-        val = space.norm_sq(acc)
-        total = val if total is None else _add_values(total, val)
-    mean = _div_values(total, 1 << n)
+    S = sum(space.norm_sq(list(v)) for v in family.vectors)
+    try:
+        total, L, float_coords = _half_pattern_total(space, family.vectors)
+        mean = Fraction(total) / (L * L << (n - 1))
+        exact_S = Fraction(S)
+    except OverflowError as exc:
+        raise DomainError(f"family leaves the float range once scaled to integers: {exc}") from exc
     if kind == "type":
-        if _is_zero(S):
+        if exact_S == 0:
             raise ZeroFamily("sum of squared norms is zero")
-        ratio = _div_pair(mean, S)
+        ratio = mean / exact_S
     else:
-        if _is_zero(mean):
+        if mean == 0:
             raise ZeroFamily("all sign sums are zero")
-        ratio = _div_pair(S, mean)
-    exact = ratio if isinstance(ratio, Fraction) else None
+        ratio = exact_S / mean
+    inexact = float_coords or isinstance(total, float) or isinstance(S, float)
     point = float(ratio)
-    return RatioEstimate(point, point, point, 1 << n, 0, "rademacher-exact", kind, exact)
+    return RatioEstimate(point, point, point, 1 << n, 0, "rademacher-exact", kind,
+                         None if inexact else ratio)
+
+
+def _exact_entry(e):
+    """e as a Fraction (floats exactly), or e itself if it is an irrational SqrtRat."""
+    if isinstance(e, SqrtRat):
+        root = _fraction_sqrt(e.radicand)
+        return e if root is None else e.sign * root
+    return Fraction(e)
+
+
+def _half_pattern_total(space: SpaceOracle, vectors) -> tuple:
+    """Sum of ||L sum_i eps_i x_i||^2 over the 2^(n-1) patterns with eps_n = +1.
+
+    L is the lcm of the denominators of the rational entries, so every
+    rational coordinate of L x_i is an int.  A coordinate whose nonzero
+    entries are SqrtRat of one radicand r holds int multiples m of
+    sqrt(r L^2) and reaches the oracle as the exact ``SqrtRat`` of m^2 r L^2.
+    A coordinate that mixes unlike square roots has no exact value: it is
+    summed in float (``math.fsum``) from the current signs.  The walk starts
+    from sum_i L x_i; step g flips vector b = lowest set bit of g, which adds
+    or subtracts 2 L x_b.
+
+    Returns (total, L, whether any coordinate was summed in float).
+    """
+    n = len(vectors)
+    rows = [[_exact_entry(e) for e in v] for v in vectors]
+    L = math.lcm(*(e.denominator for row in rows for e in row if isinstance(e, Fraction)))
+    acc = [0] * space.dim
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    roots: dict[int, Fraction] = {}
+    mixed: dict[int, list[tuple[int, float]]] = {}
+    for k in range(space.dim):
+        col = [(i, row[k]) for i, row in enumerate(rows) if row[k] != 0]
+        units = {e.radicand if isinstance(e, SqrtRat) else None for _, e in col}
+        if len(units) > 1:
+            mixed[k] = [(i, float(e * L) if isinstance(e, Fraction)
+                         else float(SqrtRat(e.sign, e.radicand * L * L))) for i, e in col]
+            continue
+        unit = units.pop() if units else None
+        if unit is not None:
+            roots[k] = unit * L * L
+        for i, e in col:
+            c = e.numerator * (L // e.denominator) if unit is None else e.sign
+            acc[k] += c
+            steps[i].append((k, 2 * c))
+
+    signs = [1] * n
+
+    def sign_sum() -> list:
+        if not (roots or mixed):
+            return acc
+        vec = list(acc)
+        for k, r in roots.items():
+            m = acc[k]
+            vec[k] = SqrtRat(1 if m > 0 else -1, m * m * r) if m else 0
+        for k, terms in mixed.items():
+            vec[k] = math.fsum(signs[i] * f for i, f in terms)
+        return vec
+
+    total = space.norm_sq(sign_sum())
+    for g in range(1, 1 << (n - 1)):
+        b = (g & -g).bit_length() - 1
+        s = signs[b]
+        signs[b] = -s
+        for k, c in steps[b]:
+            acc[k] -= s * c
+        total += space.norm_sq(sign_sum())
+    return total, L, bool(mixed)
 
 
 def _check_kind(kind: str) -> None:
     if kind not in ("type", "cotype"):
         raise DomainError(f"kind must be 'type' or 'cotype', got {kind!r}")
-
-
-def _sum_values(values):
-    out = None
-    for v in values:
-        out = v if out is None else _add_values(out, v)
-    return out if out is not None else Fraction(0)
-
-
-def _add_values(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    return float(a) + float(b)
-
-
-def _div_values(a, k: int):
-    if isinstance(a, Fraction):
-        return a / k
-    return float(a) / k
-
-
-def _div_pair(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a / b
-    return float(a) / float(b)
-
-
-def _is_zero(a) -> bool:
-    return (isinstance(a, Fraction) and a == 0) or (isinstance(a, float) and a == 0.0)
 
 
 def gaussian_ratio(family: VectorFamily, kind: str, samples: int = 100_000,

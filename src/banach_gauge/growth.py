@@ -143,6 +143,9 @@ class DeltaBoundQuery:
     D: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("n", "K", "D"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"delta_bound requires a finite {name}, got {getattr(self, name)}")
         if self.n < 1:
             raise DomainError("delta_bound requires n >= 1")
         if self.K <= 0:
@@ -165,14 +168,18 @@ def delta_bound(n: float, K: float = 1.0, D: float = 1.0) -> float:
     bounded tail near the fixed point.
     """
     DeltaBoundQuery(n, K, D)
-
-    def rec(t: float, depth: int) -> float:
-        shrunk = 4.0 * K * math.log(t + 1.0)
-        if shrunk >= t or depth > 10_000:
-            return math.sqrt(t)
-        return min(math.sqrt(t), 4.0 * D * D * rec(shrunk, depth + 1) ** 2)
-
-    return rec(float(n), 0)
+    # A loop, not a recursion, so the 10 000-step guard (reached when the
+    # fixed point is 0, K < 1/4) cannot outrun Python's recursion limit.
+    chain = [float(n)]
+    while len(chain) <= 10_000:
+        shrunk = 4.0 * K * math.log(chain[-1] + 1.0)
+        if shrunk >= chain[-1]:
+            break
+        chain.append(shrunk)
+    bound = math.sqrt(chain.pop())
+    for t in reversed(chain):
+        bound = min(math.sqrt(t), 4.0 * D * D * bound**2)
+    return bound
 
 
 def fit_tower_constant(grid, K: float = 1.0, D: float = 1.0) -> float:

@@ -79,6 +79,16 @@ def test_growth_g_bad_cap_exits_1(capsys, cap):
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
+@pytest.mark.parametrize("command", [["growth", "delta-bound"], ["delta-bound"]])
+@pytest.mark.parametrize("args", [["nan"], ["inf"], ["1e400"], ["10", "--K", "nan"],
+                                  ["10", "--K", "1e400"], ["10", "--D", "nan"],
+                                  ["10", "--D", "inf"]])
+def test_delta_bound_non_finite_exits_1(capsys, command, args):
+    code, out = run(capsys, *command, *args)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
 def test_top_level_delta_bound(capsys):
     code, out = run(capsys, "delta-bound", "1000000")
     assert code == 0
@@ -139,6 +149,34 @@ def test_norm_support_over_dp_cap_exits_1(capsys, tmp_path, monkeypatch):
 def test_norm_zero_denominator_entry_exits_1(capsys, tmp_path):
     vec = write_vec(tmp_path, "x.json", {3: "1/0"})
     code, out = run(capsys, "norm", "--space", "T", "--vec", vec)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+def test_ratio_exact_float_family_is_exact(capsys, tmp_path):
+    rows = [[0.1, 0.2], [0.3, 0.7], [0.5, -0.25]]
+    floats = write_vectors(tmp_path, "floats.json", rows)
+    fractions = write_vectors(tmp_path, "fractions.json",
+                              [[str(F(v)) for v in r] for r in rows])
+    code, out = run(capsys, "ratio", "--space", "l2", "--kind", "type", "--mode", "exact",
+                    "--vecs", floats)
+    assert code == 0 and json.loads(out)["exact"] == "1"
+    for space in ("T", "T2"):
+        exact = []
+        for vecs in (floats, fractions):
+            code, out = run(capsys, "ratio", "--space", space, "--kind", "cotype",
+                            "--mode", "exact", "--vecs", vecs)
+            assert code == 0
+            exact.append(json.loads(out)["exact"])
+        assert exact[0] is not None and exact[0] == exact[1]
+
+
+def test_ratio_exact_float_norm_out_of_range_exits_1(capsys, tmp_path):
+    # 1e-310 puts 2^1074 into the common denominator, so the scaled sign sums
+    # are ints too large for the float-valued lp3 oracle
+    vecs = write_vectors(tmp_path, "tiny.json", [[1e-310, 1], [1, 2]])
+    code, out = run(capsys, "ratio", "--space", "lp3", "--kind", "type", "--mode", "exact",
+                    "--vecs", vecs)
     assert code == 1
     assert json.loads(out)["error"]["type"] == "DomainError"
 

@@ -1,8 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banach_gauge import (
     DegenerateInput,
@@ -126,6 +129,141 @@ def test_rademacher_caps_and_errors():
         rademacher_ratio(zero, "type")
     with pytest.raises(ZeroFamily):
         rademacher_ratio(zero, "cotype")
+
+
+def _reference_ratio(family, kind):
+    """All 2^n sign patterns, each sign sum rebuilt from scratch.
+
+    A coordinate with one nonzero entry takes that entry signed (a SqrtRat
+    stays a SqrtRat); other coordinates are summed as exact Fractions.
+    Returns (ratio, exact), exact None when a squared norm was a float.
+    """
+    space, n = family.space, len(family)
+    total = Fraction(0)
+    for mask in range(1 << n):
+        acc = []
+        for k in range(space.dim):
+            terms = [-v[k] if mask >> i & 1 else v[k]
+                     for i, v in enumerate(family.vectors) if v[k] != 0]
+            acc.append(terms[0] if len(terms) == 1 else sum(map(Fraction, terms), Fraction(0)))
+        total += space.norm_sq(acc)
+    S = sum((space.norm_sq(list(v)) for v in family.vectors), Fraction(0))
+    mean = total / (1 << n)
+    if (S if kind == "type" else mean) == 0:
+        return None, None
+    ratio = mean / S if kind == "type" else S / mean
+    return ratio, ratio if isinstance(ratio, Fraction) else None
+
+
+def _check_against_reference(family, kind):
+    ratio, exact = _reference_ratio(family, kind)
+    if ratio is None:
+        with pytest.raises(ZeroFamily):
+            rademacher_ratio(family, kind)
+        return
+    est = rademacher_ratio(family, kind)
+    assert est.samples == 1 << len(family)
+    assert est.exact == exact
+    assert est.point == float(ratio)
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_entries = st.one_of(st.just(F(0)), _rationals)
+
+
+@st.composite
+def _rational_families(draw):
+    tag = draw(st.sampled_from(["T", "T2", "mod2", "l1", "l2", "linf", "polytope"]))
+    n, dim = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if tag == "polytope":
+        functional = st.lists(_rationals, min_size=dim, max_size=dim)
+        space = SpaceOracle.polytope(dim, [draw(functional), draw(functional)])
+    else:
+        space = SpaceOracle.from_tag(tag, dim)
+    vecs = draw(st.lists(st.lists(_entries, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    return VectorFamily.make(vecs, space)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_families(), st.sampled_from(["type", "cotype"]))
+def test_rademacher_equals_all_patterns_reference(family, kind):
+    _check_against_reference(family, kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["T2", "mod2", "l2"]),
+       st.lists(st.fractions(min_value=0, max_value=5, max_denominator=7), min_size=1, max_size=6),
+       st.sampled_from(["type", "cotype"]))
+def test_rademacher_diagonal_sqrt_equals_reference(tag, squares, kind):
+    family = diagonal_sqrt_family(SpaceOracle.from_tag(tag, len(squares)), squares)
+    if len(family) == 0:
+        return
+    _check_against_reference(family, kind)
+
+
+def test_rademacher_single_vector_and_zero_vector():
+    space = SpaceOracle.t2_span(3)
+    one = VectorFamily.make([[F(1, 3), F(0), F(-2)]], space)
+    for kind in ("type", "cotype"):
+        est = rademacher_ratio(one, kind)
+        assert est.exact == 1 and est.samples == 2
+    with_zero = VectorFamily.make([[F(1), F(2), F(0)], [F(0)] * 3, [F(0), F(1, 2), F(1)]], space)
+    for kind in ("type", "cotype"):
+        _check_against_reference(with_zero, kind)
+    # a zero vector changes no sign sum, only the pattern count
+    without = VectorFamily.make([with_zero.vectors[0], with_zero.vectors[2]], space)
+    assert rademacher_ratio(with_zero, "type").exact == rademacher_ratio(without, "type").exact
+
+
+def test_rademacher_float_valued_norm_matches_reference():
+    space = SpaceOracle.lp(3, 3.0)
+    fam = VectorFamily.make([[F(1), F(-1, 2), F(2)], [F(0), F(3), F(1, 3)],
+                             [F(-2, 5), F(1), F(0)], [F(1), F(1), F(1)]], space)
+    for kind in ("type", "cotype"):
+        ratio, _ = _reference_ratio(fam, kind)
+        est = rademacher_ratio(fam, kind)
+        assert est.exact is None
+        assert est.point == pytest.approx(float(ratio), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_rademacher_exact_equals_float64_evaluation(p):
+    rng = np.random.default_rng(7)
+    nums, dens = rng.integers(-9, 10, size=(8, 5)), rng.integers(1, 8, size=(8, 5))
+    fam = VectorFamily.make([[F(int(a), int(b)) for a, b in zip(*row)] for row in zip(nums, dens)],
+                            SpaceOracle.lp(5, p))
+    X = np.array([[float(e) for e in v] for v in fam.vectors])
+    signs = np.array(list(itertools.product([1.0, -1.0], repeat=len(X))))
+    mean = float(np.mean(np.linalg.norm(signs @ X, ord=p, axis=1) ** 2))
+    S = float(np.sum(np.linalg.norm(X, ord=p, axis=1) ** 2))
+    for kind, value in (("type", mean / S), ("cotype", S / mean)):
+        est = rademacher_ratio(fam, kind)
+        assert float(est.exact) == pytest.approx(value, rel=1e-12)
+
+
+def test_rademacher_float_entries_are_exact_binary_rationals():
+    rows = [[0.1, 0.2], [0.3, 0.7], [0.5, -0.25]]
+    # the parallelogram law makes every l2 type ratio exactly 1
+    assert rademacher_ratio(VectorFamily.make(rows, SpaceOracle.euclidean(2)), "type").exact == 1
+    for tag in ("T", "T2"):
+        space = SpaceOracle.from_tag(tag, 2)
+        as_floats = VectorFamily.make(rows, space)
+        as_fractions = VectorFamily.make([[F(e) for e in r] for r in rows], space)
+        for kind in ("type", "cotype"):
+            est = rademacher_ratio(as_floats, kind)
+            assert est.exact is not None
+            assert est.exact == rademacher_ratio(as_fractions, kind).exact
+
+
+def test_rademacher_unlike_square_roots_are_not_exact():
+    # sqrt(2) +- sqrt(3) in one coordinate has no exact value.  Below index 3
+    # the T2 norm is the sup norm, so the two sign sums (up to eps -> -eps)
+    # have squared norms 5 + 2 sqrt(6) and 1, against 2 + 3.
+    space = SpaceOracle.t2_span(2)
+    fam = VectorFamily.make([[SqrtRat.of(2), F(1)], [SqrtRat.of(3), F(0)]], space)
+    est = rademacher_ratio(fam, "type")
+    assert est.exact is None
+    assert est.point == pytest.approx((3 + math.sqrt(6)) / 5, rel=1e-12)
 
 
 # --------------------------------------------------------------------------

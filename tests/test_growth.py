@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import pytest
 
@@ -129,6 +131,26 @@ def test_delta_bound_monotone_grid():
     vals = [delta_bound(n, 1, 1) for n in grid]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
     assert all(v <= math.sqrt(n) for v, n in zip(vals, grid))
+
+
+@pytest.mark.parametrize("bad", [{"n": math.nan}, {"n": math.inf}, {"n": 10, "K": math.nan},
+                                 {"n": 10, "K": math.inf}, {"n": 10, "D": math.nan},
+                                 {"n": 10, "D": math.inf}])
+def test_delta_bound_rejects_non_finite(bad):
+    with pytest.raises(DomainError):
+        delta_bound(**bad)
+
+
+def test_delta_bound_is_not_recursive():
+    # for K just under 1/4 the argument shrinks by ~0.4% a step, so the chain
+    # runs into the 10 000-step guard, far past any recursion limit
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        value = delta_bound(10, 0.249, 1)
+    finally:
+        sys.setrecursionlimit(previous)
+    assert math.isfinite(value)
 
 
 def test_fit_tower_constant_dominates():
