@@ -100,6 +100,7 @@ from .tsirelson import (
     t2_norm,
     t2_norm_sq,
     tsirelson_norm,
+    tsirelson_norm_batch,
     tsirelson_norm_bruteforce,
     validate_certificate,
 )

@@ -12,7 +12,10 @@ Two estimation modes:
   evaluates squared norms in rational arithmetic the ratio is an exact
   ``Fraction`` and can serve as a certificate.
 * ``gaussian_ratio`` is seeded Monte Carlo over i.i.d. standard Gaussian
-  coefficients, with a 95% normal confidence interval.
+  coefficients, with a 95% normal confidence interval.  Its sample sums go
+  through ``SpaceOracle.norm_array`` in float64 all at once: numpy norms on
+  lp, one matmul on polytopes, and on T and T2 the interval DP batched over
+  the samples (``tsirelson_norm_batch``), so no sample meets the exact path.
 
 ``caratheodory_reduce`` implements the covariance-preserving weight pivoting:
 the Gaussian sum's covariance lies in the cone spanned by the outer products
@@ -43,7 +46,7 @@ from .errors import (
 )
 from .seeds import derive_seed
 from .seqvec import FinVec
-from .tsirelson import modified_norm, tsirelson_norm
+from .tsirelson import modified_norm, tsirelson_norm, tsirelson_norm_batch
 
 __all__ = [
     "SqrtRat",
@@ -64,6 +67,9 @@ __all__ = [
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 RADEMACHER_CAP = 20
+#: Largest Gaussian coefficient or sum array ``gaussian_ratio`` draws, in
+#: float64 cells (512 MiB)
+MC_CELL_CAP = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -170,7 +176,8 @@ class SpaceOracle:
     Tags: ``lp`` (with parameter p, math.inf allowed), ``tsirelson_span``,
     ``t2_span``, ``mod2_span``, ``polytope`` (norm = max |<f_i, x>| over a
     spanning list of functionals).  ``norm_sq`` returns an exact ``Fraction``
-    whenever the evaluation stays rational, otherwise a float.
+    whenever the evaluation stays rational, otherwise a float; ``norm_array``
+    is the batched float path.
     """
 
     def __init__(self, dim: int, tag: str, p: float | None = None,
@@ -266,8 +273,9 @@ class SpaceOracle:
             return modified_norm(self._finvec(squares))
         if self.tag == "tsirelson_span":
             av = [_entry_abs_fraction(e) for e in vec]
-            if any(a is None for a in av):
-                av = [abs(Fraction(float(e))) for e in vec]
+            if any(a is None for a in av):  # an irrational root: no exact value
+                n = tsirelson_norm(self._finvec(abs(Fraction(float(e))) for e in vec)).value
+                return float(n * n)
             n = tsirelson_norm(self._finvec(av)).value
             return n * n
         if self.tag == "polytope":
@@ -319,13 +327,29 @@ class SpaceOracle:
         return float(np.linalg.norm(np.asarray(fv), ord=p))
 
     def norm_array(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized float norms of the rows; falls back to a loop off lp."""
+        """Float norms of the rows of ``points``.
+
+        ``lp`` uses ``np.linalg.norm`` and ``polytope`` one matmul, max |F x|.
+        T and T2 run the interval DP batched in float (``tsirelson_norm_batch``)
+        on the columns that are nonzero in some row, under their true indices:
+        T on |x|, T2 on x^2 followed by a square root.  ``mod2_span`` loops over
+        the rows through the exhaustive exact oracle.
+        """
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
         if self.tag == "lp":
             return np.linalg.norm(pts, ord=self.p, axis=1)
-        return np.array([self.norm(row.tolist()) for row in pts])
+        if pts.shape[1] != self.dim:
+            raise DomainError(f"vector length {pts.shape[1]} != dim {self.dim}")
+        if self.tag == "polytope":
+            return np.abs(pts @ np.array(self.functionals, dtype=float).T).max(axis=1)
+        if self.tag == "mod2_span":
+            return np.array([self.norm(row.tolist()) for row in pts])
+        cols = np.flatnonzero(pts.any(axis=0))
+        if self.tag == "tsirelson_span":
+            return tsirelson_norm_batch(np.abs(pts[:, cols]), (cols + 1).tolist())
+        return np.sqrt(tsirelson_norm_batch(pts[:, cols] ** 2, (cols + 1).tolist()))
 
     def spot_check(self, seed: int = 0, trials: int = 25) -> bool:
         """Sampled norm axioms: homogeneity, positive-definiteness, triangle."""
@@ -523,11 +547,16 @@ def gaussian_ratio(family: VectorFamily, kind: str, samples: int = 100_000,
 
     Deterministic for a fixed seed; the 95% CI comes from the sample variance
     of the squared norms (the denominator sum of squared norms is exact, so
-    the interval transforms directly).
+    the interval transforms directly).  The coefficient and sum arrays are
+    ``samples`` rows of ``len(family)`` and ``dim`` cells; above
+    ``MC_CELL_CAP`` cells the call raises DomainError before drawing.
     """
     _check_kind(kind)
     if samples < 100:
         raise DomainError("need at least 100 samples")
+    cells = samples * max(len(family), family.space.dim)
+    if cells > MC_CELL_CAP:
+        raise DomainError(f"{samples} samples need {cells} cells, above the cap {MC_CELL_CAP}")
     V = family.as_array()
     if len(family) == 0:
         raise ZeroFamily("empty family")
@@ -538,6 +567,8 @@ def gaussian_ratio(family: VectorFamily, kind: str, samples: int = 100_000,
     sums = G @ V
     ns = space.norm_array(sums) ** 2
     mean = float(ns.mean())
+    if not (math.isfinite(S) and math.isfinite(mean)):
+        raise DomainError("squared norms leave the float range")
     se = float(ns.std(ddof=1) / math.sqrt(samples))
     if kind == "type":
         if S == 0:

@@ -158,25 +158,27 @@ def delta_bound(n: float, K: float = 1.0, D: float = 1.0) -> float:
     """Certified upper bound for the worst Euclidean distortion of an
     n-dimensional subspace of a space with (K, D) dimension reduction.
 
-    bound(t) = sqrt(t)                                if 4K ln(t+1) >= t
+    bound(t) = max(1, sqrt(t))                        if t < 1 or 4K ln(t+1) >= t
              = min( sqrt(t), 4 D^2 bound(4K ln(t+1))^2 )   otherwise
 
     sqrt(t) is always valid (every d-dimensional space is within sqrt(d)
-    of Euclidean), so the recursion can only improve on it.  The recursion
-    argument strictly decreases toward the fixed point of t = 4K ln(t+1),
-    where the base case takes over; depth is iterated-log small plus a
-    bounded tail near the fixed point.
+    of Euclidean), so the recursion can only improve on it, and no space is
+    closer to Euclidean than distortion 1, the base below t = 1.  The
+    recursion argument strictly decreases toward the fixed point of
+    t = 4K ln(t+1); depth is iterated-log small plus a bounded tail near the
+    fixed point.  The result lies in [1, max(1, sqrt(n))]; without the floor
+    at t < 1, K <= 1/4 (fixed point 0) would give bounds below 1.
     """
     DeltaBoundQuery(n, K, D)
-    # A loop, not a recursion, so the 10 000-step guard (reached when the
-    # fixed point is 0, K < 1/4) cannot outrun Python's recursion limit.
+    # A loop, not a recursion, so the 10 000-step guard on the tail near the
+    # fixed point cannot outrun Python's recursion limit.
     chain = [float(n)]
-    while len(chain) <= 10_000:
+    while len(chain) <= 10_000 and chain[-1] >= 1.0:
         shrunk = 4.0 * K * math.log(chain[-1] + 1.0)
         if shrunk >= chain[-1]:
             break
         chain.append(shrunk)
-    bound = math.sqrt(chain.pop())
+    bound = max(1.0, math.sqrt(chain.pop()))
     for t in reversed(chain):
         bound = min(math.sqrt(t), 4.0 * D * D * bound**2)
     return bound

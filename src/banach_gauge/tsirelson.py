@@ -19,6 +19,9 @@ Three engines live here:
   its term while preserving admissibility (the norm is 1-unconditional and
   monotone under restriction), so intervals suffice; the reduction is
   cross-checked against the all-subsets oracle rather than assumed.
+  ``tsirelson_norm_batch`` runs the same table fill in float64 on many
+  vectors at once: the fill depends only on the index labels, so it is
+  compiled once per label tuple and applied to numpy columns.
 * ``tsirelson_norm_bruteforce`` -- exhaustive recursion over *all* admissible
   families of arbitrary finite subsets, memoized on support bitmasks.  Slow,
   capped, and deliberately independent of the interval argument.
@@ -27,7 +30,7 @@ Three engines live here:
   left endpoint n itself is allowed.  Disjoint arbitrary sets defeat the
   interval DP, so this engine is exhaustive and capped.
 
-All engines run on integer-scaled values: every value appearing in the
+The exact engines run on integer-scaled values: every value appearing in the
 recursion is a dyadic multiple of the input entries with halving depth at
 most support-1, so after multiplying by lcm(denominators) * 2^(s-1) the whole
 computation stays in Python ints.  Results are exact ``Fraction`` values.
@@ -41,13 +44,16 @@ usable as cutting planes (see ``norming_functional``).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
-from .errors import MalformedCertificate, SupportTooLarge
+import numpy as np
+
+from .errors import DomainError, MalformedCertificate, SupportTooLarge
 from .seqvec import FinVec, Rat, abs_square
 
 __all__ = [
@@ -58,6 +64,7 @@ __all__ = [
     "EvalStats",
     "NormResult",
     "tsirelson_norm",
+    "tsirelson_norm_batch",
     "tsirelson_norm_bruteforce",
     "t2_norm_sq",
     "t2_norm",
@@ -369,6 +376,109 @@ def tsirelson_norm(x: FinVec) -> NormResult:
     value = Fraction(iv[0][s - 1], scale)
     stats = EvalStats(cells, ranges)
     return NormResult(value, NormCertificate(node(0, s - 1), value), stats)
+
+
+# --------------------------------------------------------------------------
+# Batched float evaluation of the interval DP
+# --------------------------------------------------------------------------
+
+#: float64 cells per DP table in one chunk of rows (2 MiB): rows are
+#: evaluated in chunks of ``_BATCH_CELLS // s^2``, so memory stays bounded
+#: whatever the batch size.
+_BATCH_CELLS = 1 << 18
+
+
+@functools.lru_cache(maxsize=256)
+def _interval_plan(sup: tuple[int, ...]) -> tuple:
+    """The table fill of ``tsirelson_norm`` for index labels ``sup``, as data.
+
+    One entry (j, t_max, steps) per column j the exact DP fills.  ``steps``
+    runs i = j-1 down to 0; each is (i, b, chain): b is the row of chains a
+    first block at i pairs with (None when no block starts at i), and
+    ``chain[t]`` is the chain row that the budget-t chain stored at i pairs
+    with, or None where that chain is the range's own value.
+    """
+    s = len(sup)
+    plan = []
+    for j in range(s):
+        if sup[j] < 3 and j < s - 1:
+            continue
+        t_max = max((sup[p] - 2 for p in range(j) if 3 <= sup[p] < j - p + 2), default=0)
+        steps = []
+        for i in range(j - 1, -1, -1):
+            n = j - i + 1
+            b = (sup[i] - 2 if sup[i] - 2 < n - 1 else 0) if sup[i] >= 3 else None
+            chain = ()
+            if sup[i] >= 4:
+                chain = tuple(0 if t == 0 or t >= n else None if t == 1 else t - 1
+                              for t in range(min(t_max, sup[i] - 3) + 1))
+            steps.append((i, b, chain))
+        plan.append((j, t_max, tuple(steps)))
+    return tuple(plan)
+
+
+def _run_plan(plan: tuple, wt: np.ndarray) -> np.ndarray:
+    """Norms of the columns of ``wt`` (shape (s, rows)) by a compiled plan."""
+    s, r = wt.shape
+    iv = np.zeros((s, s, r))  # iv[i, j]: norms of positions [i, j]
+    for j, t_max, steps in plan:
+        iv[j, j] = wt[j]
+        val = np.zeros((t_max + 1, j + 1, r))  # val[t, i]: best cover of [i, j], <= t blocks
+        val[:, j] = wt[j]
+        leaf, g_best = wt[j], None
+        for i, b, chain in steps:
+            leaf = top = np.maximum(leaf, wt[i])
+            if b is not None:
+                row = iv[i, i:j]
+                covers = {b: (row + val[b, i + 1:]).max(axis=0)}
+                g_best = covers[b] if g_best is None else np.maximum(g_best, covers[b])
+            if g_best is not None:
+                top = np.maximum(leaf, 0.5 * g_best)
+            iv[i, j] = top
+            for t, src in enumerate(chain):
+                if src is None:
+                    val[t, i] = top
+                    continue
+                if src not in covers:
+                    covers[src] = (row + val[src, i + 1:]).max(axis=0)
+                np.maximum(covers[src], top, out=val[t, i])
+    return iv[0, s - 1]
+
+
+def tsirelson_norm_batch(weights, indices: Sequence[int]) -> np.ndarray:
+    """Float ||x||_T of many vectors at once.
+
+    ``weights`` has shape (rows, s) and holds |x| on the index labels
+    ``indices`` (s strictly increasing positive ints, shared by all rows).
+    The fill of ``tsirelson_norm``'s table depends only on the labels, so it
+    is compiled once per label tuple and run on float64 columns of the batch
+    with max, + and halving, in chunks of rows.  Every DP value is a max over
+    sums of w * 2^-depth and halving is exact, so each result is within a
+    few ulps of the exact norm.  A zero weight is harmless: a block may hold
+    zeros, and a block starting at a zero only has a smaller threshold.
+
+    Labels above ``MAX_DP_SUPPORT`` in number raise SupportTooLarge before
+    any table is allocated.
+    """
+    s = len(indices)
+    if s > MAX_DP_SUPPORT:
+        raise SupportTooLarge(f"support {s} exceeds interval-DP cap {MAX_DP_SUPPORT}")
+    sup = tuple(int(j) for j in indices)
+    if (sup and sup[0] < 1) or any(a >= b for a, b in zip(sup, sup[1:])):
+        raise DomainError("index labels must be strictly increasing positive integers")
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 2 or w.shape[1] != s:
+        raise DomainError(f"weights of shape {w.shape} do not match {s} index labels")
+    if np.any(w < 0):
+        raise DomainError("weights must be nonnegative")
+    out = np.zeros(len(w))
+    if s == 0:
+        return out
+    plan = _interval_plan(sup)
+    chunk = max(1, _BATCH_CELLS // (s * s))
+    for lo in range(0, len(w), chunk):
+        out[lo:lo + chunk] = _run_plan(plan, np.ascontiguousarray(w[lo:lo + chunk].T))
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -233,6 +233,31 @@ def test_ratio_mc_manifest_and_determinism(capsys, tmp_path):
     assert m1 == m2
 
 
+def test_ratio_mc_sample_cap_exits_1(capsys, tmp_path):
+    vecs = write_vectors(tmp_path, "fam.json", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+    code, out = run(capsys, "ratio", "--space", "l2", "--kind", "type", "--mode", "mc",
+                    "--vecs", vecs, "--samples", "10000000000000")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+def test_ratio_mc_on_t_and_t2_deterministic_per_seed(capsys, tmp_path):
+    import numpy as np
+
+    rows = np.random.default_rng(3).standard_normal((4, 8)).tolist()  # T is linf below index 6
+    vecs = write_vectors(tmp_path, "fam.json", rows)
+    points = {}
+    for space in ("T", "T2"):
+        args = ["ratio", "--space", space, "--kind", "cotype", "--mode", "mc",
+                "--vecs", vecs, "--samples", "2000", "--seed", "6"]
+        outs = [json.loads(run(capsys, *args)[1]) for _ in range(2)]
+        for out in outs:
+            out.pop("manifest")
+        assert outs[0] == outs[1]
+        points[space] = outs[0]["point"]
+    assert points["T"] != points["T2"]
+
+
 def test_env_seed_override(capsys, tmp_path, monkeypatch):
     vecs = write_vectors(tmp_path, "fam.json", [["1", "0"], ["0", "1"]])
     args = ["ratio", "--space", "l2", "--kind", "type", "--mode", "mc",
@@ -299,6 +324,19 @@ def test_jl_mechanism_csv(capsys, tmp_path):
     for line in lines[1:]:
         ratio = float(line.split(",")[3])
         assert ratio <= 1.0 + 1e-9
+
+
+def test_jl_mechanism_on_t2(capsys, tmp_path):
+    import numpy as np
+
+    rows = np.random.default_rng(5).standard_normal((8, 4)).tolist()
+    fam = write_vectors(tmp_path, "fam.json", rows)
+    code, out = run(capsys, "jl-mechanism", "--space", "T2", "--family", fam,
+                    "--trials", "2", "--seed", "1")
+    assert code == 0
+    trials = json.loads(out)["trials"]
+    assert len(trials) == 2
+    assert all(t["ratio"] <= 1.0 + 1e-9 for t in trials)
 
 
 def test_flat_search_and_cotype_cert(capsys, tmp_path):

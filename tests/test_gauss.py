@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from banach_gauge import (
     DegenerateInput,
+    DomainError,
     FinVec,
     InvalidBound,
     SpaceOracle,
     SqrtRat,
+    SupportTooLarge,
     TooManyVectors,
     VectorFamily,
     ZeroFamily,
@@ -24,6 +26,8 @@ from banach_gauge import (
     kwapien_upper,
     rademacher_ratio,
 )
+from banach_gauge.gauss import MC_CELL_CAP
+from banach_gauge.tsirelson import MAX_DP_SUPPORT
 
 F = Fraction
 
@@ -347,6 +351,82 @@ def test_caratheodory_degenerate():
         caratheodory_reduce([[0.0, 0.0], [0.0, 0.0]], 2)
 
 
+def test_gaussian_cell_cap_checked_before_drawing(monkeypatch):
+    monkeypatch.setattr("banach_gauge.gauss.np.random.default_rng",
+                        lambda seed: pytest.fail("drew samples past the cell cap"))
+    fam = _basis_family(SpaceOracle.tsirelson_span(3), 3)
+    with pytest.raises(DomainError, match="cap"):
+        gaussian_ratio(fam, "type", samples=MC_CELL_CAP // 3 + 1, seed=0)
+
+
+def test_gaussian_rejects_norms_out_of_float_range():
+    for tag in ("T", "l1"):
+        fam = VectorFamily.make([[1e300, 1e300], [1e300, -1e300]], SpaceOracle.from_tag(tag, 2))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+            gaussian_ratio(fam, "type", samples=200, seed=0)
+
+
+@pytest.mark.parametrize("tag", ["T", "T2"])
+def test_gaussian_on_tsirelson_spans_deterministic(tag):
+    rng = np.random.default_rng(4)
+    fam = VectorFamily.make(rng.standard_normal((5, 6)).tolist(), SpaceOracle.from_tag(tag, 6))
+    a = gaussian_ratio(fam, "cotype", samples=3_000, seed=9)
+    assert a == gaussian_ratio(fam, "cotype", samples=3_000, seed=9)
+    assert a.point != gaussian_ratio(fam, "cotype", samples=3_000, seed=10).point
+    assert a.ci_low <= a.point <= a.ci_high
+
+
+# --------------------------------------------------------------------------
+# batched norms
+# --------------------------------------------------------------------------
+
+def _row_norms(space, pts):
+    return [space.norm(row.tolist()) for row in pts]
+
+
+@pytest.mark.parametrize("space", [
+    SpaceOracle.tsirelson_span(7),
+    SpaceOracle.t2_span(7),
+    SpaceOracle.polytope(7, [[F(1), F(-2), 0, 0, F(1, 3), 0, 1], [0, 1, 1, 1, 0, F(-1, 2), 0]]),
+])
+def test_norm_array_matches_per_row_norm(space):
+    rng = np.random.default_rng(12)
+    pts = rng.standard_normal((40, 7))
+    pts[rng.random(pts.shape) < 0.3] = 0.0
+    pts[:, 1] = 0.0  # a column outside the union support
+    pts[5] = 0.0
+    got = space.norm_array(pts)
+    assert got.shape == (40,)
+    np.testing.assert_allclose(got, _row_norms(space, pts), rtol=1e-12, atol=0.0)
+    assert space.norm_array(pts[3]).tolist() == [got[3]]
+
+
+def test_norm_array_uses_the_union_support():
+    # a wide span with few nonzero columns runs; the cap is on the union support
+    space = SpaceOracle.tsirelson_span(MAX_DP_SUPPORT + 50)
+    pts = np.zeros((3, space.dim))
+    pts[0, [0, 99]] = [1.0, -3.0]
+    pts[1, [99, 200]] = [2.0, 2.0]
+    np.testing.assert_allclose(space.norm_array(pts), _row_norms(space, pts), rtol=1e-12)
+    pts[2] = 1.0
+    with pytest.raises(SupportTooLarge):
+        space.norm_array(pts)
+    with pytest.raises(DomainError):
+        space.norm_array(np.ones((2, 3)))
+
+
+def test_tsirelson_span_irrational_roots_are_not_exact():
+    # sqrt 2 and sqrt 3 have no exact value: the oracle answers in float
+    space = SpaceOracle.tsirelson_span(4)
+    fam = diagonal_sqrt_family(space, {3: 2, 4: 3})
+    assert isinstance(space.norm_sq(list(fam.vectors[0])), float)
+    for kind, ratio in (("cotype", 5 / 3), ("type", 3 / 5)):
+        est = rademacher_ratio(fam, kind)
+        assert est.exact is None
+        assert est.point == pytest.approx(ratio, rel=1e-15)
+        assert not c2_lower_from_witness(est).certified
+
+
 # --------------------------------------------------------------------------
 # family reduction
 # --------------------------------------------------------------------------
@@ -373,6 +453,13 @@ def test_flm_cotype_kind():
     rng = np.random.default_rng(17)
     fam = VectorFamily.make(rng.standard_normal((8, 2)).tolist(), space)
     out = flm_reduce(fam, "cotype", mc_samples=5_000, seed=2)
+    assert 1 <= len(out) <= 3
+
+
+def test_flm_on_t2_span():
+    rng = np.random.default_rng(21)
+    fam = VectorFamily.make(rng.standard_normal((7, 2)).tolist(), SpaceOracle.t2_span(2))
+    out = flm_reduce(fam, "type", mc_samples=5_000, seed=3)
     assert 1 <= len(out) <= 3
 
 

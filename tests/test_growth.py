@@ -120,6 +120,38 @@ def test_delta_bound_matches_hand_unrolled():
         assert delta_bound(n, K, D) == pytest.approx(_unrolled(n, K, D), rel=1e-12)
 
 
+def _unfloored(n, K, D):
+    # the recursion without the floor at t < 1, in delta_bound's arithmetic
+    chain = [float(n)]
+    while len(chain) <= 10_000:
+        shrunk = 4.0 * K * math.log(chain[-1] + 1.0)
+        if shrunk >= chain[-1]:
+            break
+        chain.append(shrunk)
+    bound = math.sqrt(chain.pop())
+    for t in reversed(chain):
+        bound = min(math.sqrt(t), 4.0 * D * D * bound**2)
+    return bound
+
+
+def test_delta_bound_bit_identical_to_unfloored_recursion():
+    # the hand-unrolled grid, and more K > 1/4: the floor changes no value >= 1
+    grid = [(10**6, 1, 1), (10**9, 1, 1), (5_000, 2, 1.5), (77, 1, 1)]
+    grid += [(n, K, D) for n in (10, 77, 5_000, 10**6, 10**9)
+             for K in (0.26, 0.3, 0.37, 1, 2) for D in (1, 1.5)]
+    for n, K, D in grid:
+        assert delta_bound(n, K, D) == _unfloored(n, K, D) >= 1
+
+
+@pytest.mark.parametrize("K", [0.1, 0.2, 0.25])
+@pytest.mark.parametrize("n", [1, 2, 10, 10**6])
+def test_delta_bound_at_least_one_for_small_K(n, K):
+    # for 4K <= 1 the chain t -> 4K ln(t+1) falls to 0; a bound below 1 is impossible
+    v = delta_bound(n, K, 1)
+    assert 1.0 <= v <= max(1.0, math.sqrt(n))
+    assert delta_bound(1, K, 1) == 1.0
+
+
 def test_delta_bound_much_better_than_john_at_scale():
     v = delta_bound(10**6, 1, 1)
     assert v < 1000

@@ -4,6 +4,7 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,9 +31,12 @@ from banach_gauge import (
     t2_norm,
     t2_norm_sq,
     tsirelson_norm,
+    tsirelson_norm_batch,
     tsirelson_norm_bruteforce,
     validate_certificate,
 )
+import banach_gauge.tsirelson as tsirelson_module
+from banach_gauge.errors import DomainError
 from banach_gauge.tsirelson import MAX_DP_SUPPORT
 
 from conftest import random_finvec
@@ -357,3 +361,82 @@ def test_dp_support_cap_checked_first(monkeypatch):
                         lambda x: pytest.fail("the DP ran past its support cap"))
     with pytest.raises(SupportTooLarge, match=str(MAX_DP_SUPPORT)):
         tsirelson_norm(FinVec({j: 1 for j in range(1, MAX_DP_SUPPORT + 2)}))
+
+
+# --------------------------------------------------------------------------
+# batched float evaluation
+# --------------------------------------------------------------------------
+
+_weights = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]),
+                     st.floats(min_value=1e-3, max_value=1e3))
+
+
+@st.composite
+def _batches(draw):
+    """(rows, indices): s <= 10 sorted labels <= 40, zero entries, ties, zero rows."""
+    indices = sorted(draw(st.sets(st.integers(1, 40), max_size=10)))
+    s = len(indices)
+    rows = draw(st.lists(st.lists(_weights, min_size=s, max_size=s), min_size=1, max_size=6))
+    rows.append([0.0] * s)
+    return np.array(rows, dtype=float).reshape(len(rows), s), indices
+
+
+def _row_vec(row, indices):
+    return FinVec({j: Fraction(v) for j, v in zip(indices, row) if v})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_batches())
+def test_batch_matches_exact_dp(batch):
+    rows, indices = batch
+    got = tsirelson_norm_batch(rows, indices)
+    for row, value in zip(rows, got):
+        expected = float(tsirelson_norm(_row_vec(row, indices)).value)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_batches())
+def test_batch_of_squares_matches_t2_norm(batch):
+    rows, indices = batch
+    got = np.sqrt(tsirelson_norm_batch(rows**2, indices))
+    for row, value in zip(rows, got):
+        assert value == pytest.approx(t2_norm(_row_vec(row, indices)), rel=1e-12, abs=0.0)
+
+
+def test_batch_in_chunks_matches_rows_one_by_one(monkeypatch):
+    rng = np.random.default_rng(3)
+    indices = [2, 3, 5, 9]
+    rows = np.abs(rng.standard_normal((11, 4)))
+    rows[4] = 0.0
+    one_by_one = [tsirelson_norm_batch(row[None, :], indices)[0] for row in rows]
+    chunks = []
+    run_plan = tsirelson_module._run_plan
+    monkeypatch.setattr(tsirelson_module, "_BATCH_CELLS", 3 * 16)  # 3 rows per chunk
+    monkeypatch.setattr(tsirelson_module, "_run_plan",
+                        lambda plan, wt: chunks.append(wt.shape[1]) or run_plan(plan, wt))
+    assert tsirelson_norm_batch(rows, indices).tolist() == one_by_one
+    assert chunks == [3, 3, 3, 2]
+
+
+def test_batch_support_cap_checked_first(monkeypatch):
+    monkeypatch.setattr(tsirelson_module, "_interval_plan",
+                        lambda sup: pytest.fail("the batch ran past its support cap"))
+    with pytest.raises(SupportTooLarge, match=str(MAX_DP_SUPPORT)):
+        tsirelson_norm_batch(np.ones((1, MAX_DP_SUPPORT + 1)), range(1, MAX_DP_SUPPORT + 2))
+
+
+@pytest.mark.parametrize("weights,indices", [
+    (np.ones((2, 2)), [3, 3]),
+    (np.ones((2, 2)), [0, 1]),
+    (np.ones((2, 3)), [1, 2]),
+    (-np.ones((2, 2)), [1, 2]),
+])
+def test_batch_rejects_bad_input(weights, indices):
+    with pytest.raises(DomainError):
+        tsirelson_norm_batch(weights, indices)
+
+
+def test_batch_empty_support_and_no_rows():
+    assert tsirelson_norm_batch(np.zeros((3, 0)), []).tolist() == [0.0, 0.0, 0.0]
+    assert tsirelson_norm_batch(np.zeros((0, 2)), [4, 7]).shape == (0,)
