@@ -154,6 +154,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -180,18 +182,36 @@ def _parse_entry(v):
     raise DomainError(f"bad vector entry {v!r}")
 
 
-def _load_vectors(path: str) -> list[list]:
+def _load_rows(path: str) -> list[list]:
     data = _load_json(path)
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise DomainError(f"{path}: expected a JSON list of vectors")
-    rows = [[_parse_entry(v) for v in r] for r in data]
-    if len({len(r) for r in rows}) != 1:
+    if len({len(r) for r in data}) != 1:
         raise DomainError(f"{path}: vectors have mixed lengths")
-    return rows
+    return data
 
 
-def _float_rows(rows: list[list]) -> np.ndarray:
-    return np.array([[float(v) for v in r] for r in rows], dtype=float)
+def _load_vectors(path: str) -> list[list]:
+    """Exact entries (ints and "p/q" strings as Fractions, floats as is)."""
+    return [[_parse_entry(v) for v in r] for r in _load_rows(path)]
+
+
+def _load_float_array(path: str) -> np.ndarray:
+    """The vectors as one float64 (n, dim) array, for the float-only commands.
+
+    JSON floats pass as is; other entries are parsed as in _load_vectors and
+    rounded once.  Finiteness is checked on the whole array.
+    """
+    rows = [[v if type(v) is float else _parse_entry(v) for v in r]
+            for r in _load_rows(path)]
+    try:
+        arr = np.array(rows, dtype=float)
+    except OverflowError as exc:
+        raise DomainError(f"{path}: a vector entry is out of the float range: {exc}") from exc
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise DomainError(f"vector entry {arr[bad][0]} is not finite")
+    return arr
 
 
 # --------------------------------------------------------------------------
@@ -263,8 +283,7 @@ def cmd_ratio(args) -> Output:
 
 
 def cmd_caratheodory(args) -> Output:
-    rows = _load_vectors(args.vecs)
-    U = _float_rows(rows)
+    U = _load_float_array(args.vecs)
     dim = args.dim if args.dim is not None else U.shape[1]
     red = caratheodory_reduce(U, dim)
     target = U.T @ U  # = sum of outer products
@@ -287,7 +306,7 @@ def cmd_caratheodory(args) -> Output:
 
 
 def cmd_jl_embed(args) -> Output:
-    pts = _float_rows(_load_vectors(args.points))
+    pts = _load_float_array(args.points)
     lmap, rep = jl_embed(pts, args.eps, constant=args.constant, seed=args.seed,
                          max_retries=args.retries)
     payload = {
@@ -307,8 +326,7 @@ def cmd_jl_embed(args) -> Output:
 
 
 def cmd_walsh(args) -> Output:
-    rows = _load_vectors(args.family)
-    ens = WalshEnsemble.from_vectors(_float_rows(rows), seed=args.seed, m=args.m)
+    ens = WalshEnsemble.from_vectors(_load_float_array(args.family), seed=args.seed, m=args.m)
     pset = walsh_pointset(ens)
     distinct = len(np.unique(pset.points, axis=0))
     check = walsh_orthogonality_check(ens.m, ens.gaussians[:, None] * ens.base)
@@ -324,11 +342,11 @@ def cmd_walsh(args) -> Output:
 
 
 def cmd_jl_mechanism(args) -> Output:
-    rows = _load_vectors(args.family)
-    space = SpaceOracle.from_tag(args.space, len(rows[0]))
+    family = _load_float_array(args.family)
+    space = SpaceOracle.from_tag(args.space, family.shape[1])
     rep = jl_mechanism_experiment(
         space,
-        _float_rows(rows),
+        family,
         eps=args.eps,
         constant=args.constant,
         seed=args.seed,

@@ -561,12 +561,13 @@ def gaussian_ratio(family: VectorFamily, kind: str, samples: int = 100_000,
     if len(family) == 0:
         raise ZeroFamily("empty family")
     space = family.space
-    S = float(np.sum(space.norm_array(V) ** 2))
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((samples, len(family)))
-    sums = G @ V
-    ns = space.norm_array(sums) ** 2
-    mean = float(ns.mean())
+    # an overflow shows as a non-finite S or mean and is reported below
+    with np.errstate(over="ignore"):
+        S = float(np.sum(space.norm_array(V) ** 2))
+        ns = space.norm_array(G @ V) ** 2
+        mean = float(ns.mean())
     if not (math.isfinite(S) and math.isfinite(mean)):
         raise DomainError("squared norms leave the float range")
     se = float(ns.std(ddof=1) / math.sqrt(samples))

@@ -110,60 +110,114 @@ class DistortionReport:
     argmax: tuple[int, int]
 
 
-def _euclidean_pdists(pts: np.ndarray) -> np.ndarray:
-    """Condensed upper-triangle pairwise Euclidean distances.
+_BLOCK_CELLS = 1 << 16
 
-    Uses the Gram identity for speed; distances between exactly identical
-    rows are forced to 0 so duplicate points never yield roundoff ratios.
+
+def _row_blocks(n: int, cells: int = _BLOCK_CELLS):
+    """Row ranges [a, b) covering the pairs i < j, each about ``cells``
+    cells of the band [a, b) x [a + 1, n)."""
+    rows = max(1, cells // n)
+    for a in range(0, n - 1, rows):
+        yield a, min(n - 1, a + rows)
+
+
+def _euclidean_dists(pts: np.ndarray) -> np.ndarray:
+    """(n, n) Euclidean distances from the Gram identity.
+
+    Only the entries above the diagonal are meaningful.  Exactly equal rows
+    are put at distance 0, so duplicate points never yield roundoff ratios.
     """
+    n = len(pts)
     sq = np.sum(pts * pts, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-    np.clip(d2, 0.0, None, out=d2)
-    iu, ju = np.triu_indices(len(pts), k=1)
-    out = np.sqrt(d2[iu, ju])
-    _, inv = np.unique(pts, axis=0, return_inverse=True)
-    inv = inv.reshape(-1)
-    out[inv[iu] == inv[ju]] = 0.0
-    return out
+    # two equal rows leave at most ~dim * eps * tot of roundoff in d2
+    slack = 4 * (pts.shape[1] + 1) * np.finfo(float).eps
+    d2 = pts @ pts.T
+    for a, b in _row_blocks(n):
+        band = d2[a:b, a + 1:]
+        tot = sq[a:b, None] + sq[None, a + 1:]
+        # tot + (-2 G) rounds exactly as tot - 2 G
+        band *= -2.0
+        band += tot
+        np.clip(band, 0.0, None, out=band)
+        # only pairs under the slack (or NaN after an overflow) are compared
+        tot *= slack
+        r, c = np.divmod(np.flatnonzero(~(band > tot)), n - a - 1)
+        upper = c >= r
+        i, j = a + r[upper], a + 1 + c[upper]
+        same = np.all(pts[i] == pts[j], axis=1)
+        d2[i[same], j[same]] = 0.0
+        np.sqrt(band, out=band)
+    return d2
 
 
-_PAIR_CHUNK = 1 << 18
-
-
-def _pair_norms(pts: np.ndarray, oracle: SpaceOracle | None) -> np.ndarray:
+def _pair_dists(pts: np.ndarray, oracle: SpaceOracle | None) -> np.ndarray:
+    """(n, n) distances ||x_i - x_j|| in the oracle's norm (Euclidean for
+    None); only the entries above the diagonal are meaningful."""
     if oracle is None:
-        return _euclidean_pdists(pts)
-    iu, ju = np.triu_indices(len(pts), k=1)
-    out = np.empty(len(iu))
-    for lo in range(0, len(iu), _PAIR_CHUNK):
-        hi = lo + _PAIR_CHUNK
-        diffs = pts[iu[lo:hi]] - pts[ju[lo:hi]]
-        out[lo:hi] = oracle.norm_array(diffs)
+        return _euclidean_dists(pts)
+    n, dim = pts.shape
+    out = np.zeros((n, n))
+    # a band of differences holds about _BLOCK_CELLS floats, so it stays in cache
+    for a, b in _row_blocks(n, _BLOCK_CELLS // max(1, dim)):
+        width = n - a - 1
+        diffs = (pts[a:b, None, :] - pts[None, a + 1:, :]).reshape((b - a) * width, dim)
+        out[a:b, a + 1:] = oracle.norm_array(diffs).reshape(b - a, width)
     return out
 
 
-def _ratio_report(src: np.ndarray, tgt: np.ndarray, n: int) -> DistortionReport:
-    iu, ju = np.triu_indices(n, k=1)
-    keep = ~((src == 0) & (tgt == 0))  # drop duplicate points
-    if not np.any(keep):
+def _replaces(value: float, best: float, lower: bool) -> bool:
+    """Whether a later pair's ratio displaces the earlier extreme: only when
+    strictly more extreme, NaN counting as most extreme (as in np.argmin)."""
+    if math.isnan(best) or math.isnan(value):
+        return not math.isnan(best)
+    return value < best if lower else value > best
+
+
+def _scan(src: np.ndarray, tgt: np.ndarray) -> DistortionReport:
+    """Extremes of tgt[i, j] / src[i, j] over the pairs i < j.
+
+    Rows are read in blocks, and ties go to the first pair in row-major
+    (condensed) order.  Pairs at distance 0 in both matrices are duplicate
+    points and skipped; a pair at source distance 0 with a positive target
+    distance raises RatioUndefined.
+    """
+    n = len(src)
+    lo = hi = None
+    for a, b in _row_blocks(n):
+        width = n - a - 1
+        s, t = src[a:b, a + 1:], tgt[a:b, a + 1:]
+        drop = np.tri(b - a, width, -1, dtype=bool)  # column c < row r: j <= i
+        zero = (s == 0) & ~drop
+        if zero.any():
+            bad = zero & (t > 0)
+            if bad.any():
+                r, c = divmod(int(np.argmax(bad)), width)
+                raise RatioUndefined(
+                    f"points {a + r} and {a + 1 + c} coincide in the source norm "
+                    "but not in the target"
+                )
+            drop |= zero & (t == 0)
+            if drop.all():
+                continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = t / s
+        np.copyto(ratio, np.inf, where=drop)
+        k = int(np.argmin(ratio))
+        if lo is None or _replaces(ratio.flat[k], lo[0], True):
+            lo = (float(ratio.flat[k]), (a + k // width, a + 1 + k % width))
+        np.copyto(ratio, -np.inf, where=drop)
+        k = int(np.argmax(ratio))
+        if hi is None or _replaces(ratio.flat[k], hi[0], False):
+            hi = (float(ratio.flat[k]), (a + k // width, a + 1 + k % width))
+    if lo is None:
         raise AllPointsCoincide("no distinct pair of points")
-    bad = (src == 0) & (tgt > 0)
-    if np.any(bad):
-        k = int(np.flatnonzero(bad)[0])
-        raise RatioUndefined(
-            f"points {int(iu[k])} and {int(ju[k])} coincide in the source norm "
-            "but not in the target"
-        )
-    ratios = tgt[keep] / src[keep]
-    ik, jk = iu[keep], ju[keep]
-    a_min, a_max = int(np.argmin(ratios)), int(np.argmax(ratios))
-    min_r, max_r = float(ratios[a_min]), float(ratios[a_max])
+    min_r, max_r = lo[0], hi[0]
     return DistortionReport(
         min_ratio=min_r,
         max_ratio=max_r,
         distortion=max_r / min_r if min_r > 0 else math.inf,
-        argmin=(int(ik[a_min]), int(jk[a_min])),
-        argmax=(int(ik[a_max]), int(jk[a_max])),
+        argmin=lo[1],
+        argmax=hi[1],
     )
 
 
@@ -178,9 +232,7 @@ def distortion_of_map(points: PointSet, lmap: LinearMap,
     pts = points.points
     if len(pts) < 2:
         raise AllPointsCoincide("need at least two points")
-    src = _pair_norms(pts, source_norm)
-    tgt = _pair_norms(lmap.apply(pts), target_norm)
-    return _ratio_report(src, tgt, len(pts))
+    return _scan(_pair_dists(pts, source_norm), _pair_dists(lmap.apply(pts), target_norm))
 
 
 def jl_embed(points: PointSet | np.ndarray, eps: float, constant: float = 8.0,
@@ -205,8 +257,10 @@ def jl_embed(points: PointSet | np.ndarray, eps: float, constant: float = 8.0,
     n, source_dim = pts.shape
     if n < 2:
         raise AllPointsCoincide("need at least two points")
+    if source_dim < 1:
+        raise DomainError("points need at least one coordinate")
     d = min(max(1, math.ceil(constant * math.log(n) / eps**2)), source_dim)
-    src = _euclidean_pdists(pts)
+    src = _euclidean_dists(pts)
     rng = np.random.default_rng(seed)
     best: tuple[float, LinearMap, DistortionReport] | None = None
     for _ in range(max_retries):
@@ -214,8 +268,7 @@ def jl_embed(points: PointSet | np.ndarray, eps: float, constant: float = 8.0,
         Q, _ = np.linalg.qr(G)
         M = math.sqrt(source_dim / d) * Q.T
         raw = LinearMap(M, 1.0)
-        tgt = _euclidean_pdists(raw.apply(pts))
-        rep = _ratio_report(src, tgt, n)
+        rep = _scan(src, _euclidean_dists(raw.apply(pts)))
         if rep.min_ratio <= 0:
             continue  # degenerate draw; cannot normalize
         scale = 1.0 / rep.min_ratio
@@ -251,17 +304,17 @@ def fwht(a: np.ndarray) -> np.ndarray:
     sign vectors encoded as bitmasks of their -1 positions, this evaluates
     all 2^m Walsh-weighted sums at once.
     """
-    a = np.array(a, dtype=float)
+    a = np.array(a, dtype=float, order="C")  # reshape below must be a view
     n = a.shape[0]
     if n & (n - 1):
         raise DomainError(f"length {n} is not a power of 2")
     h = 1
     while h < n:
-        for start in range(0, n, 2 * h):
-            x = a[start : start + h].copy()
-            y = a[start + h : start + 2 * h]
-            a[start : start + h] = x + y
-            a[start + h : start + 2 * h] = x - y
+        # pairs (start + r, start + h + r) for every block start at once
+        v = a.reshape(n // (2 * h), 2, h, *a.shape[1:])
+        x = v[:, 0].copy()
+        v[:, 0] += v[:, 1]
+        np.subtract(x, v[:, 1], out=v[:, 1])
         h *= 2
     return a
 
@@ -289,7 +342,7 @@ class WalshEnsemble:
     def from_vectors(cls, vectors: Sequence[Sequence[float]], seed: int = 0,
                      m: int | None = None) -> "WalshEnsemble":
         """Pad a finite family with zero vectors up to the next power of two."""
-        V = np.asarray([[float(e) for e in v] for v in vectors], dtype=float)
+        V = np.asarray(vectors, dtype=float)
         if V.ndim != 2 or len(V) < 1:
             raise DomainError("need at least one vector")
         if m is None:
@@ -388,7 +441,7 @@ def jl_mechanism_experiment(space: SpaceOracle, vectors: Sequence[Sequence[float
     of the embedding distortion and the target's Euclidean distortion in the
     recursive bound; both factors are also reported separately.
     """
-    V = np.asarray([[float(e) for e in v] for v in vectors], dtype=float)
+    V = np.asarray(vectors, dtype=float)
     if V.shape[1] != space.dim:
         raise DomainError("family vectors do not match the space dimension")
     m = max(1, math.ceil(math.log2(len(V))))
@@ -402,13 +455,10 @@ def jl_mechanism_experiment(space: SpaceOracle, vectors: Sequence[Sequence[float
         lmap, rep = jl_embed(pts, eps, constant, seed=derive_seed(seed, "jl", t),
                              max_retries=mc_retries)
         # composite: space norm on the source, Euclidean on the image
-        src = _pair_norms(pts, space)
-        tgt = _euclidean_pdists(lmap.apply(pts))
-        comp = _ratio_report(src, tgt, len(pts))
-        d_comp = comp.distortion
+        src = _pair_dists(pts, space)
+        d_comp = _scan(src, _euclidean_dists(lmap.apply(pts))).distortion
         # proxy spread: how non-Euclidean the space norm is on these pairs
-        e_src = _euclidean_pdists(pts)
-        proxy = _ratio_report(src, e_src, len(pts)).distortion
+        proxy = _scan(src, _euclidean_dists(pts)).distortion
         two_m = 1 << ens.m
         norms = space.norm_array(pts[:two_m])  # Phi values are the first 2^m rows
         lhs = float(np.mean(norms**2))

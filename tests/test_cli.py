@@ -1,6 +1,7 @@
 import json
 import math
 import signal
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -298,6 +299,74 @@ def test_jl_embed_rejects_bad_constant(capsys, tmp_path, constant):
                     "--constant", constant)
     assert code == 1
     assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+_FLOAT_COMMANDS = {
+    "jl-embed": ["jl-embed", "--eps", "0.5", "--seed", "3", "--points"],
+    "jl-mechanism": ["jl-mechanism", "--space", "l1", "--trials", "1", "--family"],
+    "walsh": ["walsh", "--seed", "3", "--family"],
+    "caratheodory": ["caratheodory", "--vecs"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLOAT_COMMANDS))
+@pytest.mark.parametrize("entry", ['"1e400"', pytest.param("1" + "0" * 400, id="10**400"), "NaN",
+                                   "-Infinity", "true", '"1/0"', '"one"', "null"])
+def test_float_commands_reject_bad_entries(capsys, tmp_path, command, entry):
+    path = tmp_path / "pts.json"
+    path.write_text(f"[[1, 2], [{entry}, 1], [0, 1]]")
+    code, out = run(capsys, *_FLOAT_COMMANDS[command], str(path))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+def test_jl_embed_zero_width_points_exit_1(capsys, tmp_path):
+    code, out = run(capsys, *_FLOAT_COMMANDS["jl-embed"], write_vectors(tmp_path, "e.json", [[], []]))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("command", sorted(_FLOAT_COMMANDS))
+def test_float_commands_round_exact_entries_once(capsys, tmp_path, command):
+    # "p/q" strings and ints give the same output as the floats they round to
+    rows = [["1/3", 2, "-5/7"], [0.5, "3", 1], [-1, "1/1024", 2.25], [4, 0, "-1/3"]]
+    floats = [[float(F(v)) if isinstance(v, str) else float(v) for v in r] for r in rows]
+    outs = []
+    for name, data in (("exact.json", rows), ("floats.json", floats)):
+        code, out = run(capsys, *_FLOAT_COMMANDS[command], write_vectors(tmp_path, name, data))
+        assert code == 0
+        payload = json.loads(out)
+        payload.pop("manifest", None)
+        outs.append(payload)
+    assert outs[0] == outs[1]
+
+
+def test_non_utf8_input_exits_1(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'[[1, 2], [\xff, 1]]')
+    commands = [argv + [str(path)] for argv in _FLOAT_COMMANDS.values()] + [
+        ["ratio", "--space", "l1", "--kind", "type", "--vecs", str(path)],
+        ["norm", "--space", "T", "--vec", str(path)],
+        ["cotype-cert", "--witness", str(path)],
+        ["compare-norms", "--vec", str(path)],
+        ["sweep", "--config", str(path)],
+    ]
+    for argv in commands:
+        code, out = run(capsys, *argv)
+        assert code == 1, argv
+        assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("space", ["l1", "l2", "linf", "lp3", "T", "T2"])
+def test_ratio_mc_overflow_exits_1_without_warnings(capsys, tmp_path, space):
+    vecs = write_vectors(tmp_path, "huge.json", [[1e300, 1e300], [1e300, -1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, "ratio", "--space", space, "--kind", "cotype", "--mode", "mc",
+                        "--samples", "200", "--vecs", vecs)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+    assert capsys.readouterr().err == ""
 
 
 def test_walsh_command(capsys, tmp_path):

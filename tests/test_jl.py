@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banach_gauge import (
     AllPointsCoincide,
@@ -25,8 +27,88 @@ from banach_gauge.jl import WALSH_M_CAP
 
 
 # --------------------------------------------------------------------------
+# references: the condensed pair-array computation the row scan replaced
+# --------------------------------------------------------------------------
+
+def _ref_euclidean_pdists(pts):
+    sq = np.sum(pts * pts, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
+    np.clip(d2, 0.0, None, out=d2)
+    iu, ju = np.triu_indices(len(pts), k=1)
+    out = np.sqrt(d2[iu, ju])
+    _, inv = np.unique(pts, axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    out[inv[iu] == inv[ju]] = 0.0
+    return out
+
+
+def _ref_pair_norms(pts, oracle):
+    if oracle is None:
+        return _ref_euclidean_pdists(pts)
+    iu, ju = np.triu_indices(len(pts), k=1)
+    return oracle.norm_array(pts[iu] - pts[ju])
+
+
+def _ref_ratio_report(src, tgt, n):
+    """(min, max, distortion, argmin, argmax), or the error it raises."""
+    iu, ju = np.triu_indices(n, k=1)
+    keep = ~((src == 0) & (tgt == 0))
+    if not np.any(keep):
+        return AllPointsCoincide
+    bad = (src == 0) & (tgt > 0)
+    if np.any(bad):
+        k = int(np.flatnonzero(bad)[0])
+        return RatioUndefined, (int(iu[k]), int(ju[k]))
+    ratios = tgt[keep] / src[keep]
+    ik, jk = iu[keep], ju[keep]
+    a_min, a_max = int(np.argmin(ratios)), int(np.argmax(ratios))
+    min_r, max_r = float(ratios[a_min]), float(ratios[a_max])
+    return (min_r, max_r, max_r / min_r if min_r > 0 else math.inf,
+            (int(ik[a_min]), int(jk[a_min])), (int(ik[a_max]), int(jk[a_max])))
+
+
+def _report_or_error(call):
+    try:
+        rep = call()
+    except AllPointsCoincide:
+        return AllPointsCoincide
+    except RatioUndefined as exc:
+        return RatioUndefined, tuple(int(w) for w in str(exc).split()[1:4:2])
+    return rep.min_ratio, rep.max_ratio, rep.distortion, rep.argmin, rep.argmax
+
+
+def _same(a, b):
+    """Equal, with NaN equal to NaN: the reports must agree bit for bit."""
+    return repr(a) == repr(b)
+
+
+# --------------------------------------------------------------------------
 # transform
 # --------------------------------------------------------------------------
+
+def _ref_fwht(a):
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    h = 1
+    while h < n:
+        for start in range(0, n, 2 * h):
+            x = a[start : start + h].copy()
+            y = a[start + h : start + 2 * h]
+            a[start : start + h] = x + y
+            a[start + h : start + 2 * h] = x - y
+        h *= 2
+    return a
+
+
+@pytest.mark.parametrize("shape", [(1,), (2, 3), (16,), (64, 5), (1 << 12, 8), (8, 2, 3), (4, 0)])
+def test_fwht_bit_identical_to_block_loop(shape):
+    rng = np.random.default_rng(len(shape) * 100 + shape[0])
+    z = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    assert fwht(z).tobytes() == _ref_fwht(z).tobytes()
+    if z.ndim == 2:  # a Fortran-ordered input is transformed, not a copy of it
+        f = np.asfortranarray(z)
+        assert fwht(f).tobytes() == _ref_fwht(z).tobytes()
+
 
 def test_fwht_matches_direct_definition():
     rng = np.random.default_rng(0)
@@ -89,6 +171,112 @@ def test_ratio_undefined_for_degenerate_source_seminorm():
     pts = PointSet(np.array([[0.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(RatioUndefined):
         distortion_of_map(pts, LinearMap(np.eye(2)), source_norm=degenerate)
+
+
+_SOURCE_NORMS = {
+    "euclidean": lambda d: None,
+    "l1": lambda d: SpaceOracle.lp(d, 1.0),
+    "linf": lambda d: SpaceOracle.lp(d, math.inf),
+    # sees only the first axis, so rows can coincide in the source only
+    "blind": lambda d: SpaceOracle.polytope(d, [[1] + [0] * (d - 1)]),
+}
+
+
+@st.composite
+def _clouds(draw):
+    """Small clouds drawn from a pool of few rows, so duplicated points and
+    tied ratios are common, plus an integer map that may collapse pairs."""
+    d = draw(st.integers(1, 3))
+    entry = st.integers(-2, 2).map(float)
+    pool = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=2, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=7))
+    pts = np.array([pool[k] for k in draw(st.permutations([0, 1] + picks))])
+    if draw(st.booleans()):
+        pts = pts * draw(st.sampled_from([0.1, 1 / 3, 1e-3, 7.0]))
+    k = draw(st.integers(1, 3))
+    M = np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=k, max_size=k)))
+    return pts, M
+
+
+@settings(max_examples=400, deadline=None)
+@given(_clouds(), st.sampled_from(sorted(_SOURCE_NORMS)), st.booleans())
+def test_scan_equals_condensed_reference(cloud, source, l1_target):
+    pts, M = cloud
+    src_norm = _SOURCE_NORMS[source](pts.shape[1])
+    tgt_norm = SpaceOracle.lp(len(M), 1.0) if l1_target else None
+    lmap = LinearMap(M)
+    got = _report_or_error(lambda: distortion_of_map(PointSet(pts), lmap, src_norm, tgt_norm))
+    want = _ref_ratio_report(_ref_pair_norms(pts, src_norm),
+                             _ref_pair_norms(lmap.apply(pts), tgt_norm), len(pts))
+    assert _same(got, want)
+
+
+def test_scan_cases_named():
+    # all rows equal; first tie in condensed order; coincide in the source only
+    eye = LinearMap(np.eye(2))
+    with pytest.raises(AllPointsCoincide):
+        distortion_of_map(PointSet(np.full((5, 2), 3.0)), eye)
+    square = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]))
+    rep = distortion_of_map(square, eye)
+    assert (rep.argmin, rep.argmax, rep.distortion) == ((0, 1), (0, 1), 1.0)
+    blind = SpaceOracle.polytope(2, [[1, 0]])
+    with pytest.raises(RatioUndefined, match="points 0 and 3 "):
+        distortion_of_map(square, eye, source_norm=blind)
+
+
+def test_scan_spans_many_row_blocks():
+    # enough points that the scan and the distance builders use many blocks;
+    # duplicates far apart in the row order and a tie planted late
+    rng = np.random.default_rng(17)
+    pts = rng.standard_normal((700, 4)).round(2)
+    pts[650] = pts[3]
+    pts[699] = pts[120]
+    # 2 I doubles every Euclidean distance exactly, so all those ratios tie
+    for M in (rng.standard_normal((3, 4)), 2 * np.eye(4)):
+        for src_norm in (SpaceOracle.lp(4, 1.0), None):
+            lmap = LinearMap(M)
+            got = _report_or_error(lambda: distortion_of_map(PointSet(pts), lmap, src_norm))
+            want = _ref_ratio_report(_ref_pair_norms(pts, src_norm),
+                                     _ref_pair_norms(lmap.apply(pts), None), len(pts))
+            assert _same(got, want)
+    assert got[:2] == (2.0, 2.0) and got[3] == got[4] == (0, 1)
+
+
+def test_scan_orders_nan_first_across_blocks():
+    # one pair, late in the scan, coincides in the source and overflows in the
+    # target: its NaN ratio is the extreme, as np.argmin/np.argmax have it
+    rng = np.random.default_rng(4)
+    pts = np.column_stack([np.arange(700.0), rng.standard_normal(700)])
+    pts[650], pts[690] = [650.0, 1e200], [650.0, 2e200]
+    blind = SpaceOracle.polytope(2, [[1, 0]])
+    lmap = LinearMap(np.eye(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _report_or_error(lambda: distortion_of_map(PointSet(pts), lmap, blind))
+        want = _ref_ratio_report(_ref_pair_norms(pts, blind),
+                                 _ref_pair_norms(lmap.apply(pts), None), len(pts))
+    assert _same(got, want)
+    assert got[3] == got[4] == (650, 690) and math.isnan(got[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_clouds(), st.integers(0, 2**32 - 1))
+def test_jl_embed_report_equals_condensed_reference(cloud, seed):
+    pts, _ = cloud
+    try:
+        lmap, rep = jl_embed(pts, eps=0.9, seed=seed, max_retries=1)
+    except EmbeddingFailed as exc:
+        lmap, rep = exc.best_map, exc.best_report
+    except AllPointsCoincide:
+        assert _ref_ratio_report(_ref_euclidean_pdists(pts), _ref_euclidean_pdists(pts),
+                                 len(pts)) is AllPointsCoincide
+        return
+    src = _ref_euclidean_pdists(pts)
+    want = _ref_ratio_report(src, _ref_euclidean_pdists(LinearMap(lmap.matrix).apply(pts)),
+                             len(pts))
+    min_r, _, distortion, argmin, argmax = want
+    assert lmap.scale == 1.0 / min_r
+    assert _same((rep.min_ratio, rep.max_ratio, rep.distortion, rep.argmin, rep.argmax),
+                 (1.0, distortion, distortion, argmin, argmax))
 
 
 # --------------------------------------------------------------------------
