@@ -51,7 +51,6 @@ from .gauss import (
     rademacher_ratio,
 )
 from .growth import (
-    DeltaBoundQuery,
     GrowthResult,
     ackermann_g,
     alpha,

@@ -49,7 +49,7 @@ from .jl import (
     walsh_pointset,
 )
 from .seeds import derive_seed
-from .seqvec import FinVec
+from .seqvec import FinVec, float_sqrt
 from .tsirelson import (
     certificate_to_json,
     modified_norm,
@@ -245,13 +245,13 @@ def cmd_norm(args) -> Output:
             res = t2_norm_sq(x)
             payload["value_sq"] = res.value
             cert = res.certificate
-        payload["value"] = math.sqrt(float(payload["value_sq"]))
+        payload["value"] = float_sqrt(payload["value_sq"])
     elif space == "mod":
         payload["value"] = modified_norm(x)
         payload["engine"] = "exhaustive"
     elif space == "mod2":
         payload["value_sq"] = modified_t2_norm_sq(x)
-        payload["value"] = math.sqrt(float(payload["value_sq"]))
+        payload["value"] = float_sqrt(payload["value_sq"])
         payload["engine"] = "exhaustive"
     if args.cert_out:
         if cert is None:
@@ -407,7 +407,7 @@ def cmd_growth(args) -> Output:
     if sub == "alpha-diag":
         return Output(text=str(alpha_diag(args.n)))
     if sub == "delta-bound":
-        return Output(text=f"{delta_bound(float(args.n), args.K, args.D):.17g}")
+        return cmd_delta_bound(args)
     raise DomainError(f"unknown growth subcommand {sub!r}")
 
 
@@ -461,6 +461,8 @@ def cmd_compare_norms(args) -> Output:
     if args.vec:
         vecs = [_load_finvec(args.vec)]
     else:
+        if args.max_support < 1:
+            raise DomainError(f"--max-support must be >= 1, got {args.max_support}")
         rng = random.Random(args.seed)
         vecs = []
         for _ in range(args.count):
@@ -486,12 +488,21 @@ def cmd_compare_norms(args) -> Output:
 
 def cmd_sweep(args) -> Output:
     cfg = _load_json(args.config)
+    if not isinstance(cfg, dict):
+        raise DomainError(f"{args.config}: a sweep config must be a JSON object")
     command = cfg.get("command")
-    if command not in HANDLERS or command == "sweep":
+    if not isinstance(command, str) or command not in HANDLERS or command == "sweep":
         raise DomainError(f"sweep cannot run command {command!r}")
     grid = cfg.get("grid", {})
     fixed = cfg.get("fixed", {})
-    root_seed = int(cfg.get("seed", 0))
+    if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
+        raise DomainError(f"{args.config}: the grid must map option names to lists of values")
+    if not isinstance(fixed, dict):
+        raise DomainError(f"{args.config}: fixed must map option names to values")
+    try:
+        root_seed = int(cfg.get("seed", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{args.config}: bad seed: {exc}") from exc
     keys = sorted(grid)
     value_lists = [grid[k] for k in keys]
     cells = list(itertools.product(*value_lists)) if keys else [()]
@@ -617,15 +628,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("n", type=int)
     g = gsub.add_parser("alpha-diag")
     g.add_argument("n", type=int)
-    g = gsub.add_parser("delta-bound")
-    g.add_argument("n", type=float)
-    g.add_argument("--K", type=float, default=1.0)
-    g.add_argument("--D", type=float, default=1.0)
-
-    p = sub.add_parser("delta-bound", help="recursive distortion bound")
-    p.add_argument("n", type=float)
-    p.add_argument("--K", type=float, default=1.0)
-    p.add_argument("--D", type=float, default=1.0)
+    for p in (gsub.add_parser("delta-bound"),
+              sub.add_parser("delta-bound", help="recursive distortion bound")):
+        p.add_argument("n", type=float)
+        p.add_argument("--K", type=float, default=1.0)
+        p.add_argument("--D", type=float, default=1.0)
 
     p = sub.add_parser("flat-search", help="cutting-plane search for flat vectors")
     p.add_argument("--N", required=True, type=int)
@@ -656,12 +663,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    env_seed = os.environ.get("BANACH_GAUGE_SEED")
-    if env_seed is not None and hasattr(args, "seed"):
-        args.seed = int(env_seed)
-
     start = time.monotonic()
     try:
+        env_seed = os.environ.get("BANACH_GAUGE_SEED")
+        if env_seed is not None and hasattr(args, "seed"):
+            try:
+                args.seed = int(env_seed)
+            except ValueError as exc:
+                raise DomainError(f"BANACH_GAUGE_SEED={env_seed!r} is not an integer") from exc
         out = HANDLERS[args.command](args)
     except BanachGaugeError as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
@@ -687,10 +696,6 @@ def main(argv=None) -> int:
             payload = {"manifest": manifest.to_json(), **payload}
         print(render_json(payload))
     return 0
-
-
-#: programmatic alias: dispatch(argv) -> exit code
-dispatch = main
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadSupportBound, NegativeEntry, ZeroTail
+from .errors import BadSupportBound, DomainError, NegativeEntry, ZeroTail
 from .growth import ackermann_g
 from .seqvec import FinVec, Rat
 from .simplex import solve_lp
@@ -110,6 +110,8 @@ def search_flat(N: int, max_rounds: int = 200) -> FlatSearchResult:
     """
     if not MIN_SUPPORT_BOUND <= N <= MAX_SUPPORT_BOUND:
         raise BadSupportBound(f"N must lie in [{MIN_SUPPORT_BOUND}, {MAX_SUPPORT_BOUND}]")
+    if max_rounds < 1:
+        raise DomainError(f"max_rounds must be >= 1, got {max_rounds}")
 
     # seed pool: coordinate functionals <e_j, |x|> <= ||x||_T
     pool: list[FinVec] = [FinVec.basis(j) for j in range(1, N + 1)]

@@ -44,8 +44,8 @@ from .errors import (
     TooManyVectors,
     ZeroFamily,
 )
-from .seeds import derive_seed
-from .seqvec import FinVec
+from .seeds import derive_seed, seeded_rng
+from .seqvec import FinVec, float_sqrt
 from .tsirelson import modified_norm, tsirelson_norm, tsirelson_norm_batch
 
 __all__ = [
@@ -240,7 +240,10 @@ class SpaceOracle:
         if t == "linf":
             return cls.lp(dim, math.inf)
         if t.startswith("lp"):
-            return cls.lp(dim, float(t[2:]))
+            try:
+                return cls.lp(dim, float(t[2:]))
+            except ValueError as exc:
+                raise DomainError(f"unknown space tag {tag!r}") from exc
         if t == "t":
             return cls.tsirelson_span(dim)
         if t == "t2":
@@ -318,13 +321,19 @@ class SpaceOracle:
         """Float norm (sqrt of the exact squared value where one exists)."""
         self._check(vec)
         if self.tag in ("t2_span", "mod2_span", "tsirelson_span", "polytope"):
-            sq = self.norm_sq(vec)
-            return math.sqrt(float(sq)) if not isinstance(sq, float) else math.sqrt(sq)
-        fv = [float(e) for e in vec]
+            return float_sqrt(self.norm_sq(vec))
+        try:
+            fv = [float(e) for e in vec]
+        except OverflowError as exc:
+            raise DomainError(f"a vector entry is out of the float range: {exc}") from exc
         p = self.p
         if p == math.inf:
             return max((abs(v) for v in fv), default=0.0)
-        return float(np.linalg.norm(np.asarray(fv), ord=p))
+        with np.errstate(over="ignore"):
+            n = float(np.linalg.norm(np.asarray(fv), ord=p))
+        if n == math.inf:
+            raise DomainError(f"an l{p:g} norm is out of the float range")
+        return n
 
     def norm_array(self, points: np.ndarray) -> np.ndarray:
         """Float norms of the rows of ``points``.
@@ -388,7 +397,10 @@ class VectorFamily:
         return len(self.vectors)
 
     def as_array(self) -> np.ndarray:
-        return np.array([[float(e) for e in v] for v in self.vectors], dtype=float)
+        try:
+            return np.array([[float(e) for e in v] for v in self.vectors], dtype=float)
+        except OverflowError as exc:
+            raise DomainError(f"a vector entry is out of the float range: {exc}") from exc
 
 
 def diagonal_sqrt_family(space: SpaceOracle, squares) -> VectorFamily:
@@ -561,7 +573,7 @@ def gaussian_ratio(family: VectorFamily, kind: str, samples: int = 100_000,
     if len(family) == 0:
         raise ZeroFamily("empty family")
     space = family.space
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     G = rng.standard_normal((samples, len(family)))
     # an overflow shows as a non-finite S or mean and is reported below
     with np.errstate(over="ignore"):

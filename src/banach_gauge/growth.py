@@ -16,7 +16,6 @@ from .errors import DomainError
 
 __all__ = [
     "GrowthResult",
-    "DeltaBoundQuery",
     "log_star",
     "ackermann_g",
     "alpha",
@@ -134,26 +133,6 @@ def alpha_diag(n: int) -> int:
         k += 1
 
 
-@dataclass(frozen=True)
-class DeltaBoundQuery:
-    """Arguments of the certified distortion-bound recursion."""
-
-    n: float
-    K: float = 1.0
-    D: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("n", "K", "D"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"delta_bound requires a finite {name}, got {getattr(self, name)}")
-        if self.n < 1:
-            raise DomainError("delta_bound requires n >= 1")
-        if self.K <= 0:
-            raise DomainError("delta_bound requires K > 0")
-        if self.D < 1:
-            raise DomainError("delta_bound requires D >= 1")
-
-
 def delta_bound(n: float, K: float = 1.0, D: float = 1.0) -> float:
     """Certified upper bound for the worst Euclidean distortion of an
     n-dimensional subspace of a space with (K, D) dimension reduction.
@@ -169,7 +148,15 @@ def delta_bound(n: float, K: float = 1.0, D: float = 1.0) -> float:
     fixed point.  The result lies in [1, max(1, sqrt(n))]; without the floor
     at t < 1, K <= 1/4 (fixed point 0) would give bounds below 1.
     """
-    DeltaBoundQuery(n, K, D)
+    for name, v in (("n", n), ("K", K), ("D", D)):
+        if not math.isfinite(v):
+            raise DomainError(f"delta_bound requires a finite {name}, got {v}")
+    if n < 1:
+        raise DomainError("delta_bound requires n >= 1")
+    if K <= 0:
+        raise DomainError("delta_bound requires K > 0")
+    if D < 1:
+        raise DomainError("delta_bound requires D >= 1")
     # A loop, not a recursion, so the 10 000-step guard on the tail near the
     # fixed point cannot outrun Python's recursion limit.
     chain = [float(n)]

@@ -36,7 +36,7 @@ from .errors import (
     RatioUndefined,
 )
 from .gauss import SpaceOracle
-from .seeds import derive_seed
+from .seeds import derive_seed, seeded_rng
 
 __all__ = [
     "PointSet",
@@ -253,6 +253,8 @@ def jl_embed(points: PointSet | np.ndarray, eps: float, constant: float = 8.0,
         raise BadEpsilon(f"eps must lie in (0, 1], got {eps}")
     if not (0 < constant < math.inf):
         raise DomainError(f"constant must be positive and finite, got {constant}")
+    if max_retries < 1:
+        raise DomainError(f"max_retries must be >= 1, got {max_retries}")
     pts = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
     n, source_dim = pts.shape
     if n < 2:
@@ -261,7 +263,7 @@ def jl_embed(points: PointSet | np.ndarray, eps: float, constant: float = 8.0,
         raise DomainError("points need at least one coordinate")
     d = min(max(1, math.ceil(constant * math.log(n) / eps**2)), source_dim)
     src = _euclidean_dists(pts)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     best: tuple[float, LinearMap, DistortionReport] | None = None
     for _ in range(max_retries):
         G = rng.standard_normal((source_dim, d))
@@ -347,13 +349,15 @@ class WalshEnsemble:
             raise DomainError("need at least one vector")
         if m is None:
             m = max(1, math.ceil(math.log2(len(V))))
+        if m < 1:
+            raise DomainError("m must be >= 1")
         if len(V) > 1 << m:
             raise DomainError(f"{len(V)} vectors do not fit in 2^{m}")
         if m > WALSH_M_CAP:
             raise MTooLarge(f"m={m} exceeds cap {WALSH_M_CAP}")
         base = np.zeros((1 << m, V.shape[1]))
         base[: len(V)] = V
-        g = np.random.default_rng(seed).standard_normal(1 << m)
+        g = seeded_rng(seed).standard_normal(1 << m)
         return cls(m, base, g, seed)
 
 

@@ -9,7 +9,18 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
+
+from .errors import DomainError
+
 
 def derive_seed(root: int, label: str, index: int = 0) -> int:
     data = f"{root}\x1f{label}\x1f{index}".encode()
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's generator for a caller's seed, which numpy requires to be >= 0."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)

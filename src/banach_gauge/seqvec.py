@@ -8,8 +8,11 @@ equality instead of tolerances.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
+
+from .errors import DomainError
 
 #: Exact scalar type of the sequence layer.
 Rat = Fraction
@@ -120,7 +123,7 @@ class FinVec:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "FinVec":
-        if not isinstance(obj, Mapping) or "v" not in obj:
+        if not isinstance(obj, Mapping) or not isinstance(obj.get("v"), Mapping):
             raise ValueError('vector JSON must look like {"v": {"3": "1/2", ...}}')
         return cls({int(j): Fraction(str(v)) for j, v in obj["v"].items()})
 
@@ -142,6 +145,15 @@ def l1_norm(x: FinVec) -> Rat:
 
 def l2_norm_sq(x: FinVec) -> Rat:
     return sum((v * v for _, v in x.items()), Fraction(0))
+
+
+def float_sqrt(q: Rat) -> float:
+    """sqrt(q) as a float, within 1 ulp: float(Fraction) and math.sqrt both
+    round correctly.  A q beyond the float range raises DomainError."""
+    try:
+        return math.sqrt(float(q))
+    except OverflowError as exc:
+        raise DomainError(f"a squared norm is out of the float range: {exc}") from exc
 
 
 def abs_square(x: FinVec) -> FinVec:

@@ -18,10 +18,11 @@ Three engines live here:
   ``MAX_DP_SUPPORT``).  Fattening each A_j to an interval can only increase
   its term while preserving admissibility (the norm is 1-unconditional and
   monotone under restriction), so intervals suffice; the reduction is
-  cross-checked against the all-subsets oracle rather than assumed.
-  ``tsirelson_norm_batch`` runs the same table fill in float64 on many
-  vectors at once: the fill depends only on the index labels, so it is
-  compiled once per label tuple and applied to numpy columns.
+  cross-checked against the all-subsets oracle rather than assumed.  The
+  fill depends only on the index labels, so its rules are compiled once per
+  label tuple into a cached plan (``_interval_plan``).  ``tsirelson_norm``
+  runs the plan on Python ints and records argmax tables for the
+  certificate; ``tsirelson_norm_batch`` runs it in float64 on numpy columns.
 * ``tsirelson_norm_bruteforce`` -- exhaustive recursion over *all* admissible
   families of arbitrary finite subsets, memoized on support bitmasks.  Slow,
   capped, and deliberately independent of the interval argument.
@@ -54,7 +55,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DomainError, MalformedCertificate, SupportTooLarge
-from .seqvec import FinVec, Rat, abs_square
+from .seqvec import FinVec, Rat, abs_square, float_sqrt
 
 __all__ = [
     "Leaf",
@@ -272,7 +273,7 @@ def _scaled_weights(x: FinVec) -> tuple[tuple[int, ...], list[int], int]:
 
 
 # --------------------------------------------------------------------------
-# Interval dynamic program
+# Interval dynamic program: the plan, and its exact evaluation
 # --------------------------------------------------------------------------
 
 #: Largest support the interval DP accepts.  At this size one Python 3.11 core
@@ -280,6 +281,56 @@ def _scaled_weights(x: FinVec) -> tuple[tuple[int, ...], list[int], int]:
 #: (a support starting near index s/2, where most part budgets bind), with
 #: ~20 MiB of tables.
 MAX_DP_SUPPORT = 200
+
+
+@functools.lru_cache(maxsize=256)
+def _interval_plan(sup: tuple[int, ...]) -> tuple:
+    """The table fill of the interval DP for index labels ``sup``, as data:
+    the one statement of the DP rules, read by ``tsirelson_norm`` and
+    ``_run_plan``.
+
+    Ranges [i, j] of support positions are filled j ascending, i descending.
+    A range's value is the max of its best coordinate and half the best
+    cover of [p, j] by 2..b+1 successive blocks over first-block starts
+    p >= i with sup[p] >= 3; b = sup[p]-2 is the part budget of the largest
+    admissible threshold n = sup[p]-1.  The cover does not depend on i, so
+    the max over p is a running suffix max.  Covers of [i, j] by at most t
+    blocks ("chains") are kept per column only for unbounded t and for
+    t <= t_max, the largest budget that binds (b < j-p) in the column.  Past
+    index s no budget binds and the cost is O(s^3); binding budgets add a
+    factor up to s.
+
+    One entry (j, t_max, steps) per column filled (a column labelled below 3
+    is only read by the root range).  ``steps`` runs i = j-1 down to 0, each
+    (i, b, k): b is the chain row a first block at i reads (0 is unbounded,
+    None if no block starts at i), and k the number of chain budgets kept
+    at i, with rows ``_chain_rows(j-i+1)[:k]`` (a chain follows a first
+    block, so at most sup[i]-3 blocks).  A plan at s = 200 holds ~1.4 MiB.
+    """
+    s = len(sup)
+    plan, q, t_max = [], 0, 0
+    for j in range(s):
+        # sup[p] + p increases with p, so the starts p < j whose budget binds
+        # (sup[p] - 2 < j - p) are a prefix, and t_max is its last budget
+        while q < j and sup[q] + q < j + 2:
+            t_max = sup[q] - 2 if sup[q] >= 3 else t_max
+            q += 1
+        if sup[j] < 3 and j < s - 1:
+            continue
+        plan.append((j, t_max, tuple(
+            (i, (sup[i] - 2 if sup[i] - 2 < j - i else 0) if sup[i] >= 3 else None,
+             min(t_max + 1, sup[i] - 2) if sup[i] >= 4 else 0)
+            for i in range(j - 1, -1, -1))))
+    return tuple(plan)
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_rows(n: int) -> tuple:
+    """Row each budget-t chain of an n-position range reads: a first block,
+    then the budget t-1 chain; row 0 (unbounded) for t = 0 and t >= n, where
+    the budget cannot bind; None for t = 1, the range's own value."""
+    return tuple(0 if t == 0 or t >= n else None if t == 1 else t - 1
+                 for t in range(MAX_DP_SUPPORT))
 
 
 def _best_sum(left: list[int], right: list[int], lo: int) -> tuple[int, int]:
@@ -292,27 +343,16 @@ def _best_sum(left: list[int], right: list[int], lo: int) -> tuple[int, int]:
 def tsirelson_norm(x: FinVec) -> NormResult:
     """Exact ||x||_T with a certificate attaining it.
 
-    One bottom-up table over ranges [i, j] of support positions, right end j
-    ascending and left end i descending.  A range's value is the max of its
-    best coordinate and half of G(p, j) over first-block starts p >= i with
-    sup[p] >= 3, where G(p, j) is the best cover of [p, j] by 2..b successive
-    blocks for the part budget b = min(sup[p]-1, j-p+1) (the threshold
-    n = sup[p]-1 is the largest admissible one, and larger budgets only
-    help).  G(p, j) does not depend on i, so the max over p is a running
-    suffix max.  Covers of [i, j] by at most t blocks ("chains") are kept per
-    column j only for the budgets a first block ending at j can ask for:
-    unbounded, and t <= min(sup[pb]-2, sup[i]-3) for the last start pb whose
-    budget binds (sup[pb]-1 < j-pb+1).  Once indices pass the support size no
-    budget binds, one chain per range remains and the cost is O(s^3); budgets
-    that bind add a factor up to s.  Ties keep the leaf, then the smallest p,
-    then the smallest first-block end; the tests pin the certificate trees
-    this order picks.  The certificate is read off the argmax tables once,
-    at the end.
+    Runs the support's cached ``_interval_plan`` on Python ints, recording
+    each range's first block with the chain row its rest was read from, and
+    each chain cell's first-block end.  The certificate is read off these
+    argmax tables at the end.  Ties keep the leaf, then the smallest start,
+    then the smallest end; the tests pin the trees this order picks.
 
     ``stats.expansions`` counts the ranges evaluated (s(s+1)/2 once the
     support starts at index 3) and ``stats.memo_entries`` the chain cells
     stored.  Supports above ``MAX_DP_SUPPORT`` raise SupportTooLarge before
-    any table is allocated.
+    the plan is built or any table is allocated.
     """
     if len(x) > MAX_DP_SUPPORT:
         raise SupportTooLarge(f"support {len(x)} exceeds interval-DP cap {MAX_DP_SUPPORT}")
@@ -323,98 +363,60 @@ def tsirelson_norm(x: FinVec) -> NormResult:
         return NormResult(zero, NormCertificate(Leaf(1), zero), EvalStats(0, 0))
 
     iv = [[0] * s for _ in range(s)]  # iv[i][j]: scaled norm of positions [i, j]
-    cut: list[list[tuple[int, int] | None]] = [[None] * s for _ in range(s)]
+    cut: list[list[tuple[int, int, int] | None]] = [[None] * s for _ in range(s)]
     chain_end: list = [None] * s  # [j][t][i]: first block's end, -1 if one block
     cells = ranges = 0
-    for j in range(s):
-        if sup[j] < 3 and j < s - 1:
-            continue  # no block can start at or before j: only the root range reads [., j]
+    for j, t_max, steps in _interval_plan(sup):
         ranges += j + 1
         iv[j][j] = w[j]
-        t_max = max((sup[p] - 2 for p in range(j) if 3 <= sup[p] < j - p + 2), default=0)
         # val[t][i]: best cover of [i, j] by at most t blocks; t = 0 is unbounded
         val = [[w[j]] * (j + 1) for _ in range(t_max + 1)]
         end = [[-1] * (j + 1) for _ in range(t_max + 1)]
         leaf, g_best, g_cut = j, -1, None
-        for i in range(j - 1, -1, -1):
-            n = j - i + 1
+        for i, b, k in steps:
             if w[i] >= w[leaf]:
                 leaf = i
-            if sup[i] >= 3:
+            if b is not None:
                 row = iv[i][i:j]
-                b = sup[i] - 2 if sup[i] - 2 < n - 1 else 0  # the rest's budget; 0 = unbounded
-                g, c = _best_sum(row, val[b][i + 1:], i)
+                g, c = cover = _best_sum(row, val[b][i + 1:], i)
                 if g >= g_best:
-                    g_best, g_cut = g, (i, c)
+                    g_best, g_cut = g, (i, c, b)
             top = w[leaf]
             if g_best // 2 > top:
                 top, cut[i][j] = g_best // 2, g_cut
             iv[i][j] = top
-            if sup[i] < 4:
-                continue  # chains are only read after a first block, which starts at index >= 3
-            unb = (g, c) if b == 0 else _best_sum(row, val[0][i + 1:], i)
-            k = min(t_max, sup[i] - 3)  # an earlier first block leaves at most sup[i]-3 blocks
-            for t in range(k + 1):
-                lv, lc = (unb if t == 0 or t >= n
-                          else _best_sum(row, val[t - 1][i + 1:], i) if t > 1 else (-1, -1))
-                val[t][i], end[t][i] = (lv, lc) if lv > top else (top, -1)
-            cells += k + 1
+            if k:
+                unb = cover if b == 0 else _best_sum(row, val[0][i + 1:], i)
+                for t, src in enumerate(_chain_rows(j - i + 1)[:k]):
+                    lv, lc = (unb if src == 0 else (-1, -1) if src is None
+                              else _best_sum(row, val[src][i + 1:], i))
+                    val[t][i], end[t][i] = (lv, lc) if lv > top else (top, -1)
+                cells += k
         chain_end[j] = end
 
     def node(i: int, j: int) -> CertNode:
         if cut[i][j] is None:
             return Leaf(sup[max(range(i, j + 1), key=w.__getitem__)])
-        p, c = cut[i][j]
-        t = sup[p] - 2 if sup[p] - 2 < j - p else 0
+        p, c, t = cut[i][j]
         blocks = [(p, c)]
         while c >= 0:
             a, c = c + 1, chain_end[j][t][c + 1]
             blocks.append((a, j if c < 0 else c))
-            t = t - 1 if t else 0
+            t = _chain_rows(j - a + 1)[t]
         return Split(sup[p] - 1, tuple(Part(sup[a], sup[b], node(a, b)) for a, b in blocks))
 
     value = Fraction(iv[0][s - 1], scale)
-    stats = EvalStats(cells, ranges)
-    return NormResult(value, NormCertificate(node(0, s - 1), value), stats)
+    return NormResult(value, NormCertificate(node(0, s - 1), value), EvalStats(cells, ranges))
 
 
 # --------------------------------------------------------------------------
-# Batched float evaluation of the interval DP
+# Batched float evaluation
 # --------------------------------------------------------------------------
 
 #: float64 cells per DP table in one chunk of rows (2 MiB): rows are
 #: evaluated in chunks of ``_BATCH_CELLS // s^2``, so memory stays bounded
 #: whatever the batch size.
 _BATCH_CELLS = 1 << 18
-
-
-@functools.lru_cache(maxsize=256)
-def _interval_plan(sup: tuple[int, ...]) -> tuple:
-    """The table fill of ``tsirelson_norm`` for index labels ``sup``, as data.
-
-    One entry (j, t_max, steps) per column j the exact DP fills.  ``steps``
-    runs i = j-1 down to 0; each is (i, b, chain): b is the row of chains a
-    first block at i pairs with (None when no block starts at i), and
-    ``chain[t]`` is the chain row that the budget-t chain stored at i pairs
-    with, or None where that chain is the range's own value.
-    """
-    s = len(sup)
-    plan = []
-    for j in range(s):
-        if sup[j] < 3 and j < s - 1:
-            continue
-        t_max = max((sup[p] - 2 for p in range(j) if 3 <= sup[p] < j - p + 2), default=0)
-        steps = []
-        for i in range(j - 1, -1, -1):
-            n = j - i + 1
-            b = (sup[i] - 2 if sup[i] - 2 < n - 1 else 0) if sup[i] >= 3 else None
-            chain = ()
-            if sup[i] >= 4:
-                chain = tuple(0 if t == 0 or t >= n else None if t == 1 else t - 1
-                              for t in range(min(t_max, sup[i] - 3) + 1))
-            steps.append((i, b, chain))
-        plan.append((j, t_max, tuple(steps)))
-    return tuple(plan)
 
 
 def _run_plan(plan: tuple, wt: np.ndarray) -> np.ndarray:
@@ -426,22 +428,23 @@ def _run_plan(plan: tuple, wt: np.ndarray) -> np.ndarray:
         val = np.zeros((t_max + 1, j + 1, r))  # val[t, i]: best cover of [i, j], <= t blocks
         val[:, j] = wt[j]
         leaf, g_best = wt[j], None
-        for i, b, chain in steps:
+        for i, b, k in steps:
             leaf = top = np.maximum(leaf, wt[i])
             if b is not None:
                 row = iv[i, i:j]
-                covers = {b: (row + val[b, i + 1:]).max(axis=0)}
-                g_best = covers[b] if g_best is None else np.maximum(g_best, covers[b])
+                cover = (row + val[b, i + 1:]).max(axis=0)
+                g_best = cover if g_best is None else np.maximum(g_best, cover)
             if g_best is not None:
                 top = np.maximum(leaf, 0.5 * g_best)
             iv[i, j] = top
-            for t, src in enumerate(chain):
-                if src is None:
-                    val[t, i] = top
-                    continue
-                if src not in covers:
-                    covers[src] = (row + val[src, i + 1:]).max(axis=0)
-                np.maximum(covers[src], top, out=val[t, i])
+            if k:
+                unb = cover if b == 0 else (row + val[0, i + 1:]).max(axis=0)
+                for t, src in enumerate(_chain_rows(j - i + 1)[:k]):
+                    if src is None:
+                        val[t, i] = top
+                    else:
+                        cov = unb if src == 0 else (row + val[src, i + 1:]).max(axis=0)
+                        np.maximum(cov, top, out=val[t, i])
     return iv[0, s - 1]
 
 
@@ -450,9 +453,8 @@ def tsirelson_norm_batch(weights, indices: Sequence[int]) -> np.ndarray:
 
     ``weights`` has shape (rows, s) and holds |x| on the index labels
     ``indices`` (s strictly increasing positive ints, shared by all rows).
-    The fill of ``tsirelson_norm``'s table depends only on the labels, so it
-    is compiled once per label tuple and run on float64 columns of the batch
-    with max, + and halving, in chunks of rows.  Every DP value is a max over
+    It runs the labels' cached ``_interval_plan`` on float64 columns of the
+    batch with max, + and halving, in chunks of rows.  Every DP value is a max over
     sums of w * 2^-depth and halving is exact, so each result is within a
     few ulps of the exact norm.  A zero weight is harmless: a block may hold
     zeros, and a block starting at a zero only has a smaller threshold.
@@ -584,12 +586,8 @@ def t2_norm_sq(x: FinVec) -> NormResult:
 
 
 def t2_norm(x: FinVec) -> float:
-    """Float norm in the 2-convexified space; <= 1 ulp rounding.
-
-    float(Fraction) rounds correctly and math.sqrt is correctly rounded, so
-    the result is within 1 ulp of the true value.
-    """
-    return math.sqrt(float(t2_norm_sq(x).value))
+    """Float norm in the 2-convexified space, within 1 ulp (``float_sqrt``)."""
+    return float_sqrt(t2_norm_sq(x).value)
 
 
 # --------------------------------------------------------------------------

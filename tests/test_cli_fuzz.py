@@ -1,0 +1,171 @@
+"""Every subcommand, in process, on junk files and bad flags.
+
+Each call must end in exit 0, exit 1 with the structured error JSON, or exit
+2, with nothing on stderr and no warning raised, and no exception may escape
+``cli.main``.  An alarm bounds every test, so a hang fails instead of
+stalling the suite.
+"""
+
+import contextlib
+import io
+import json
+import signal
+import warnings
+
+import pytest
+
+from banach_gauge.cli import main
+
+BIG = "1" + "0" * 400
+
+JUNK = {
+    "null": b"null",
+    "list": b"[1, 2]",
+    "string": b'"abc"',
+    "10**400": BIG.encode(),
+    "1e300": b"1e300",
+    "non-utf8": b"\xff\xfe junk",
+    "empty": b"",
+    # shapes that pass the top-level type checks of some loaders
+    "v-null": b'{"v": null}',
+    "v-list": b'{"v": [1, 2]}',
+    "v-10**400": ('{"v": {"3": %s, "5": 1}}' % BIG).encode(),
+    "rows-1e300": b"[[1e300, 1e300], [1e300, -1e300]]",
+    "rows-10**400": ("[[%s, 1], [1, 2]]" % BIG).encode(),
+    "sweep-grid-list": b'{"command": "flat-search", "grid": [1]}',
+    "sweep-grid-scalar": b'{"command": "flat-search", "grid": {"N": 5}}',
+    "sweep-fixed-list": b'{"command": "flat-search", "grid": {"N": [3]}, "fixed": [1]}',
+    "sweep-command-list": b'{"command": ["norm"]}',
+    "sweep-seed": b'{"command": "flat-search", "grid": {"N": [3]}, "seed": "x"}',
+}
+
+_SPACES = ["l1", "l2", "linf", "lp3", "T", "T2", "mod2"]
+
+
+def _file_commands(path: str) -> dict[str, list[str]]:
+    cmds = {f"norm-{sp}": ["norm", "--space", sp, "--vec", path] for sp in ["T", "T2", "mod", "mod2"]}
+    cmds["norm-brute"] = ["norm", "--space", "T", "--brute", "--vec", path]
+    for sp in _SPACES:
+        cmds[f"ratio-exact-{sp}"] = ["ratio", "--space", sp, "--kind", "cotype", "--vecs", path]
+        cmds[f"ratio-mc-{sp}"] = ["ratio", "--space", sp, "--kind", "type", "--mode", "mc",
+                                  "--samples", "200", "--vecs", path]
+    cmds["caratheodory"] = ["caratheodory", "--vecs", path]
+    cmds["jl-embed"] = ["jl-embed", "--points", path, "--eps", "0.5", "--retries", "2"]
+    cmds["walsh"] = ["walsh", "--family", path, "--m", "2"]
+    cmds["jl-mechanism"] = ["jl-mechanism", "--space", "l1", "--family", path, "--trials", "1"]
+    cmds["cotype-cert"] = ["cotype-cert", "--witness", path]
+    cmds["compare-norms"] = ["compare-norms", "--vec", path]
+    cmds["sweep"] = ["sweep", "--config", path]
+    return cmds
+
+
+# The float-only commands still raise numpy overflow warnings on entries whose
+# squares leave the float range (caratheodory and walsh even exit 0 with
+# non-finite fields); kept apart below so the defect stays visible.
+_OVERFLOW_NOISY = {("rows-1e300", name)
+                   for name in ("caratheodory", "jl-embed", "jl-mechanism", "walsh")}
+
+
+def _bad_flags(rows: str, witness: str) -> list[list[str]]:
+    mc = ["ratio", "--space", "l2", "--kind", "type", "--mode", "mc", "--samples", "200",
+          "--vecs", rows]
+    return [
+        ["flat-search", "--N", "4", "--rounds", "0"],
+        ["flat-search", "--N", "4", "--rounds", "-3"],
+        ["flat-search", "--N", "40"],
+        ["compare-norms", "--max-support", "0"],
+        ["compare-norms", "--max-support", "-2"],
+        ["compare-norms", "--count", "-1"],
+        mc + ["--seed", "-1"],
+        ["ratio", "--space", "lpx", "--kind", "type", "--vecs", rows],
+        ["ratio", "--space", "lp0.5", "--kind", "type", "--vecs", rows],
+        ["jl-embed", "--points", rows, "--eps", "0.5", "--retries", "0"],
+        ["jl-embed", "--points", rows, "--eps", "0.5", "--seed", "-1"],
+        ["jl-embed", "--points", rows, "--eps", "0"],
+        ["walsh", "--family", rows, "--m", "-1"],
+        ["walsh", "--family", rows, "--m", "0"],
+        ["walsh", "--family", rows, "--m", "40"],
+        ["walsh", "--family", rows, "--seed", "-1"],
+        ["jl-mechanism", "--space", "l1", "--family", rows, "--trials", "0"],
+        ["caratheodory", "--vecs", rows, "--dim", "0"],
+        ["cotype-cert", "--witness", witness, "--N", "0"],
+        ["norm", "--space", "T", "--vec", rows + ".missing"],
+        ["delta-bound", "0"],
+        ["growth", "delta-bound", "nan"],
+        ["growth", "alpha", "0"],
+        ["growth", "alpha-diag", "1"],
+        ["growth", "log-star", "0.5"],
+        ["growth", "g", "3", "3", "--cap", "abc"],
+    ]
+
+
+@pytest.fixture
+def alarm():
+    def hung(signum, frame):
+        raise TimeoutError("a fuzzed command did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _outcome(argv: list[str]) -> str | None:
+    """None if the call ended cleanly, else what went wrong."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except TimeoutError:
+            raise
+        except BaseException as exc:  # noqa: BLE001 - any escape is the failure
+            return f"{type(exc).__name__}: {exc}"
+    if code not in (0, 1, 2):
+        return f"exit {code}"
+    if caught:
+        return f"warning: {caught[0].message}"
+    if err.getvalue():
+        return f"stderr: {err.getvalue()[:200]}"
+    if code == 1 and "error" not in json.loads(out.getvalue()):
+        return "exit 1 without the error JSON"
+    return None
+
+
+@pytest.mark.parametrize("junk", sorted(JUNK))
+def test_every_file_command_on_junk_ends_cleanly(tmp_path, alarm, junk):
+    path = tmp_path / "junk.json"
+    path.write_bytes(JUNK[junk])
+    failures = [(name, why) for name, argv in _file_commands(str(path)).items()
+                if (junk, name) not in _OVERFLOW_NOISY and (why := _outcome(argv))]
+    assert failures == []
+
+
+def test_bad_flags_end_cleanly(tmp_path, alarm):
+    rows = tmp_path / "rows.json"
+    rows.write_text("[[1, 2], [3, -1]]")
+    witness = tmp_path / "witness.json"
+    witness.write_text('{"v": {"3": 1, "4": 1}}')
+    failures = [(argv, why) for argv in _bad_flags(str(rows), str(witness))
+                if (why := _outcome(argv))]
+    assert failures == []
+
+
+def test_non_integer_env_seed_exits_1(tmp_path, alarm, monkeypatch, capsys):
+    rows = tmp_path / "rows.json"
+    rows.write_text("[[1, 2], [3, -1]]")
+    monkeypatch.setenv("BANACH_GAUGE_SEED", "abc")
+    code = main(["ratio", "--space", "l2", "--kind", "type", "--mode", "mc", "--vecs", str(rows)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.xfail(strict=True, reason="numpy overflow warnings on entries near 1e300")
+@pytest.mark.parametrize("junk,name", sorted(_OVERFLOW_NOISY))
+def test_float_commands_on_huge_entries_end_cleanly(tmp_path, alarm, junk, name):
+    path = tmp_path / "junk.json"
+    path.write_bytes(JUNK[junk])
+    assert _outcome(_file_commands(str(path))[name]) is None

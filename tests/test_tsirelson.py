@@ -2,11 +2,12 @@ import hashlib
 import json
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banach_gauge import (
@@ -440,3 +441,45 @@ def test_batch_rejects_bad_input(weights, indices):
 def test_batch_empty_support_and_no_rows():
     assert tsirelson_norm_batch(np.zeros((3, 0)), []).tolist() == [0.0, 0.0, 0.0]
     assert tsirelson_norm_batch(np.zeros((0, 2)), [4, 7]).shape == (0,)
+
+
+# --------------------------------------------------------------------------
+# the interval plan
+# --------------------------------------------------------------------------
+
+@st.composite
+def _far_vectors(draw):
+    """Supports of size s <= MAX_DP_SUPPORT starting at index >= s + 1."""
+    s = draw(st.integers(1, MAX_DP_SUPPORT))
+    start = draw(st.integers(s + 1, 3 * s + 3))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=s - 1, max_size=s - 1))
+    indices = [start]
+    for g in gaps:
+        indices.append(indices[-1] + g)
+    values = draw(st.lists(_entries, min_size=s, max_size=s))
+    return FinVec(dict(zip(indices, values)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_far_vectors())
+@example(FinVec({j: Fraction(j % 7 - 3, j % 3 + 1) or 1 for j in range(201, 401)}))
+def test_far_support_closed_form(x):
+    # with min support >= s + 1 every split into singletons is admissible and
+    # ||y||_T <= ||y||_1, so the norm is max(||x||_inf, ||x||_1 / 2): a check
+    # of the plan that shares no code with it, at supports the brute oracle
+    # cannot reach
+    assert tsirelson_norm(x).value == max(sup_norm(x), l1_norm(x) / 2)
+    sq = abs_square(x)
+    assert t2_norm_sq(x).value == max(sup_norm(sq), l1_norm(sq) / 2)
+
+
+@pytest.mark.parametrize("start", [1, 100])
+def test_cached_plan_is_small(start):
+    build = tsirelson_module._interval_plan.__wrapped__
+    tracemalloc.start()
+    try:
+        plan = build(tuple(range(start, start + MAX_DP_SUPPORT)))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan and held <= 4 << 20
