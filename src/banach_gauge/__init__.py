@@ -94,12 +94,15 @@ from .tsirelson import (
     certificate_to_json,
     certificate_value,
     modified_norm,
+    modified_norm_batch,
+    modified_norm_batch_exact,
     modified_t2_norm_sq,
     norming_functional,
     t2_norm,
     t2_norm_sq,
     tsirelson_norm,
     tsirelson_norm_batch,
+    tsirelson_norm_batch_exact,
     tsirelson_norm_bruteforce,
     validate_certificate,
 )

@@ -15,7 +15,9 @@ Output conventions:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -218,6 +220,20 @@ def _load_float_array(path: str) -> np.ndarray:
 # Handlers
 # --------------------------------------------------------------------------
 
+def _float_only(handler):
+    """Run a float-only command with numpy overflow and invalid operations
+    raised: an input whose squares or Gram products leave the float range
+    ends in DomainError, not in warnings and non-finite fields."""
+    @functools.wraps(handler)
+    def run(args) -> Output:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return handler(args)
+        except FloatingPointError as exc:
+            raise DomainError(f"the input leaves the float range: {exc}") from exc
+    return run
+
+
 def cmd_norm(args) -> Output:
     x = _load_finvec(args.vec)
     space = args.space
@@ -282,6 +298,7 @@ def cmd_ratio(args) -> Output:
     return Output(payload=payload)
 
 
+@_float_only
 def cmd_caratheodory(args) -> Output:
     U = _load_float_array(args.vecs)
     dim = args.dim if args.dim is not None else U.shape[1]
@@ -305,6 +322,7 @@ def cmd_caratheodory(args) -> Output:
     return Output(payload=payload)
 
 
+@_float_only
 def cmd_jl_embed(args) -> Output:
     pts = _load_float_array(args.points)
     lmap, rep = jl_embed(pts, args.eps, constant=args.constant, seed=args.seed,
@@ -325,6 +343,7 @@ def cmd_jl_embed(args) -> Output:
     return Output(payload=payload)
 
 
+@_float_only
 def cmd_walsh(args) -> Output:
     ens = WalshEnsemble.from_vectors(_load_float_array(args.family), seed=args.seed, m=args.m)
     pset = walsh_pointset(ens)
@@ -341,6 +360,7 @@ def cmd_walsh(args) -> Output:
     return Output(payload=payload)
 
 
+@_float_only
 def cmd_jl_mechanism(args) -> Output:
     family = _load_float_array(args.family)
     space = SpaceOracle.from_tag(args.space, family.shape[1])
@@ -520,7 +540,8 @@ def cmd_sweep(args) -> Output:
             argv += ["--seed", str(derive_seed(root_seed, command, idx))]
         cell_params = dict(zip(keys, cell))
         try:
-            ns = parser.parse_args(argv)
+            with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage text
+                ns = parser.parse_args(argv)
             out = HANDLERS[command](ns)
             flat: dict = {}
             if out.payload is not None:

@@ -4,18 +4,21 @@ finite-family equality for those constants.
 Two estimation modes:
 
 * ``rademacher_ratio`` averages over all sign patterns exactly.  Every
-  supported norm is even, so it pairs eps with -eps and walks the 2^(n-1)
-  patterns with eps_n = +1 in Gray code order, one vector update per
-  pattern, on integer numerators over the family's common denominator
-  (floats are read as the exact binary rationals they are).  That is
-  2^(n-1) ``norm_sq`` calls on the sign sums.  When the space oracle
-  evaluates squared norms in rational arithmetic the ratio is an exact
-  ``Fraction`` and can serve as a certificate.
+  supported norm is even, so it pairs eps with -eps and takes the 2^(n-1)
+  patterns with eps_n = +1, on integer numerators over the family's common
+  denominator (floats are read as the exact binary rationals they are).  On
+  T, T2, mod2, l1, l2 and linf the sign sums form one integer matrix,
+  evaluated in a few batched exact calls (the interval plan, the compiled
+  mod2 plan, or an integer reduction); on other spaces a Gray-code walk
+  makes one ``norm_sq`` call per pattern.  When the squared norms are
+  rational the ratio is an exact ``Fraction`` and can serve as a
+  certificate.
 * ``gaussian_ratio`` is seeded Monte Carlo over i.i.d. standard Gaussian
   coefficients, with a 95% normal confidence interval.  Its sample sums go
   through ``SpaceOracle.norm_array`` in float64 all at once: numpy norms on
-  lp, one matmul on polytopes, and on T and T2 the interval DP batched over
-  the samples (``tsirelson_norm_batch``), so no sample meets the exact path.
+  lp, one matmul on polytopes, on T and T2 the interval DP batched over the
+  samples (``tsirelson_norm_batch``) and on mod2 the compiled bitmask plan
+  (``modified_norm_batch``), so no sample meets the exact path.
 
 ``caratheodory_reduce`` implements the covariance-preserving weight pivoting:
 the Gaussian sum's covariance lies in the cone spanned by the outer products
@@ -46,7 +49,17 @@ from .errors import (
 )
 from .seeds import derive_seed, seeded_rng
 from .seqvec import FinVec, float_sqrt
-from .tsirelson import modified_norm, tsirelson_norm, tsirelson_norm_batch
+from .tsirelson import (
+    MAX_DP_SUPPORT,
+    MAX_MODIFIED_SUPPORT,
+    exact_dtype,
+    modified_norm,
+    modified_norm_batch,
+    modified_norm_batch_exact,
+    tsirelson_norm,
+    tsirelson_norm_batch,
+    tsirelson_norm_batch_exact,
+)
 
 __all__ = [
     "SqrtRat",
@@ -177,7 +190,8 @@ class SpaceOracle:
     ``t2_span``, ``mod2_span``, ``polytope`` (norm = max |<f_i, x>| over a
     spanning list of functionals).  ``norm_sq`` returns an exact ``Fraction``
     whenever the evaluation stays rational, otherwise a float; ``norm_array``
-    is the batched float path.
+    is the batched float path and ``norm_sq_batch`` the batched exact one on
+    integer rows.
     """
 
     def __init__(self, dim: int, tag: str, p: float | None = None,
@@ -339,10 +353,11 @@ class SpaceOracle:
         """Float norms of the rows of ``points``.
 
         ``lp`` uses ``np.linalg.norm`` and ``polytope`` one matmul, max |F x|.
-        T and T2 run the interval DP batched in float (``tsirelson_norm_batch``)
-        on the columns that are nonzero in some row, under their true indices:
-        T on |x|, T2 on x^2 followed by a square root.  ``mod2_span`` loops over
-        the rows through the exhaustive exact oracle.
+        T, T2 and mod2 run their plans batched in float on the columns that
+        are nonzero in some row, under their true indices: T on |x| by the
+        interval DP (``tsirelson_norm_batch``), T2 on x^2 by the same and mod2
+        on x^2 by the compiled bitmask plan (``modified_norm_batch``), each
+        followed by a square root.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
@@ -353,12 +368,56 @@ class SpaceOracle:
             raise DomainError(f"vector length {pts.shape[1]} != dim {self.dim}")
         if self.tag == "polytope":
             return np.abs(pts @ np.array(self.functionals, dtype=float).T).max(axis=1)
-        if self.tag == "mod2_span":
-            return np.array([self.norm(row.tolist()) for row in pts])
         cols = np.flatnonzero(pts.any(axis=0))
         if self.tag == "tsirelson_span":
             return tsirelson_norm_batch(np.abs(pts[:, cols]), (cols + 1).tolist())
-        return np.sqrt(tsirelson_norm_batch(pts[:, cols] ** 2, (cols + 1).tolist()))
+        batch = tsirelson_norm_batch if self.tag == "t2_span" else modified_norm_batch
+        return np.sqrt(batch(pts[:, cols] ** 2, (cols + 1).tolist()))
+
+    def reads_squares(self) -> bool:
+        """Whether the norm reads only the squares of the coordinates."""
+        return self.tag in ("t2_span", "mod2_span") or (self.tag == "lp" and self.p == 2.0)
+
+    def exact_batch_fits(self, support: int) -> bool:
+        """Whether ``norm_sq_batch`` evaluates rows on ``support`` columns: on
+        l1, l2 and linf always, on T and T2 up to ``MAX_DP_SUPPORT`` columns,
+        on mod2 up to ``MAX_MODIFIED_SUPPORT``, on other tags never."""
+        if self.tag == "lp":
+            return self.p in (1.0, 2.0, math.inf)
+        if self.tag == "mod2_span":
+            return support <= MAX_MODIFIED_SUPPORT
+        return self.tag != "polytope" and support <= MAX_DP_SUPPORT
+
+    def norm_sq_batch(self, M: np.ndarray, cols: Sequence[int],
+                      weights: Sequence[int] | None = None) -> tuple[list[int], int]:
+        """Exact squared norms of integer rows, as numerators over one
+        denominator: row r's squared norm is nums[r] / den.
+
+        Row r of ``M`` (int64, or Python ints as dtype=object) is the vector
+        with M[r, j] at coordinate cols[j] (0-based, increasing) and 0
+        elsewhere.  A norm that reads squares takes coordinate j's square as
+        M[r, j]^2 weights[j] (1 without ``weights``), so a column can count
+        integer multiples of one square root.  T and T2 run the interval
+        plan (``tsirelson_norm_batch_exact``), mod2 the compiled bitmask plan
+        (``modified_norm_batch_exact``), l1, l2 and linf integer sums and
+        maxima.  The caller picks a dtype in which the squares and their row
+        sums stay exact (``exact_dtype``).
+        """
+        if not self.exact_batch_fits(len(cols)) or (weights is not None and not self.reads_squares()):
+            raise DomainError(f"{self!r} has no exact batch on these {len(cols)} columns")
+        labels = [k + 1 for k in cols]
+        if self.reads_squares():
+            sq = M * M if weights is None else M * M * np.array(weights, dtype=M.dtype)
+            if self.tag == "lp":
+                return sq.sum(axis=1).tolist(), 1
+            batch = tsirelson_norm_batch_exact if self.tag == "t2_span" else modified_norm_batch_exact
+            return batch(sq, labels)
+        A = np.abs(M)
+        if self.tag == "tsirelson_span":
+            nums, scale = tsirelson_norm_batch_exact(A, labels)
+            return [v * v for v in nums], scale * scale
+        nums = (A.sum(axis=1) if self.p == 1.0 else A.max(axis=1, initial=0)).tolist()
+        return [v * v for v in nums], 1
 
     def spot_check(self, seed: int = 0, trials: int = 25) -> bool:
         """Sampled norm axioms: homogeneity, positive-definiteness, triangle."""
@@ -439,14 +498,16 @@ def rademacher_ratio(family: VectorFamily, kind: str) -> RatioEstimate:
 
     Every supported norm is even, so eps and -eps give the same squared norm:
     the average over the 2^(n-1) patterns with eps_n = +1 equals the average
-    over all 2^n.  Those patterns are visited in binary reflected Gray code
-    order (Knuth, TAOCP 7.2.1.1), so each step flips one sign and updates the
-    sign sum on that vector's nonzero coordinates only.  The walk runs on
-    integer numerators over the family's common denominator L (see
-    ``_half_pattern_total``), and norms are homogeneous, so the mean is the
-    sum of the 2^(n-1) squared norms divided by L^2 2^(n-1) once.  That is
-    n + 2^(n-1) ``norm_sq`` calls; ``samples`` still reports the 2^n patterns
-    averaged.
+    over all 2^n.  The sign sums are taken on integer numerators over the
+    family's common denominator L (``_integer_family``), and norms are
+    homogeneous, so the mean is the sum of the 2^(n-1) squared norms divided
+    by L^2 2^(n-1) once.  On T, T2, mod2, l1, l2 and linf those sums form one
+    integer matrix, evaluated with the vectors themselves in a few batched
+    exact calls (``_batched_moments``); other spaces, coordinates that have
+    no exact integer form there, and a union support above the engine's cap
+    (``SpaceOracle.exact_batch_fits``) take a Gray-code walk with one
+    ``norm_sq`` call per pattern (``_walked_moments``).  ``samples`` still
+    reports the 2^n patterns averaged.
 
     ``exact`` is the ratio as a ``Fraction`` when every squared norm is
     rational, and None when the oracle evaluates in float or a coordinate
@@ -459,22 +520,25 @@ def rademacher_ratio(family: VectorFamily, kind: str) -> RatioEstimate:
     if n == 0:
         raise ZeroFamily("empty family")
     space = family.space
-    S = sum(space.norm_sq(list(v)) for v in family.vectors)
     try:
-        total, L, float_coords = _half_pattern_total(space, family.vectors)
-        mean = Fraction(total) / (L * L << (n - 1))
-        exact_S = Fraction(S)
+        X, L, roots, mixed = _integer_family(family.vectors, space.dim)
+        cols = [k for k in range(space.dim) if any(row[k] for row in X)]
+        if (not mixed and (not roots or space.reads_squares())
+                and space.exact_batch_fits(len(cols))):
+            S, mean = _batched_moments(space, X, L, roots, cols)
+            inexact = False
+        else:
+            S, mean, inexact = _walked_moments(space, family.vectors, X, L, roots, mixed)
     except OverflowError as exc:
         raise DomainError(f"family leaves the float range once scaled to integers: {exc}") from exc
     if kind == "type":
-        if exact_S == 0:
+        if S == 0:
             raise ZeroFamily("sum of squared norms is zero")
-        ratio = mean / exact_S
+        ratio = mean / S
     else:
         if mean == 0:
             raise ZeroFamily("all sign sums are zero")
-        ratio = exact_S / mean
-    inexact = float_coords or isinstance(total, float) or isinstance(S, float)
+        ratio = S / mean
     point = float(ratio)
     return RatioEstimate(point, point, point, 1 << n, 0, "rademacher-exact", kind,
                          None if inexact else ratio)
@@ -488,28 +552,22 @@ def _exact_entry(e):
     return Fraction(e)
 
 
-def _half_pattern_total(space: SpaceOracle, vectors) -> tuple:
-    """Sum of ||L sum_i eps_i x_i||^2 over the 2^(n-1) patterns with eps_n = +1.
+def _integer_family(vectors, dim: int) -> tuple:
+    """The family as integer numerators: (X, L, roots, mixed).
 
-    L is the lcm of the denominators of the rational entries, so every
-    rational coordinate of L x_i is an int.  A coordinate whose nonzero
-    entries are SqrtRat of one radicand r holds int multiples m of
-    sqrt(r L^2) and reaches the oracle as the exact ``SqrtRat`` of m^2 r L^2.
-    A coordinate that mixes unlike square roots has no exact value: it is
-    summed in float (``math.fsum``) from the current signs.  The walk starts
-    from sum_i L x_i; step g flips vector b = lowest set bit of g, which adds
-    or subtracts 2 L x_b.
-
-    Returns (total, L, whether any coordinate was summed in float).
+    L is the lcm of the denominators of the rational entries, and X[i][k] is
+    the int L x_ik on a rational coordinate.  A coordinate whose nonzero
+    entries are SqrtRat of one radicand r holds int multiples of
+    sqrt(r L^2): X[i][k] is the entry's sign and ``roots[k]`` is r L^2.  A
+    coordinate that mixes unlike square roots has no exact value: X is 0
+    there and ``mixed[k]`` lists its (vector, float L x_ik) terms.
     """
-    n = len(vectors)
     rows = [[_exact_entry(e) for e in v] for v in vectors]
     L = math.lcm(*(e.denominator for row in rows for e in row if isinstance(e, Fraction)))
-    acc = [0] * space.dim
-    steps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    X = [[0] * dim for _ in rows]
     roots: dict[int, Fraction] = {}
     mixed: dict[int, list[tuple[int, float]]] = {}
-    for k in range(space.dim):
+    for k in range(dim):
         col = [(i, row[k]) for i, row in enumerate(rows) if row[k] != 0]
         units = {e.radicand if isinstance(e, SqrtRat) else None for _, e in col}
         if len(units) > 1:
@@ -520,10 +578,73 @@ def _half_pattern_total(space: SpaceOracle, vectors) -> tuple:
         if unit is not None:
             roots[k] = unit * L * L
         for i, e in col:
-            c = e.numerator * (L // e.denominator) if unit is None else e.sign
-            acc[k] += c
-            steps[i].append((k, 2 * c))
+            X[i][k] = e.numerator * (L // e.denominator) if unit is None else e.sign
+    return X, L, roots, mixed
 
+
+#: Sign patterns per chunk of ``_batched_moments``, so that its arrays stay a
+#: few MiB up to ``RADEMACHER_CAP``.
+_PATTERN_CHUNK = 1 << 12
+
+
+def _batched_moments(space: SpaceOracle, X: list, L: int, roots: dict,
+                     cols: list) -> tuple:
+    """(sum_i ||x_i||^2, mean over patterns of ||sum_i eps_i x_i||^2), exact.
+
+    Pattern g < 2^(n-1) takes eps_i = -1 where bit i of g is set, so
+    eps_n = +1.  Its sign sum on the union support ``cols`` is row g of
+    E X, built in chunks of ``_PATTERN_CHUNK`` rows (the family's own rows
+    lead the first chunk), and each chunk's squared norms come from one
+    ``SpaceOracle.norm_sq_batch`` call.  On a squares-reading norm a
+    coordinate's square is X^2 c_k / L^2, with c_k = 1, or r L^2 on a root
+    coordinate (``_integer_family``); over D = lcm(denominators of c) the
+    weights C_k = c_k D are ints.  The arrays' dtype is ``exact_dtype`` of
+    a bound on their row sums, taken up front; the sums of squared norms
+    are Python ints.
+    """
+    n = len(X)
+    c = [roots.get(k, Fraction(1)) for k in cols]
+    D = math.lcm(*(q.denominator for q in c))
+    C = [int(q * D) for q in c]
+    bounds = [sum(abs(row[k]) for row in X) for k in cols]
+    top = max((b * b * m for b, m in zip(bounds, C)) if space.reads_squares() else bounds,
+              default=0)
+    dtype = exact_dtype(top * max(1, len(cols)))
+    V = np.array([[row[k] for k in cols] for row in X], dtype=dtype).reshape(n, len(cols))
+    weights = C if roots else None
+    half = 1 << (n - 1)
+    bits = np.arange(n)
+    S = total = 0
+    for lo in range(0, half, _PATTERN_CHUNK):
+        g = np.arange(lo, min(half, lo + _PATTERN_CHUNK))[:, None]
+        E = (1 - 2 * ((g >> bits) & 1)).astype(dtype)
+        M = E @ V
+        if lo == 0:
+            M = np.concatenate([V, M])
+        nums, den = space.norm_sq_batch(M, cols, weights)
+        if lo == 0:
+            S = Fraction(sum(nums[:n]), den * L * L * D)
+            nums = nums[n:]
+        total += sum(nums)
+    return S, Fraction(total, (den * L * L * D) << (n - 1))
+
+
+def _walked_moments(space: SpaceOracle, vectors, X: list, L: int, roots: dict,
+                    mixed: dict) -> tuple:
+    """(sum_i ||x_i||^2, mean squared norm of the sign sums, inexact) by one
+    ``norm_sq`` call per vector and per pattern.
+
+    The 2^(n-1) patterns with eps_n = +1 are visited in binary reflected
+    Gray code order (Knuth, TAOCP 7.2.1.1) from sum_i L x_i: step g flips
+    vector b = lowest set bit of g, which adds or subtracts 2 L x_b on that
+    vector's nonzero coordinates only.  A root coordinate reaches the
+    oracle as the exact ``SqrtRat`` of m^2 r L^2, and a mixed one is summed
+    in float (``math.fsum``) from the current signs.
+    """
+    n = len(X)
+    S = sum(space.norm_sq(list(v)) for v in vectors)
+    acc = [sum(col) for col in zip(*X)]
+    steps = [[(k, 2 * c) for k, c in enumerate(row) if c] for row in X]
     signs = [1] * n
 
     def sign_sum() -> list:
@@ -545,7 +666,9 @@ def _half_pattern_total(space: SpaceOracle, vectors) -> tuple:
         for k, c in steps[b]:
             acc[k] -= s * c
         total += space.norm_sq(sign_sum())
-    return total, L, bool(mixed)
+    mean = Fraction(total) / (L * L << (n - 1))
+    inexact = bool(mixed) or isinstance(total, float) or isinstance(S, float)
+    return Fraction(S), mean, inexact
 
 
 def _check_kind(kind: str) -> None:

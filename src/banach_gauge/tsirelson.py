@@ -22,14 +22,22 @@ Three engines live here:
   fill depends only on the index labels, so its rules are compiled once per
   label tuple into a cached plan (``_interval_plan``).  ``tsirelson_norm``
   runs the plan on Python ints and records argmax tables for the
-  certificate; ``tsirelson_norm_batch`` runs it in float64 on numpy columns.
+  certificate.  ``_run_plan`` runs it on numpy columns of many vectors: in
+  float64 for ``tsirelson_norm_batch``, and exactly on integer columns
+  (int64 when an up-front bound allows, else Python ints) for
+  ``tsirelson_norm_batch_exact``.
 * ``tsirelson_norm_bruteforce`` -- exhaustive recursion over *all* admissible
   families of arbitrary finite subsets, memoized on support bitmasks.  Slow,
   capped, and deliberately independent of the interval argument.
 * ``modified_norm`` -- the variant whose recursion allows up to (n+1)^n
   pairwise disjoint (not successive) finite sets inside [n, oo); here the
   left endpoint n itself is allowed.  Disjoint arbitrary sets defeat the
-  interval DP, so this engine is exhaustive and capped.
+  interval DP, so this engine is exhaustive and capped.  Its bitmask state
+  graph depends only on the labels, so ``_modified_plan`` compiles it once
+  per label tuple into levels of a value table; ``_run_modified_plan`` runs
+  that plan on the same float64 or integer columns
+  (``modified_norm_batch``, ``modified_norm_batch_exact``).  One vector
+  stays on the recursive engine, which compiles nothing.
 
 The exact engines run on integer-scaled values: every value appearing in the
 recursion is a dyadic multiple of the input entries with halving depth at
@@ -46,6 +54,7 @@ usable as cutting planes (see ``norming_functional``).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -66,10 +75,13 @@ __all__ = [
     "NormResult",
     "tsirelson_norm",
     "tsirelson_norm_batch",
+    "tsirelson_norm_batch_exact",
     "tsirelson_norm_bruteforce",
     "t2_norm_sq",
     "t2_norm",
     "modified_norm",
+    "modified_norm_batch",
+    "modified_norm_batch_exact",
     "modified_t2_norm_sq",
     "certificate_value",
     "validate_certificate",
@@ -410,22 +422,39 @@ def tsirelson_norm(x: FinVec) -> NormResult:
 
 
 # --------------------------------------------------------------------------
-# Batched float evaluation
+# Batched evaluation: float64 columns, or exact integer columns
 # --------------------------------------------------------------------------
 
-#: float64 cells per DP table in one chunk of rows (2 MiB): rows are
-#: evaluated in chunks of ``_BATCH_CELLS // s^2``, so memory stays bounded
-#: whatever the batch size.
+#: Cells per table in one chunk of rows (2 MiB of float64): rows are
+#: evaluated in chunks of ``_BATCH_CELLS // cells per row``, so memory stays
+#: bounded whatever the batch size.
 _BATCH_CELLS = 1 << 18
+
+#: Exact batches run in int64 when an up-front bound keeps every value of the
+#: recursion below this, and on Python ints (dtype=object) otherwise.
+INT64_BOUND = 1 << 62
+
+
+def exact_dtype(bound: int):
+    """Dtype of integer columns whose values all stay below ``bound``:
+    int64 when ``bound`` is below ``INT64_BOUND``, Python ints (object)
+    otherwise.  The choice is made up front, not on overflow."""
+    return np.int64 if bound < INT64_BOUND else object
 
 
 def _run_plan(plan: tuple, wt: np.ndarray) -> np.ndarray:
-    """Norms of the columns of ``wt`` (shape (s, rows)) by a compiled plan."""
+    """Norms of the columns of ``wt`` (shape (s, rows)) by a compiled plan.
+
+    float64 columns halve by ``0.5 *``; integer columns (int64 or object)
+    by ``// 2``, which is exact on columns from ``_exact_columns``.
+    """
+    exact = wt.dtype != np.float64
     s, r = wt.shape
-    iv = np.zeros((s, s, r))  # iv[i, j]: norms of positions [i, j]
+    iv = np.zeros((s, s, r), dtype=wt.dtype)  # iv[i, j]: norms of positions [i, j]
     for j, t_max, steps in plan:
         iv[j, j] = wt[j]
-        val = np.zeros((t_max + 1, j + 1, r))  # val[t, i]: best cover of [i, j], <= t blocks
+        # val[t, i]: best cover of [i, j], <= t blocks
+        val = np.zeros((t_max + 1, j + 1, r), dtype=wt.dtype)
         val[:, j] = wt[j]
         leaf, g_best = wt[j], None
         for i, b, k in steps:
@@ -435,7 +464,7 @@ def _run_plan(plan: tuple, wt: np.ndarray) -> np.ndarray:
                 cover = (row + val[b, i + 1:]).max(axis=0)
                 g_best = cover if g_best is None else np.maximum(g_best, cover)
             if g_best is not None:
-                top = np.maximum(leaf, 0.5 * g_best)
+                top = np.maximum(leaf, g_best // 2 if exact else 0.5 * g_best)
             iv[i, j] = top
             if k:
                 unb = cover if b == 0 else (row + val[0, i + 1:]).max(axis=0)
@@ -446,6 +475,54 @@ def _run_plan(plan: tuple, wt: np.ndarray) -> np.ndarray:
                         cov = unb if src == 0 else (row + val[src, i + 1:]).max(axis=0)
                         np.maximum(cov, top, out=val[t, i])
     return iv[0, s - 1]
+
+
+def _batch_rows(weights, indices: Sequence[int], cap: int, engine: str,
+                exact: bool) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Checked (rows, s) weights and their s index labels.
+
+    Float batches take anything numpy reads as float64; exact ones an
+    integer array, or an object array of Python ints.
+    """
+    s = len(indices)
+    if s > cap:
+        raise SupportTooLarge(f"support {s} exceeds {engine} cap {cap}")
+    sup = tuple(int(j) for j in indices)
+    if (sup and sup[0] < 1) or any(a >= b for a, b in zip(sup, sup[1:])):
+        raise DomainError("index labels must be strictly increasing positive integers")
+    w = np.asarray(weights) if exact else np.asarray(weights, dtype=float)
+    if w.ndim != 2 or w.shape[1] != s:
+        raise DomainError(f"weights of shape {w.shape} do not match {s} index labels")
+    if exact and not (w.dtype.kind in "iu" or w.size == 0 or (
+            w.dtype == object and all(type(v) is int for v in w.flat))):
+        raise DomainError("exact weights must be integers")
+    if np.any(w < 0):
+        raise DomainError("weights must be nonnegative")
+    return w, sup
+
+
+def _exact_columns(w: np.ndarray, s: int) -> tuple[np.ndarray, int]:
+    """Integer weights times 2^(s-1), and that scale.
+
+    Every value of either recursion is a max over sums of w * 2^-depth with
+    depth < s, so on the scaled weights all values are ints, and the parts
+    of a split (each on fewer labels than their union) are all even: ``// 2``
+    is exact.  Every value is at most its row's sum, so at most
+    s * max(w) * scale, and ``exact_dtype`` of that bound is the columns' dtype.
+    """
+    scale = 1 << max(0, s - 1)
+    top = int(w.max()) if w.size else 0
+    return w.astype(exact_dtype(scale * max(top * s, 1))) * scale, scale
+
+
+def _chunked(run, plan: tuple, w: np.ndarray, cells: int) -> np.ndarray:
+    """``run(plan, columns)`` over (rows, s) weights in chunks of rows, for a
+    plan that holds ``cells`` table cells per row."""
+    out = np.zeros(len(w), dtype=w.dtype)
+    chunk = max(1, _BATCH_CELLS // cells)
+    for lo in range(0, len(w), chunk):
+        out[lo:lo + chunk] = run(plan, np.ascontiguousarray(w[lo:lo + chunk].T))
+    return out
 
 
 def tsirelson_norm_batch(weights, indices: Sequence[int]) -> np.ndarray:
@@ -462,25 +539,26 @@ def tsirelson_norm_batch(weights, indices: Sequence[int]) -> np.ndarray:
     Labels above ``MAX_DP_SUPPORT`` in number raise SupportTooLarge before
     any table is allocated.
     """
-    s = len(indices)
-    if s > MAX_DP_SUPPORT:
-        raise SupportTooLarge(f"support {s} exceeds interval-DP cap {MAX_DP_SUPPORT}")
-    sup = tuple(int(j) for j in indices)
-    if (sup and sup[0] < 1) or any(a >= b for a, b in zip(sup, sup[1:])):
-        raise DomainError("index labels must be strictly increasing positive integers")
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[1] != s:
-        raise DomainError(f"weights of shape {w.shape} do not match {s} index labels")
-    if np.any(w < 0):
-        raise DomainError("weights must be nonnegative")
-    out = np.zeros(len(w))
-    if s == 0:
-        return out
-    plan = _interval_plan(sup)
-    chunk = max(1, _BATCH_CELLS // (s * s))
-    for lo in range(0, len(w), chunk):
-        out[lo:lo + chunk] = _run_plan(plan, np.ascontiguousarray(w[lo:lo + chunk].T))
-    return out
+    w, sup = _batch_rows(weights, indices, MAX_DP_SUPPORT, "interval-DP", exact=False)
+    if not sup:
+        return np.zeros(len(w))
+    return _chunked(_run_plan, _interval_plan(sup), w, len(sup) ** 2)
+
+
+def tsirelson_norm_batch_exact(weights, indices: Sequence[int]) -> tuple[list[int], int]:
+    """Exact ||x||_T of many vectors with integer entries, as integer
+    numerators over one denominator.
+
+    Same batch layout as ``tsirelson_norm_batch``, but the weights are
+    nonnegative integers and the plan runs on ``_exact_columns``: int64 when
+    its bound allows, Python ints otherwise.  Row r's norm is
+    ``Fraction(nums[r], scale)``, equal to ``tsirelson_norm(x_r).value``.
+    """
+    w, sup = _batch_rows(weights, indices, MAX_DP_SUPPORT, "interval-DP", exact=True)
+    if not sup:
+        return [0] * len(w), 1
+    wt, scale = _exact_columns(w, len(sup))
+    return _chunked(_run_plan, _interval_plan(sup), wt, len(sup) ** 2).tolist(), scale
 
 
 # --------------------------------------------------------------------------
@@ -594,7 +672,18 @@ def t2_norm(x: FinVec) -> float:
 # Modified norms (disjoint arbitrary sets, closed left endpoint)
 # --------------------------------------------------------------------------
 
-def modified_norm(x: FinVec, max_support: int = 12) -> Rat:
+#: Default support cap of ``modified_norm``, and the cap of its batches.
+MAX_MODIFIED_SUPPORT = 12
+
+
+def _block_budget(n: int, cnt: int) -> int:
+    """Most blocks a partition of ``cnt`` labels in [n, oo) may use."""
+    if n >= 5:  # (n+1)^n >= 6^5 far exceeds any feasible block count
+        return cnt
+    return min((n + 1) ** n, cnt)
+
+
+def modified_norm(x: FinVec, max_support: int = MAX_MODIFIED_SUPPORT) -> Rat:
     """Exact value of the modified recursion with disjoint-set families.
 
     max( sup-norm, 1/2 * best over n >= 1 of partitions of support(x) n [n, oo)
@@ -613,11 +702,6 @@ def modified_norm(x: FinVec, max_support: int = 12) -> Rat:
     norm_of: dict[int, int] = {}
     part_memo: dict[tuple[int, int, int], int] = {}
 
-    def block_budget(n: int, cnt: int) -> int:
-        if n >= 5:  # (n+1)^n >= 6^5 far exceeds any feasible block count
-            return cnt
-        return min((n + 1) ** n, cnt)
-
     def norm(mask: int) -> int:
         hit = norm_of.get(mask)
         if hit is not None:
@@ -631,7 +715,7 @@ def modified_norm(x: FinVec, max_support: int = 12) -> Rat:
             cnt = tail.bit_count()
             if cnt < 2:
                 continue
-            budget = block_budget(sup[p], cnt)
+            budget = _block_budget(sup[p], cnt)
             if budget < 2:
                 continue
             v = partition(tail, budget, 2)
@@ -679,6 +763,162 @@ def modified_norm(x: FinVec, max_support: int = 12) -> Rat:
     return Fraction(norm(full), scale)
 
 
-def modified_t2_norm_sq(x: FinVec, max_support: int = 12) -> Rat:
+def modified_t2_norm_sq(x: FinVec, max_support: int = MAX_MODIFIED_SUPPORT) -> Rat:
     """Squared norm of the 2-convexified modified space: modified_norm of (x_j^2)."""
     return modified_norm(abs_square(x), max_support=max_support)
+
+
+# --------------------------------------------------------------------------
+# Modified norms in batches: the compiled bitmask plan
+# --------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=8)
+def _modified_plan(sup: tuple[int, ...]) -> tuple:
+    """``modified_norm``'s state graph for index labels ``sup``, compiled
+    into levels of one value table.
+
+    The recursion's states (norm of a mask; best partition of a mask into at
+    most t blocks, at least ``need``), the terms each state maxes over and
+    which states are infeasible depend only on the labels; infeasible states
+    are dropped with the terms that read them.  Slot 0 of the table holds 0,
+    slots 1..s the weights, and every other slot one state: the max over its
+    terms of table[a] + table[b] (a partition: a block's norm plus the rest;
+    a norm: a weight or the half of a partition, plus 0), or the half of a
+    partition slot that some norm reads.  Slots are numbered by dependency
+    level, so each level is one gather, one add and one
+    ``np.maximum.reduceat`` into a contiguous block, after which its halves
+    are written.  Returns (slots, cells per row, root slot, levels), each
+    level (lo, a, b, starts, halves).  At s = 12 a plan holds ~16k slots and
+    ~350k terms in 5.5 MiB.
+    """
+    s = len(sup)
+    level = [0] * (s + 1)
+    terms: list = [None] * (s + 1)  # a node's (a, b) list, or a half's source slot
+    half_of: dict[int, int] = {}
+    norm_of = {1 << p: 1 + p for p in range(s)}
+    part_of: dict[tuple[int, int, int], int | None] = {}
+
+    def node(ts: list) -> int:
+        level.append(1 + max(max(level[a], level[b]) for a, b in ts))
+        terms.append(ts)
+        return len(level) - 1
+
+    def half(slot: int) -> int:
+        if slot not in half_of:
+            level.append(level[slot])
+            terms.append(slot)
+            half_of[slot] = len(level) - 1
+        return half_of[slot]
+
+    def norm(mask: int) -> int:
+        hit = norm_of.get(mask)
+        if hit is None:
+            ts = [(1 + p, 0) for p in range(s) if mask >> p & 1]
+            m = mask
+            while m:
+                p = (m & -m).bit_length() - 1
+                m &= m - 1
+                tail = mask & ~((1 << p) - 1)
+                cnt = tail.bit_count()
+                budget = _block_budget(sup[p], cnt)
+                if cnt >= 2 and budget >= 2:
+                    v = partition(tail, budget, 2)
+                    if v is not None:
+                        ts.append((half(v), 0))
+            hit = norm_of[mask] = node(ts)
+        return hit
+
+    def partition(mask: int, t: int, need: int) -> int | None:
+        t = min(t, mask.bit_count())
+        if mask == 0:
+            return 0 if need == 0 else None
+        if t == 0:
+            return None
+        key = (mask, t, need)
+        if key not in part_of:
+            low = mask & -mask
+            rest = mask ^ low
+            need2 = need - 1 if need else 0
+            ts = []
+            sub = rest
+            while True:
+                remainder = rest ^ sub
+                if not ((remainder == 0 and need2) or (remainder and t == 1)):
+                    rec = partition(remainder, t - 1, need2)
+                    if rec is not None:
+                        ts.append((norm(low | sub), rec))
+                if sub == 0:
+                    break
+                sub = (sub - 1) & rest
+            part_of[key] = node(ts) if ts else None
+        return part_of[key]
+
+    root = norm((1 << s) - 1)
+    del norm, partition  # empty the closures' cells: the memo tables go now, not at a gc pass
+    # number the states by level, a level's nodes before its halves
+    order = sorted(range(s + 1, len(level)),
+                   key=lambda k: (level[k], isinstance(terms[k], int)))
+    new = list(range(len(level)))
+    for k, old in enumerate(order, start=s + 1):
+        new[old] = k
+    levels, cells = [], len(level)
+    for _, group in itertools.groupby(order, key=level.__getitem__):
+        group = list(group)
+        nodes = [terms[k] for k in group if not isinstance(terms[k], int)]
+        pairs = [(new[a], new[b]) for ts in nodes for a, b in ts]
+        a, b = np.array(pairs, dtype=np.intp).T
+        starts = np.cumsum([0] + [len(ts) for ts in nodes[:-1]])
+        halves = np.array([new[terms[k]] for k in group if isinstance(terms[k], int)],
+                          dtype=np.intp)
+        levels.append((new[group[0]], a, b, starts, halves))
+        cells = max(cells, len(pairs))
+    return len(level), cells, new[root], tuple(levels)
+
+
+def _run_modified_plan(plan: tuple, wt: np.ndarray) -> np.ndarray:
+    """Modified norms of the columns of ``wt`` (shape (s, rows)) by a
+    compiled plan; halving as in ``_run_plan``."""
+    slots, _, root, levels = plan
+    s, r = wt.shape
+    exact = wt.dtype != np.float64
+    val = np.empty((slots, r), dtype=wt.dtype)
+    val[0] = 0
+    val[1:s + 1] = wt
+    for lo, a, b, starts, halves in levels:
+        hi = lo + len(starts)
+        val[lo:hi] = np.maximum.reduceat(val[a] + val[b], starts, axis=0)
+        if len(halves):
+            h = val[halves]
+            val[hi:hi + len(halves)] = h // 2 if exact else 0.5 * h
+    return val[root]
+
+
+def _modified_batch(weights, indices: Sequence[int], exact: bool) -> tuple:
+    """(values, scale) of ``modified_norm_batch`` or ``modified_norm_batch_exact``."""
+    w, sup = _batch_rows(weights, indices, MAX_MODIFIED_SUPPORT, "modified-norm", exact)
+    wt, scale = _exact_columns(w, len(sup)) if exact else (w, 1)
+    out = np.zeros(len(w), dtype=wt.dtype)
+    if sup:
+        plan = _modified_plan(sup)
+        out = _chunked(_run_modified_plan, plan, wt, plan[1])
+    return (out.tolist() if exact else out), scale
+
+
+def modified_norm_batch(weights, indices: Sequence[int]) -> np.ndarray:
+    """Float ``modified_norm`` of many vectors at once.
+
+    Batch layout as in ``tsirelson_norm_batch``, with at most
+    ``MAX_MODIFIED_SUPPORT`` labels.  Runs the labels' cached
+    ``_modified_plan`` on float64 columns in chunks of rows, so each result
+    is within a few ulps of the exact value and does not depend on the batch
+    it came in.  Zero weights are harmless, as for T.
+    """
+    return _modified_batch(weights, indices, exact=False)[0]
+
+
+def modified_norm_batch_exact(weights, indices: Sequence[int]) -> tuple[list[int], int]:
+    """Exact ``modified_norm`` of many vectors with integer entries, as
+    integer numerators over one denominator, like
+    ``tsirelson_norm_batch_exact``: the compiled plan on ``_exact_columns``.
+    """
+    return _modified_batch(weights, indices, exact=True)

@@ -59,10 +59,9 @@ def _file_commands(path: str) -> dict[str, list[str]]:
     return cmds
 
 
-# The float-only commands still raise numpy overflow warnings on entries whose
-# squares leave the float range (caratheodory and walsh even exit 0 with
-# non-finite fields); kept apart below so the defect stays visible.
-_OVERFLOW_NOISY = {("rows-1e300", name)
+# The float-only commands on entries whose squares leave the float range:
+# besides ending cleanly, each must exit 1 with the DomainError JSON.
+_FLOAT_OVERFLOW = {("rows-1e300", name)
                    for name in ("caratheodory", "jl-embed", "jl-mechanism", "walsh")}
 
 
@@ -139,7 +138,7 @@ def test_every_file_command_on_junk_ends_cleanly(tmp_path, alarm, junk):
     path = tmp_path / "junk.json"
     path.write_bytes(JUNK[junk])
     failures = [(name, why) for name, argv in _file_commands(str(path)).items()
-                if (junk, name) not in _OVERFLOW_NOISY and (why := _outcome(argv))]
+                if (why := _outcome(argv))]
     assert failures == []
 
 
@@ -163,9 +162,22 @@ def test_non_integer_env_seed_exits_1(tmp_path, alarm, monkeypatch, capsys):
     assert json.loads(captured.out)["error"]["type"] == "DomainError"
 
 
-@pytest.mark.xfail(strict=True, reason="numpy overflow warnings on entries near 1e300")
-@pytest.mark.parametrize("junk,name", sorted(_OVERFLOW_NOISY))
+@pytest.mark.parametrize("junk,name", sorted(_FLOAT_OVERFLOW))
 def test_float_commands_on_huge_entries_end_cleanly(tmp_path, alarm, junk, name):
     path = tmp_path / "junk.json"
     path.write_bytes(JUNK[junk])
-    assert _outcome(_file_commands(str(path))[name]) is None
+    argv = _file_commands(str(path))[name]
+    assert _outcome(argv) is None
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 1
+    assert json.loads(out.getvalue())["error"]["type"] == "DomainError"
+
+
+def test_sweep_usage_error_cell_keeps_stderr_empty(tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text('{"command": "delta-bound", "grid": {}}')
+    assert main(["sweep", "--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == ["error", "usage error"]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from banach_gauge import (
     kwapien_upper,
     rademacher_ratio,
 )
+import banach_gauge.tsirelson as tsirelson_module
 from banach_gauge.gauss import MC_CELL_CAP
 from banach_gauge.tsirelson import MAX_DP_SUPPORT
 
@@ -270,6 +272,75 @@ def test_rademacher_unlike_square_roots_are_not_exact():
     assert est.point == pytest.approx((3 + math.sqrt(6)) / 5, rel=1e-12)
 
 
+@pytest.mark.parametrize("tag", ["T", "T2", "mod2", "l1", "l2", "linf"])
+def test_rademacher_sign_sums_cancel_to_exact_zeros(tag):
+    # x1 - x2 is the zero vector and x1 + x3 cancels on two coordinates, so the
+    # batch meets zero rows and zero entries on labels of the union support
+    x1 = [F(1), F(-2), F(0), F(1, 2), F(0)]
+    x3 = [F(-1), F(2), F(3), F(0), F(0)]
+    fam = VectorFamily.make([x1, x1, x3], SpaceOracle.from_tag(tag, 5))
+    for kind in ("type", "cotype"):
+        _check_against_reference(fam, kind)
+
+
+@pytest.mark.parametrize("tag", ["T", "T2", "mod2", "l1", "l2", "linf"])
+def test_rademacher_float_entries_beyond_int64(tag, monkeypatch):
+    # 1e-5 and 0.1 are binary rationals with denominators near 2^70, so the
+    # scaled sign sums (and their squares) leave int64: the plans run on
+    # Python ints, and the ratio is still the exact all-patterns value
+    seen = []
+    for name in ("_run_plan", "_run_modified_plan"):
+        run = getattr(tsirelson_module, name)
+        monkeypatch.setattr(tsirelson_module, name,
+                            lambda plan, wt, run=run: seen.append(wt.dtype) or run(plan, wt))
+    rows = [[1e-5, 0.1, 0.0, 3.0], [0.1, -2.5, 1e-5, 0.0], [0.0, 0.3, 0.7, -1e-5]]
+    fam = VectorFamily.make(rows, SpaceOracle.from_tag(tag, 4))
+    for kind in ("type", "cotype"):
+        _check_against_reference(fam, kind)
+    if tag in ("T", "T2", "mod2"):
+        assert seen and set(seen) == {np.dtype(object)}
+
+
+def test_rademacher_union_support_above_the_mod2_cap():
+    # every vector and sign sum has 12 labels, the mod2 cap, but their union
+    # has 13: the ratio takes the per-pattern walk instead of the batch
+    space = SpaceOracle.mod2_span(13)
+    x1 = [F(1)] * 12 + [F(0)]
+    x2 = [F(1), F(-1)] + [F(0)] * 10 + [F(1)]
+    assert not space.exact_batch_fits(13)
+    _check_against_reference(VectorFamily.make([x1, x2], space), "cotype")
+
+
+def test_norm_sq_batch_only_where_an_integer_evaluator_exists():
+    M = np.array([[1, -2], [0, 3]], dtype=np.int64)
+    poly = SpaceOracle.polytope(2, [[F(1), F(1)]])
+    assert not poly.exact_batch_fits(2)
+    with pytest.raises(DomainError):
+        poly.norm_sq_batch(M, [0, 1])
+    with pytest.raises(DomainError):  # T reads |x|, not squares
+        SpaceOracle.tsirelson_span(2).norm_sq_batch(M, [0, 1], weights=[1, 2])
+    nums, den = SpaceOracle.euclidean(2).norm_sq_batch(M, [0, 1], weights=[1, 2])
+    assert [F(v, den) for v in nums] == [9, 18]
+
+
+@pytest.mark.parametrize("tag,dim", [("l1", 16), ("T2", 8)])
+def test_rademacher_patterns_run_in_chunks(tag, dim):
+    # 2^15 sign sums: unchunked, the pattern and sum arrays alone take > 13 MiB
+    rng = np.random.default_rng(16)
+    nums, dens = rng.integers(-9, 10, size=(16, dim)), rng.integers(1, 10, size=(16, dim))
+    fam = VectorFamily.make([[F(int(a), int(b)) for a, b in zip(*row)] for row in zip(nums, dens)],
+                            SpaceOracle.from_tag(tag, dim))
+    rademacher_ratio(fam, "type")  # plans compiled outside the measurement
+    tracemalloc.start()
+    try:
+        est = rademacher_ratio(fam, "type")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.exact is not None and est.samples == 1 << 16
+    assert peak <= 8 << 20
+
+
 # --------------------------------------------------------------------------
 # Gaussian (Monte-Carlo) ratios
 # --------------------------------------------------------------------------
@@ -387,6 +458,7 @@ def _row_norms(space, pts):
 @pytest.mark.parametrize("space", [
     SpaceOracle.tsirelson_span(7),
     SpaceOracle.t2_span(7),
+    SpaceOracle.mod2_span(7),
     SpaceOracle.polytope(7, [[F(1), F(-2), 0, 0, F(1, 3), 0, 1], [0, 1, 1, 1, 0, F(-1, 2), 0]]),
 ])
 def test_norm_array_matches_per_row_norm(space):

@@ -25,6 +25,8 @@ from banach_gauge import (
     flip_signs,
     l1_norm,
     modified_norm,
+    modified_norm_batch,
+    modified_norm_batch_exact,
     modified_t2_norm_sq,
     norming_functional,
     restrict,
@@ -33,6 +35,7 @@ from banach_gauge import (
     t2_norm_sq,
     tsirelson_norm,
     tsirelson_norm_batch,
+    tsirelson_norm_batch_exact,
     tsirelson_norm_bruteforce,
     validate_certificate,
 )
@@ -441,6 +444,104 @@ def test_batch_rejects_bad_input(weights, indices):
 def test_batch_empty_support_and_no_rows():
     assert tsirelson_norm_batch(np.zeros((3, 0)), []).tolist() == [0.0, 0.0, 0.0]
     assert tsirelson_norm_batch(np.zeros((0, 2)), [4, 7]).shape == (0,)
+
+
+# --------------------------------------------------------------------------
+# exact batches: the interval plan and the compiled mod plan on integers
+# --------------------------------------------------------------------------
+
+_ints = st.one_of(st.just(0), st.integers(1, 9), st.integers(0, 10**6))
+
+
+@st.composite
+def _int_batches(draw, max_labels=7):
+    """(rows, indices): integer weights on s <= max_labels sorted labels <= 15,
+    three to seven rows, one of them zero."""
+    indices = sorted(draw(st.sets(st.integers(1, 15), max_size=max_labels)))
+    s = len(indices)
+    rows = draw(st.lists(st.lists(_ints, min_size=s, max_size=s), min_size=2, max_size=6))
+    rows.append([0] * s)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), s), indices
+
+
+def _int_vec(row, indices):
+    return FinVec({j: int(v) for j, v in zip(indices, row)})
+
+
+@settings(max_examples=120, deadline=None)
+@given(_int_batches())
+def test_exact_batches_match_recursive_engines(batch):
+    rows, indices = batch
+    t_nums, t_scale = tsirelson_norm_batch_exact(rows, indices)
+    m_nums, m_scale = modified_norm_batch_exact(rows, indices)
+    floats = modified_norm_batch(rows.astype(float), indices)
+    for row, t_num, m_num, m_float in zip(rows, t_nums, m_nums, floats):
+        x = _int_vec(row, indices)
+        assert Fraction(t_num, t_scale) == tsirelson_norm(x).value
+        assert Fraction(m_num, m_scale) == modified_norm(x)
+        assert m_float == pytest.approx(float(modified_norm(x)), rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_batches(), st.integers(-2, 2))
+def test_int64_and_object_columns_agree(batch, offset):
+    # entries at the edge of the int64 bound: just below it the columns are
+    # int64, just above it Python ints, and both equal the recursive engines
+    rows, indices = batch
+    s = len(indices)
+    if s == 0:
+        return
+    edge = tsirelson_module.INT64_BOUND // (s << (s - 1))
+    rows = rows.astype(object)
+    rows[0, 0] = edge + offset
+    cols, _ = tsirelson_module._exact_columns(rows, s)
+    top = max(int(v) for v in rows.flat)
+    assert (cols.dtype == np.int64) == (top * s << (s - 1) < tsirelson_module.INT64_BOUND)
+    t_nums, t_scale = tsirelson_norm_batch_exact(rows, indices)
+    m_nums, m_scale = modified_norm_batch_exact(rows, indices)
+    for row, t_num, m_num in zip(rows, t_nums, m_nums):
+        x = _int_vec(row, indices)
+        assert Fraction(t_num, t_scale) == tsirelson_norm(x).value
+        assert Fraction(m_num, m_scale) == modified_norm(x)
+    if cols.dtype == np.int64:
+        plan, mod_plan = tsirelson_module._interval_plan(tuple(indices)), \
+            tsirelson_module._modified_plan(tuple(indices))
+        as_int64 = np.ascontiguousarray(cols.T)
+        as_ints = as_int64.astype(object)
+        run, run_mod = tsirelson_module._run_plan, tsirelson_module._run_modified_plan
+        assert run(plan, as_int64).tolist() == run(plan, as_ints).tolist()
+        assert run_mod(mod_plan, as_int64).tolist() == run_mod(mod_plan, as_ints).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_int_batches(max_labels=5), st.sets(st.integers(1, 15), max_size=4))
+def test_zero_weight_labels_change_no_value(batch, extra):
+    # the union-support evaluation of sign sums relies on this, for T and mod
+    rows, indices = batch
+    wide = sorted(set(indices) | extra)
+    padded = np.zeros((len(rows), len(wide)), dtype=np.int64)
+    padded[:, [wide.index(j) for j in indices]] = rows
+    for exact in (tsirelson_norm_batch_exact, modified_norm_batch_exact):
+        nums, scale = exact(rows, indices)
+        wide_nums, wide_scale = exact(padded, wide)
+        assert [Fraction(a, scale) for a in nums] == [Fraction(a, wide_scale) for a in wide_nums]
+    for floats in (tsirelson_norm_batch, modified_norm_batch):
+        np.testing.assert_allclose(floats(padded.astype(float), wide),
+                                   floats(rows.astype(float), indices), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("batch", [tsirelson_norm_batch_exact, modified_norm_batch_exact])
+@pytest.mark.parametrize("weights", [np.full((3, 2), 0.5), np.array([[1, -1]] * 3),
+                                     np.array([[Fraction(1), 2]] * 3, dtype=object)])
+def test_exact_batches_reject_non_integers(batch, weights):
+    with pytest.raises(DomainError):
+        batch(weights, [1, 2])
+
+
+def test_mod_batch_support_cap():
+    cap = tsirelson_module.MAX_MODIFIED_SUPPORT
+    with pytest.raises(SupportTooLarge, match=str(cap)):
+        modified_norm_batch(np.ones((4, cap + 1)), range(1, cap + 2))
 
 
 # --------------------------------------------------------------------------
