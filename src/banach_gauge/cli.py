@@ -529,7 +529,6 @@ def cmd_sweep(args) -> Output:
     if any(len(v) == 0 for v in value_lists):
         cells = []
     results: list[tuple[dict, dict | None, str | None]] = []
-    parser = build_parser()
     for idx, cell in enumerate(cells):
         params = dict(fixed)
         params.update(dict(zip(keys, cell)))
@@ -541,7 +540,7 @@ def cmd_sweep(args) -> Output:
         cell_params = dict(zip(keys, cell))
         try:
             with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage text
-                ns = parser.parse_args(argv)
+                ns = build_parser().parse_args(argv)
             out = HANDLERS[command](ns)
             flat: dict = {}
             if out.payload is not None:
@@ -590,7 +589,11 @@ HANDLERS = {
 # Parser
 # --------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared:
+    parsing leaves it unchanged, so ``main`` and each ``sweep`` cell reuse
+    it.  Callers must not add to it."""
     parser = argparse.ArgumentParser(
         prog="banach-gauge",
         description="Desk-scale Banach geometry: exact norms, type/cotype ratios, "
@@ -678,9 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

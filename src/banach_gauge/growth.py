@@ -85,24 +85,24 @@ def ackermann_g(k: int, n: int, cap: int = 10**100) -> GrowthResult:
         raise DomainError("ackermann_g requires k, n >= 0")
     if cap < n:
         raise DomainError("cap must be >= n")
-
-    def g(level: int, v: int) -> int:
-        if level == 0:
-            r = v + 1
-        elif level == 1:
-            r = 2 * v  # v-fold iterate of the successor, collapsed
-        else:
-            r = v
-            for _ in range(v):
-                r = g(level - 1, r)
-        if r > cap:
-            raise _CapExceeded
-        return r
-
     try:
-        return GrowthResult.exact(g(k, n), cap)
+        return GrowthResult.exact(_g(k, n, cap), cap)
     except _CapExceeded:
         return GrowthResult.exceeds(cap)
+
+
+def _g(level: int, v: int, cap: int) -> int:
+    if level == 0:
+        r = v + 1
+    elif level == 1:
+        r = 2 * v  # v-fold iterate of the successor, collapsed
+    else:
+        r = v
+        for _ in range(v):
+            r = _g(level - 1, r, cap)
+    if r > cap:
+        raise _CapExceeded
+    return r
 
 
 def alpha(n: int) -> int:

@@ -249,6 +249,13 @@ def jl_embed(points: PointSet | np.ndarray, eps: float, constant: float = 8.0,
     accepted when the distortion is at most 1 + eps.  Raises EmbeddingFailed
     (carrying the best attempt) when the retry budget runs out.
     """
+    lmap, report, _ = _embed(points, eps, constant, seed, max_retries)
+    return lmap, report
+
+
+def _embed(points, eps: float, constant: float, seed: int,
+           max_retries: int) -> tuple[LinearMap, DistortionReport, np.ndarray]:
+    """``jl_embed``, also returning the points' Euclidean distance matrix."""
     if not 0 < eps <= 1:
         raise BadEpsilon(f"eps must lie in (0, 1], got {eps}")
     if not (0 < constant < math.inf):
@@ -285,7 +292,7 @@ def jl_embed(points: PointSet | np.ndarray, eps: float, constant: float = 8.0,
         if best is None or report.distortion < best[0]:
             best = (report.distortion, normalized, report)
         if report.distortion <= 1.0 + eps:
-            return normalized, report
+            return normalized, report, src
     assert best is not None
     raise EmbeddingFailed(
         f"no draw met distortion {1 + eps:g} within {max_retries} retries "
@@ -456,13 +463,13 @@ def jl_mechanism_experiment(space: SpaceOracle, vectors: Sequence[Sequence[float
         ens = WalshEnsemble.from_vectors(V, seed=derive_seed(seed, "walsh-g", t), m=m)
         pset = walsh_pointset(ens)
         pts = pset.points
-        lmap, rep = jl_embed(pts, eps, constant, seed=derive_seed(seed, "jl", t),
-                             max_retries=mc_retries)
+        lmap, rep, euclid = _embed(pts, eps, constant, derive_seed(seed, "jl", t),
+                                   mc_retries)
         # composite: space norm on the source, Euclidean on the image
         src = _pair_dists(pts, space)
         d_comp = _scan(src, _euclidean_dists(lmap.apply(pts))).distortion
         # proxy spread: how non-Euclidean the space norm is on these pairs
-        proxy = _scan(src, _euclidean_dists(pts)).distortion
+        proxy = _scan(src, euclid).distortion
         two_m = 1 << ens.m
         norms = space.norm_array(pts[:two_m])  # Phi values are the first 2^m rows
         lhs = float(np.mean(norms**2))

@@ -213,17 +213,15 @@ def norming_functional(cert: NormCertificate | CertNode) -> FinVec:
     node = cert.root if isinstance(cert, NormCertificate) else cert
     _check_node(node, ())
     coeffs: dict[int, Rat] = {}
-
-    def walk(nd: CertNode, depth: int) -> None:
+    stack = [(node, 0)]  # depth first, leaves in tree order
+    while stack:
+        nd, depth = stack.pop()
         if isinstance(nd, Leaf):
             if nd.index in coeffs:
                 raise MalformedCertificate(f"duplicate leaf index {nd.index}")
             coeffs[nd.index] = Fraction(1, 2**depth)
         else:
-            for part in nd.parts:
-                walk(part.child, depth + 1)
-
-    walk(node, 0)
+            stack.extend((part.child, depth + 1) for part in reversed(nd.parts))
     return FinVec(coeffs)
 
 
@@ -417,8 +415,10 @@ def tsirelson_norm(x: FinVec) -> NormResult:
             t = _chain_rows(j - a + 1)[t]
         return Split(sup[p] - 1, tuple(Part(sup[a], sup[b], node(a, b)) for a, b in blocks))
 
+    root = node(0, s - 1)
+    del node  # empty its cell: the tables go by refcount, not at a gc pass
     value = Fraction(iv[0][s - 1], scale)
-    return NormResult(value, NormCertificate(node(0, s - 1), value), EvalStats(cells, ranges))
+    return NormResult(value, NormCertificate(root, value), EvalStats(cells, ranges))
 
 
 # --------------------------------------------------------------------------
@@ -647,7 +647,9 @@ def tsirelson_norm_bruteforce(x: FinVec, max_support: int = 12) -> Rat:
         fam_memo[key] = best
         return best
 
-    return Fraction(norm(full), scale)
+    value = Fraction(norm(full), scale)
+    del norm, family  # empty the closures' cells: the memo tables go by refcount
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -760,7 +762,9 @@ def modified_norm(x: FinVec, max_support: int = MAX_MODIFIED_SUPPORT) -> Rat:
         part_memo[key] = best
         return best
 
-    return Fraction(norm(full), scale)
+    value = Fraction(norm(full), scale)
+    del norm, partition  # empty the closures' cells: the memo tables go by refcount
+    return value
 
 
 def modified_t2_norm_sq(x: FinVec, max_support: int = MAX_MODIFIED_SUPPORT) -> Rat:

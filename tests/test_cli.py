@@ -1,12 +1,13 @@
 import json
 import math
+import re
 import signal
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from banach_gauge.cli import main, render_json
+from banach_gauge.cli import build_parser, main, render_json
 
 F = Fraction
 
@@ -481,3 +482,79 @@ def test_sweep_growth_plain_text(capsys, tmp_path):
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[1].endswith("usage error")
+
+
+# --------------------------------------------------------------------------
+# one parser per process
+# --------------------------------------------------------------------------
+
+def _call(capsys, argv):
+    code = main(list(argv))
+    cap = capsys.readouterr()
+    return code, re.sub(r'"wall_time_s": [^,\n]+', '"wall_time_s": 0', cap.out), cap.err
+
+
+def _alone(capsys, argv):
+    build_parser.cache_clear()  # a parser of its own, as in a fresh process
+    return _call(capsys, argv)
+
+
+def _sequences(tmp_path):
+    vec = write_vec(tmp_path, "x.json", {3: 1, 4: "1/2", 5: 1, 7: "-1/3"})
+    vecs = write_vectors(tmp_path, "fam.json", [["1", "0"], ["0", "1"]])
+    fam = write_vectors(tmp_path, "walsh.json", [[0, 0], [1, 0], [0, 1], [1, 1]])
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"command": "norm", "grid": {"space": ["T", "T2", "mod"]},
+                               "fixed": {"vec": vec}}))
+    norm = ["norm", "--space", "T", "--vec", vec]
+    ratio = ["ratio", "--space", "l2", "--kind", "type", "--mode", "mc",
+             "--vecs", vecs, "--samples", "2000"]
+    mech = ["jl-mechanism", "--space", "l1", "--family", fam, "--trials", "2"]
+    return {
+        "brute-then-dp": [norm + ["--brute"], norm],
+        "seed-then-default": [ratio + ["--seed", "5"], ratio],
+        "csv-then-json": [mech + ["--csv"], mech],
+        "cert-out-then-none": [norm + ["--cert-out", str(tmp_path / "cert.json")], norm],
+        "sweep-of-norms": [norm + ["--brute"], ["sweep", "--config", str(cfg)], norm],
+    }
+
+
+@pytest.mark.parametrize("name", ["brute-then-dp", "seed-then-default", "csv-then-json",
+                                  "cert-out-then-none", "sweep-of-norms"])
+def test_reused_parser_matches_commands_run_alone(capsys, tmp_path, name):
+    seq = _sequences(tmp_path)[name]
+    alone = [_alone(capsys, argv) for argv in seq]
+    build_parser.cache_clear()
+    together = [_call(capsys, argv) for argv in seq + seq]
+    assert together == alone + alone
+    assert all(code == 0 and not err for code, _, err in alone)
+    assert build_parser.cache_info().misses == 1  # sweep cells reuse it too
+
+
+def test_reused_parser_keeps_usage_and_help_text(capsys, tmp_path):
+    cases = [["norm", "--space", "T"], ["--bogus"], ["norm", "--space", "XX", "--vec", "v"],
+             ["-h"], ["ratio", "-h"], ["growth", "g", "-h"]]
+    alone = [_alone(capsys, argv) for argv in cases]
+    assert [code for code, _, _ in alone] == [2, 2, 2, 0, 0, 0]
+    assert alone[0][2].startswith("usage: banach-gauge norm")
+    assert alone[3][1].startswith("usage: banach-gauge")
+    build_parser.cache_clear()
+    _call(capsys, ["norm", "--space", "T", "--vec", write_vec(tmp_path, "x.json", {3: 1})])
+    assert [_call(capsys, argv) for argv in cases + cases] == alone + alone
+
+
+def test_env_seed_overrides_on_a_reused_parser(capsys, tmp_path, monkeypatch):
+    vecs = write_vectors(tmp_path, "fam.json", [["1", "0"], ["0", "1"]])
+    args = ["ratio", "--space", "l2", "--kind", "type", "--mode", "mc",
+            "--vecs", vecs, "--samples", "2000"]
+
+    def seed(*extra):
+        code, out, _ = _call(capsys, args + list(extra))
+        assert code == 0
+        return json.loads(out)["manifest"]["seed"]
+
+    assert seed("--seed", "5") == 5
+    monkeypatch.setenv("BANACH_GAUGE_SEED", "77")
+    assert (seed("--seed", "5"), seed()) == (77, 77)
+    monkeypatch.delenv("BANACH_GAUGE_SEED")
+    assert (seed("--seed", "5"), seed()) == (5, 0)

@@ -339,6 +339,65 @@ def test_dp_matches_bruteforce_any_offsets(entries):
     assert certificate_value(res.certificate, x) == res.value
 
 
+@st.composite
+def _cert_trees(draw, lo=1, hi=16, depth=3):
+    """Well-formed certificate trees whose leaves lie in [lo, hi]."""
+    if depth == 0 or lo == hi or draw(st.integers(0, 3)) == 0:
+        return Leaf(draw(st.integers(lo, hi)))
+    n = draw(st.integers(1, hi - 1))
+    start = max(n + 1, lo)
+    if start > hi:
+        return Leaf(draw(st.integers(lo, hi)))
+    # successive parts [a, b - 1] between consecutive cuts, at most n of them
+    cuts = sorted(draw(st.sets(st.integers(start, hi + 1), min_size=2, max_size=min(n, 4) + 1)))
+    return Split(n, tuple(Part(a, b - 1, draw(_cert_trees(a, b - 1, depth - 1)))
+                          for a, b in zip(cuts, cuts[1:])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cert_trees(), st.dictionaries(st.integers(1, 16), _entries, max_size=10))
+def test_random_certificate_is_a_lower_bound(tree, entries):
+    x = FinVec(entries)
+    value = certificate_value(tree, x)
+    assert value <= tsirelson_norm(x).value
+    lam = norming_functional(tree)
+    assert sum((lam[j] * abs(x[j]) for j in x.support()), Fraction(0)) == value
+
+
+def _within_sum_of_roots(a: Fraction, b: Fraction, c: Fraction) -> bool:
+    """sqrt(a) <= sqrt(b) + sqrt(c), exactly, for a, b, c >= 0."""
+    d = a - b - c
+    return d <= 0 or d * d <= 4 * b * c
+
+
+_maybe_zero = st.one_of(st.just(Fraction(0)), _entries)
+
+
+@st.composite
+def _vector_pairs(draw, max_labels=7):
+    """Two vectors on one label set of at most ``max_labels`` indices."""
+    labels = sorted(draw(st.sets(st.integers(1, 15), max_size=max_labels)))
+    x, y = (FinVec(dict(zip(labels, draw(st.lists(_maybe_zero, min_size=len(labels),
+                                                     max_size=len(labels))))))
+            for _ in range(2))
+    return x, y, labels
+
+
+@pytest.mark.parametrize("norm_sq", [lambda x: t2_norm_sq(x).value, modified_t2_norm_sq],
+                         ids=["T2", "mod2"])
+@settings(max_examples=60, deadline=None)
+@given(pair=_vector_pairs(), c=_entries, signs=st.lists(st.sampled_from([-1, 1]), min_size=7,
+                                                        max_size=7))
+def test_convexified_norm_axioms(norm_sq, pair, c, signs):
+    x, y, labels = pair
+    nx = norm_sq(x)
+    assert norm_sq(c * x) == c * c * nx
+    assert _within_sum_of_roots(norm_sq(x + y), nx, norm_sq(y))
+    # 1-unconditional: sign changes keep the norm, and restrictions lower it
+    assert norm_sq(flip_signs(x, dict(zip(labels, signs)))) == nx
+    assert norm_sq(restrict(x, labels[::2])) <= nx
+
+
 def _stack_depth() -> int:
     depth, frame = 0, sys._getframe()
     while frame is not None:
