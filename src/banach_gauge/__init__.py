@@ -40,7 +40,6 @@ from .gauss import (
     ConeReduction,
     RatioEstimate,
     SpaceOracle,
-    SqrtRat,
     VectorFamily,
     c2_lower_from_witness,
     caratheodory_reduce,
@@ -74,7 +73,6 @@ from .jl import (
 )
 from .seqvec import (
     FinVec,
-    IndexSet,
     Rat,
     abs_square,
     flip_signs,

@@ -15,6 +15,7 @@ Output conventions:
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import csv
 import functools
@@ -73,12 +74,7 @@ def render_json(obj, indent: int = 0) -> str:
     17 significant digits."""
     pad = "  " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for k in sorted(obj, key=str):
-            items.append(f'{pad}  {json.dumps(str(k))}: {render_json(obj[k], indent + 1)}')
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return _braced(_dict_items(obj, indent)[1], pad)
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
@@ -98,6 +94,17 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _dict_items(obj: dict, indent: int) -> tuple[list[str], list[str]]:
+    """The sorted keys of ``obj`` and its rendered '"key": value' items."""
+    keys = sorted(obj, key=str)
+    pad = "  " * indent
+    return keys, [f'{pad}  {json.dumps(str(k))}: {render_json(obj[k], indent + 1)}' for k in keys]
+
+
+def _braced(items: list[str], pad: str = "") -> str:
+    return "{\n" + ",\n".join(items) + "\n" + pad + "}" if items else "{}"
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -706,18 +713,23 @@ def main(argv=None) -> int:
         sys.stdout.write(_csv_text(*out.csv))
     else:
         payload = out.payload or {}
-        if args.command in SEEDED_COMMANDS:
-            digest = hashlib.sha256(render_json(payload).encode()).hexdigest()
-            manifest = RunManifest(
-                command=args.command,
-                argv=tuple(argv),
-                seed=getattr(args, "seed", None),
-                version=__version__,
-                wall_time_s=time.monotonic() - start,
-                output_digest=digest,
-            )
-            payload = {"manifest": manifest.to_json(), **payload}
-        print(render_json(payload))
+        if args.command not in SEEDED_COMMANDS:
+            print(render_json(payload))
+            return 0
+        # the payload is rendered once: its items give the digest, and the
+        # manifest item is spliced in at its sorted place
+        keys, items = _dict_items(payload, 0)
+        manifest = RunManifest(
+            command=args.command,
+            argv=tuple(argv),
+            seed=getattr(args, "seed", None),
+            version=__version__,
+            wall_time_s=time.monotonic() - start,
+            output_digest=hashlib.sha256(_braced(items).encode()).hexdigest(),
+        )
+        items.insert(bisect.bisect(keys, "manifest"),
+                     f'  "manifest": {render_json(manifest.to_json(), 1)}')
+        print(_braced(items))
     return 0
 
 

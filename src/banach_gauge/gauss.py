@@ -6,13 +6,14 @@ Two estimation modes:
 * ``rademacher_ratio`` averages over all sign patterns exactly.  Every
   supported norm is even, so it pairs eps with -eps and takes the 2^(n-1)
   patterns with eps_n = +1, on integer numerators over the family's common
-  denominator (floats are read as the exact binary rationals they are).  On
-  T, T2, mod2, l1, l2 and linf the sign sums form one integer matrix,
-  evaluated in a few batched exact calls (the interval plan, the compiled
-  mod2 plan, or an integer reduction); on other spaces a Gray-code walk
-  makes one ``norm_sq`` call per pattern.  When the squared norms are
-  rational the ratio is an exact ``Fraction`` and can serve as a
-  certificate.
+  denominator (floats are read as the exact binary rationals they are).
+  The sign sums form one integer matrix, built in chunks.  Where the space
+  has an integer evaluator, each chunk goes to ``SpaceOracle.norm_sq_batch``
+  (the interval plan on T and T2, the compiled mod2 plan, integer sums and
+  maxima on l1, l2 and linf, one integer matmul on polytopes) and the ratio
+  is an exact ``Fraction`` that can serve as a certificate.  Otherwise
+  (l_p with p not in {1, 2, inf}, or a square-root column on a norm that
+  reads |x|) each chunk goes to ``norm_array`` on its float rows.
 * ``gaussian_ratio`` is seeded Monte Carlo over i.i.d. standard Gaussian
   coefficients, with a 95% normal confidence interval.  Its sample sums go
   through ``SpaceOracle.norm_array`` in float64 all at once: numpy norms on
@@ -50,8 +51,6 @@ from .errors import (
 from .seeds import derive_seed, seeded_rng
 from .seqvec import FinVec, float_sqrt
 from .tsirelson import (
-    MAX_DP_SUPPORT,
-    MAX_MODIFIED_SUPPORT,
     exact_dtype,
     modified_norm,
     modified_norm_batch,
@@ -62,7 +61,6 @@ from .tsirelson import (
 )
 
 __all__ = [
-    "SqrtRat",
     "SpaceOracle",
     "VectorFamily",
     "RatioEstimate",
@@ -85,86 +83,6 @@ RADEMACHER_CAP = 20
 MC_CELL_CAP = 1 << 26
 
 
-@dataclass(frozen=True)
-class SqrtRat:
-    """Exact scalar of the form sign * sqrt(radicand), radicand rational >= 0.
-
-    Closed under negation, squaring, and addition of equal radicands; other
-    sums degrade to float.  This is just enough to push diagonal families
-    with square-root weights through the exact Rademacher average.
-    """
-
-    sign: int
-    radicand: Fraction
-
-    @classmethod
-    def of(cls, q) -> "SqrtRat":
-        q = Fraction(q)
-        if q < 0:
-            raise ValueError("radicand must be >= 0")
-        return cls(0 if q == 0 else 1, q)
-
-    def square(self) -> Fraction:
-        return self.radicand if self.sign else Fraction(0)
-
-    def __float__(self) -> float:
-        return self.sign * math.sqrt(float(self.radicand))
-
-    def __neg__(self) -> "SqrtRat":
-        return SqrtRat(-self.sign, self.radicand)
-
-    def __abs__(self) -> "SqrtRat":
-        return SqrtRat(abs(self.sign), self.radicand)
-
-    def __add__(self, other):
-        if isinstance(other, SqrtRat):
-            if self.sign == 0:
-                return other
-            if other.sign == 0:
-                return self
-            if self.radicand == other.radicand:
-                s = self.sign + other.sign
-                if s == 0:
-                    return Fraction(0)
-                return SqrtRat(1 if s > 0 else -1, 4 * self.radicand)
-            return float(self) + float(other)
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self
-            return float(self) + float(other)
-        if isinstance(other, float):
-            return float(self) + other
-        return NotImplemented
-
-    __radd__ = __add__
-
-
-def _entry_square(e):
-    """Exact square of a scalar entry, or a float when exactness is lost."""
-    if isinstance(e, SqrtRat):
-        return e.square()
-    if isinstance(e, (int, Fraction)):
-        f = Fraction(e)
-        return f * f
-    if isinstance(e, float):
-        f = Fraction(e)  # floats are binary rationals; conversion is exact
-        return f * f
-    raise TypeError(f"unsupported entry {e!r}")
-
-
-def _entry_abs_fraction(e):
-    """|e| as an exact Fraction, or None when not representable."""
-    if isinstance(e, (int, Fraction)):
-        return abs(Fraction(e))
-    if isinstance(e, float):
-        return abs(Fraction(e))
-    if isinstance(e, SqrtRat):
-        q = e.square()
-        r = _fraction_sqrt(q)
-        return r  # None unless q is a perfect square
-    return None
-
-
 def _fraction_sqrt(q: Fraction) -> Fraction | None:
     num = math.isqrt(q.numerator)
     den = math.isqrt(q.denominator)
@@ -173,25 +91,16 @@ def _fraction_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def _signed_fraction(e) -> Fraction | None:
-    """e as an exact Fraction, or None when that needs an irrational root."""
-    if isinstance(e, (int, Fraction, float)):
-        return Fraction(e)
-    if isinstance(e, SqrtRat):
-        root = _fraction_sqrt(e.square())
-        return e.sign * root if root is not None else None
-    return None
-
-
 class SpaceOracle:
     """A coordinate span together with a norm evaluator.
 
     Tags: ``lp`` (with parameter p, math.inf allowed), ``tsirelson_span``,
     ``t2_span``, ``mod2_span``, ``polytope`` (norm = max |<f_i, x>| over a
-    spanning list of functionals).  ``norm_sq`` returns an exact ``Fraction``
-    whenever the evaluation stays rational, otherwise a float; ``norm_array``
-    is the batched float path and ``norm_sq_batch`` the batched exact one on
-    integer rows.
+    spanning list of functionals).  ``norm_sq`` reads rational entries (and
+    floats, as the binary rationals they are) and returns the exact squared
+    norm as a ``Fraction``, or a float on l_p with p not in {1, 2, inf};
+    ``norm_array`` is the batched float path and ``norm_sq_batch`` the
+    batched exact one on integer rows.
     """
 
     def __init__(self, dim: int, tag: str, p: float | None = None,
@@ -280,55 +189,27 @@ class SpaceOracle:
         return FinVec({i + 1: v for i, v in enumerate(entries)})
 
     def norm_sq(self, vec):
-        """Squared norm; exact Fraction on the rational-norm tags."""
+        """Exact squared norm; a float on l_p with p not in {1, 2, inf}."""
         self._check(vec)
-        if self.tag == "t2_span":
-            squares = [_entry_square(e) for e in vec]
-            return tsirelson_norm(self._finvec(squares)).value
-        if self.tag == "mod2_span":
-            squares = [_entry_square(e) for e in vec]
-            return modified_norm(self._finvec(squares))
-        if self.tag == "tsirelson_span":
-            av = [_entry_abs_fraction(e) for e in vec]
-            if any(a is None for a in av):  # an irrational root: no exact value
-                n = tsirelson_norm(self._finvec(abs(Fraction(float(e))) for e in vec)).value
-                return float(n * n)
-            n = tsirelson_norm(self._finvec(av)).value
+        if not self.has_exact_batch():
+            n = self.norm(vec)
             return n * n
+        x = [Fraction(e) for e in vec]
+        if self.tag == "lp" and self.p == 2.0:
+            return sum((e * e for e in x), Fraction(0))
+        if self.tag == "t2_span":
+            return tsirelson_norm(self._finvec(e * e for e in x)).value
+        if self.tag == "mod2_span":
+            return modified_norm(self._finvec(e * e for e in x))
         if self.tag == "polytope":
-            vals = [_signed_fraction(e) for e in vec]
-            if all(v is not None for v in vals):
-                best = max(
-                    abs(sum((fi * vi for fi, vi in zip(f, vals)), Fraction(0)))
-                    for f in self.functionals
-                )
-                return best * best
-            fv = [float(e) for e in vec]
-            best_f = max(
-                abs(sum(float(fi) * vi for fi, vi in zip(f, fv)))
-                for f in self.functionals
-            )
-            return best_f * best_f
-        # lp
-        p = self.p
-        if p == 2.0:
-            total = Fraction(0)
-            exact = True
-            for e in vec:
-                try:
-                    total += _entry_square(e)
-                except TypeError:
-                    exact = False
-                    break
-            if exact:
-                return total
-            return float(sum(float(e) ** 2 for e in vec))
-        if p == 1.0 or p == math.inf:
-            av = [_entry_abs_fraction(e) for e in vec]
-            if all(a is not None for a in av):
-                n = sum(av, Fraction(0)) if p == 1.0 else max(av, default=Fraction(0))
-                return n * n
-        n = self.norm(vec)
+            n = max(abs(sum((fi * xi for fi, xi in zip(f, x)), Fraction(0)))
+                    for f in self.functionals)
+        elif self.tag == "tsirelson_span":
+            n = tsirelson_norm(self._finvec(map(abs, x))).value
+        elif self.p == 1.0:
+            n = sum(map(abs, x), Fraction(0))
+        else:
+            n = max(map(abs, x), default=Fraction(0))
         return n * n
 
     def norm(self, vec) -> float:
@@ -378,15 +259,13 @@ class SpaceOracle:
         """Whether the norm reads only the squares of the coordinates."""
         return self.tag in ("t2_span", "mod2_span") or (self.tag == "lp" and self.p == 2.0)
 
-    def exact_batch_fits(self, support: int) -> bool:
-        """Whether ``norm_sq_batch`` evaluates rows on ``support`` columns: on
-        l1, l2 and linf always, on T and T2 up to ``MAX_DP_SUPPORT`` columns,
-        on mod2 up to ``MAX_MODIFIED_SUPPORT``, on other tags never."""
-        if self.tag == "lp":
-            return self.p in (1.0, 2.0, math.inf)
-        if self.tag == "mod2_span":
-            return support <= MAX_MODIFIED_SUPPORT
-        return self.tag != "polytope" and support <= MAX_DP_SUPPORT
+    def has_exact_batch(self, scaled: bool = False) -> bool:
+        """Whether ``norm_sq_batch`` has an integer evaluator: on every tag
+        but l_p with p not in {1, 2, inf}, and for rows with square-root
+        scaled columns (``scaled``) only on a norm that reads squares."""
+        if scaled and not self.reads_squares():
+            return False
+        return self.tag != "lp" or self.p in (1.0, 2.0, math.inf)
 
     def norm_sq_batch(self, M: np.ndarray, cols: Sequence[int],
                       weights: Sequence[int] | None = None) -> tuple[list[int], int]:
@@ -399,12 +278,15 @@ class SpaceOracle:
         M[r, j]^2 weights[j] (1 without ``weights``), so a column can count
         integer multiples of one square root.  T and T2 run the interval
         plan (``tsirelson_norm_batch_exact``), mod2 the compiled bitmask plan
-        (``modified_norm_batch_exact``), l1, l2 and linf integer sums and
-        maxima.  The caller picks a dtype in which the squares and their row
-        sums stay exact (``exact_dtype``).
+        (``modified_norm_batch_exact``); both raise SupportTooLarge above
+        their caps before any plan runs.  l1, l2 and linf take integer sums
+        and maxima, and a polytope one integer matmul against its
+        functionals over their common denominator, then max |.|.  The caller
+        picks a dtype in which the squares and their row sums stay exact
+        (``exact_dtype``); the polytope picks its own for the matmul.
         """
-        if not self.exact_batch_fits(len(cols)) or (weights is not None and not self.reads_squares()):
-            raise DomainError(f"{self!r} has no exact batch on these {len(cols)} columns")
+        if not self.has_exact_batch(weights is not None):
+            raise DomainError(f"{self!r} has no exact batch on these rows")
         labels = [k + 1 for k in cols]
         if self.reads_squares():
             sq = M * M if weights is None else M * M * np.array(weights, dtype=M.dtype)
@@ -416,37 +298,38 @@ class SpaceOracle:
         if self.tag == "tsirelson_span":
             nums, scale = tsirelson_norm_batch_exact(A, labels)
             return [v * v for v in nums], scale * scale
+        if self.tag == "polytope":
+            D = math.lcm(*(v.denominator for f in self.functionals for v in f))
+            F = [[f[k].numerator * (D // f[k].denominator) for k in cols]
+                 for f in self.functionals]
+            dtype = exact_dtype(int(A.max(initial=0)) * max(sum(map(abs, f)) for f in F))
+            Ft = np.array(F, dtype=dtype).reshape(len(F), len(cols)).T
+            return [v * v for v in np.abs(M.astype(dtype) @ Ft).max(axis=1).tolist()], D * D
         nums = (A.sum(axis=1) if self.p == 1.0 else A.max(axis=1, initial=0)).tolist()
         return [v * v for v in nums], 1
-
-    def spot_check(self, seed: int = 0, trials: int = 25) -> bool:
-        """Sampled norm axioms: homogeneity, positive-definiteness, triangle."""
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            a = rng.standard_normal(self.dim)
-            b = rng.standard_normal(self.dim)
-            c = float(rng.uniform(-3, 3))
-            na, nb = self.norm(a.tolist()), self.norm(b.tolist())
-            if na <= 0 and np.any(a != 0):
-                return False
-            if not math.isclose(self.norm((c * a).tolist()), abs(c) * na, rel_tol=1e-9, abs_tol=1e-12):
-                return False
-            if self.norm((a + b).tolist()) > na + nb + 1e-9 * (na + nb + 1):
-                return False
-        return True
 
 
 @dataclass(frozen=True)
 class VectorFamily:
-    """Finite list of coordinate vectors in a common space."""
+    """Finite list of coordinate vectors in a common space.
+
+    ``col_sq`` (one positive rational per coordinate, or None for all 1)
+    scales columns by square roots: entry x_ik stands for
+    x_ik sqrt(col_sq[k]).  A norm that reads squares sees x_ik^2 col_sq[k],
+    so families such as { sqrt(q_j) e_j } keep exact ratios there.
+    """
 
     vectors: tuple[tuple, ...]
     space: SpaceOracle
+    col_sq: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
         for v in self.vectors:
             if len(v) != self.space.dim:
                 raise DomainError("family vector length does not match space dim")
+        if self.col_sq is not None and (len(self.col_sq) != self.space.dim
+                                        or any(q <= 0 for q in self.col_sq)):
+            raise DomainError("col_sq must hold one positive rational per coordinate")
 
     @classmethod
     def make(cls, vectors: Iterable[Iterable], space: SpaceOracle) -> "VectorFamily":
@@ -457,25 +340,38 @@ class VectorFamily:
 
     def as_array(self) -> np.ndarray:
         try:
-            return np.array([[float(e) for e in v] for v in self.vectors], dtype=float)
+            arr = np.array([[float(e) for e in v] for v in self.vectors], dtype=float)
         except OverflowError as exc:
             raise DomainError(f"a vector entry is out of the float range: {exc}") from exc
+        if self.col_sq is not None and len(arr):
+            arr *= np.sqrt([float(q) for q in self.col_sq])
+        return arr
 
 
 def diagonal_sqrt_family(space: SpaceOracle, squares) -> VectorFamily:
-    """Family { sqrt(q_j) e_j } from a map j -> q_j of squared weights."""
+    """Family { sqrt(q_j) e_j } from a map j -> q_j of squared weights.
+
+    A perfect square q_j gives the rational entry sqrt(q_j); any other gives
+    the entry 1 on a column with ``col_sq`` q_j, so the family stays exact
+    on T2, mod2 and l2.
+    """
     items = squares.items() if hasattr(squares, "items") else enumerate(squares, start=1)
     vectors = []
+    col_sq = [Fraction(1)] * space.dim
     for j, q in items:
         if q == 0:
             continue
-        row: list = [Fraction(0)] * space.dim
         if not 1 <= j <= space.dim:
             raise DomainError(f"index {j} outside dim {space.dim}")
+        row: list = [Fraction(0)] * space.dim
         root = _fraction_sqrt(Fraction(q))
-        row[j - 1] = root if root is not None else SqrtRat.of(q)
+        if root is None:
+            row[j - 1], col_sq[j - 1] = Fraction(1), Fraction(q)
+        else:
+            row[j - 1] = root
         vectors.append(tuple(row))
-    return VectorFamily(tuple(vectors), space)
+    scaled = any(q != 1 for q in col_sq)
+    return VectorFamily(tuple(vectors), space, tuple(col_sq) if scaled else None)
 
 
 @dataclass(frozen=True)
@@ -501,17 +397,14 @@ def rademacher_ratio(family: VectorFamily, kind: str) -> RatioEstimate:
     over all 2^n.  The sign sums are taken on integer numerators over the
     family's common denominator L (``_integer_family``), and norms are
     homogeneous, so the mean is the sum of the 2^(n-1) squared norms divided
-    by L^2 2^(n-1) once.  On T, T2, mod2, l1, l2 and linf those sums form one
-    integer matrix, evaluated with the vectors themselves in a few batched
-    exact calls (``_batched_moments``); other spaces, coordinates that have
-    no exact integer form there, and a union support above the engine's cap
-    (``SpaceOracle.exact_batch_fits``) take a Gray-code walk with one
-    ``norm_sq`` call per pattern (``_walked_moments``).  ``samples`` still
-    reports the 2^n patterns averaged.
+    by L^2 2^(n-1) once.  Those sums form one integer matrix, evaluated with
+    the vectors themselves in chunks (``_batched_moments``).  A union
+    support above the engine's cap raises SupportTooLarge before any plan
+    runs.  ``samples`` reports the 2^n patterns averaged.
 
-    ``exact`` is the ratio as a ``Fraction`` when every squared norm is
-    rational, and None when the oracle evaluates in float or a coordinate
-    sums unlike square roots.
+    ``exact`` is the ratio as a ``Fraction`` when the space has an integer
+    evaluator for the family (``SpaceOracle.has_exact_batch``), and None
+    when its squared norms were evaluated in float.
     """
     _check_kind(kind)
     n = len(family)
@@ -519,16 +412,9 @@ def rademacher_ratio(family: VectorFamily, kind: str) -> RatioEstimate:
         raise TooManyVectors(f"{n} vectors exceed the 2^n enumeration cap {RADEMACHER_CAP}")
     if n == 0:
         raise ZeroFamily("empty family")
-    space = family.space
     try:
-        X, L, roots, mixed = _integer_family(family.vectors, space.dim)
-        cols = [k for k in range(space.dim) if any(row[k] for row in X)]
-        if (not mixed and (not roots or space.reads_squares())
-                and space.exact_batch_fits(len(cols))):
-            S, mean = _batched_moments(space, X, L, roots, cols)
-            inexact = False
-        else:
-            S, mean, inexact = _walked_moments(space, family.vectors, X, L, roots, mixed)
+        X, L, roots = _integer_family(family)
+        S, mean, exact = _batched_moments(family.space, X, L, roots)
     except OverflowError as exc:
         raise DomainError(f"family leaves the float range once scaled to integers: {exc}") from exc
     if kind == "type":
@@ -541,45 +427,20 @@ def rademacher_ratio(family: VectorFamily, kind: str) -> RatioEstimate:
         ratio = S / mean
     point = float(ratio)
     return RatioEstimate(point, point, point, 1 << n, 0, "rademacher-exact", kind,
-                         None if inexact else ratio)
+                         ratio if exact else None)
 
 
-def _exact_entry(e):
-    """e as a Fraction (floats exactly), or e itself if it is an irrational SqrtRat."""
-    if isinstance(e, SqrtRat):
-        root = _fraction_sqrt(e.radicand)
-        return e if root is None else e.sign * root
-    return Fraction(e)
+def _integer_family(family: VectorFamily) -> tuple:
+    """The family as integer numerators: (X, L, roots).
 
-
-def _integer_family(vectors, dim: int) -> tuple:
-    """The family as integer numerators: (X, L, roots, mixed).
-
-    L is the lcm of the denominators of the rational entries, and X[i][k] is
-    the int L x_ik on a rational coordinate.  A coordinate whose nonzero
-    entries are SqrtRat of one radicand r holds int multiples of
-    sqrt(r L^2): X[i][k] is the entry's sign and ``roots[k]`` is r L^2.  A
-    coordinate that mixes unlike square roots has no exact value: X is 0
-    there and ``mixed[k]`` lists its (vector, float L x_ik) terms.
+    L is the lcm of the entries' denominators and X[i][k] the int L x_ik
+    (``Fraction`` entries are used as they are, others read exactly).
+    ``roots`` maps each square-root scaled column k to ``col_sq[k]``.
     """
-    rows = [[_exact_entry(e) for e in v] for v in vectors]
-    L = math.lcm(*(e.denominator for row in rows for e in row if isinstance(e, Fraction)))
-    X = [[0] * dim for _ in rows]
-    roots: dict[int, Fraction] = {}
-    mixed: dict[int, list[tuple[int, float]]] = {}
-    for k in range(dim):
-        col = [(i, row[k]) for i, row in enumerate(rows) if row[k] != 0]
-        units = {e.radicand if isinstance(e, SqrtRat) else None for _, e in col}
-        if len(units) > 1:
-            mixed[k] = [(i, float(e * L) if isinstance(e, Fraction)
-                         else float(SqrtRat(e.sign, e.radicand * L * L))) for i, e in col]
-            continue
-        unit = units.pop() if units else None
-        if unit is not None:
-            roots[k] = unit * L * L
-        for i, e in col:
-            X[i][k] = e.numerator * (L // e.denominator) if unit is None else e.sign
-    return X, L, roots, mixed
+    rows = [[e if type(e) is Fraction else Fraction(e) for e in v] for v in family.vectors]
+    L = math.lcm(*(e.denominator for row in rows for e in row))
+    X = [[e.numerator * (L // e.denominator) for e in row] for row in rows]
+    return X, L, {k: q for k, q in enumerate(family.col_sq or ()) if q != 1}
 
 
 #: Sign patterns per chunk of ``_batched_moments``, so that its arrays stay a
@@ -587,22 +448,25 @@ def _integer_family(vectors, dim: int) -> tuple:
 _PATTERN_CHUNK = 1 << 12
 
 
-def _batched_moments(space: SpaceOracle, X: list, L: int, roots: dict,
-                     cols: list) -> tuple:
-    """(sum_i ||x_i||^2, mean over patterns of ||sum_i eps_i x_i||^2), exact.
+def _batched_moments(space: SpaceOracle, X: list, L: int, roots: dict) -> tuple:
+    """(sum_i ||x_i||^2, mean over patterns of ||sum_i eps_i x_i||^2, exact).
 
     Pattern g < 2^(n-1) takes eps_i = -1 where bit i of g is set, so
     eps_n = +1.  Its sign sum on the union support ``cols`` is row g of
     E X, built in chunks of ``_PATTERN_CHUNK`` rows (the family's own rows
-    lead the first chunk), and each chunk's squared norms come from one
-    ``SpaceOracle.norm_sq_batch`` call.  On a squares-reading norm a
-    coordinate's square is X^2 c_k / L^2, with c_k = 1, or r L^2 on a root
-    coordinate (``_integer_family``); over D = lcm(denominators of c) the
-    weights C_k = c_k D are ints.  The arrays' dtype is ``exact_dtype`` of
-    a bound on their row sums, taken up front; the sums of squared norms
-    are Python ints.
+    lead the first chunk).  Coordinate k of a row stands for
+    X sqrt(c_k) / L, with c_k = ``roots[k]`` on a square-root column and 1
+    elsewhere.  Where the space has an integer evaluator, each chunk's
+    squared norms come from one ``SpaceOracle.norm_sq_batch`` call, with
+    the int weights C_k = c_k D over D = lcm(denominators of c), and both
+    moments are exact; otherwise from ``norm_array`` on the float rows
+    X sqrt(c_k).  The arrays' dtype is ``exact_dtype`` of a bound on their
+    row sums, taken up front.
     """
     n = len(X)
+    cols = [k for k in range(space.dim) if any(row[k] for row in X)]
+    scaled = any(k in roots for k in cols)
+    exact = space.has_exact_batch(scaled)
     c = [roots.get(k, Fraction(1)) for k in cols]
     D = math.lcm(*(q.denominator for q in c))
     C = [int(q * D) for q in c]
@@ -611,7 +475,21 @@ def _batched_moments(space: SpaceOracle, X: list, L: int, roots: dict,
               default=0)
     dtype = exact_dtype(top * max(1, len(cols)))
     V = np.array([[row[k] for k in cols] for row in X], dtype=dtype).reshape(n, len(cols))
-    weights = C if roots else None
+    weights = C if scaled else None
+    scale = np.sqrt([float(q) for q in c])
+
+    def squared_norms(M: np.ndarray) -> tuple[list, int]:
+        if exact:
+            nums, den = space.norm_sq_batch(M, cols, weights)
+            return nums, den * D
+        rows = np.zeros((len(M), space.dim))
+        rows[:, cols] = M.astype(float) * scale
+        with np.errstate(over="ignore"):
+            sq = space.norm_array(rows) ** 2
+        if not np.isfinite(sq).all():
+            raise DomainError("squared norms leave the float range")
+        return sq.tolist(), 1
+
     half = 1 << (n - 1)
     bits = np.arange(n)
     S = total = 0
@@ -621,54 +499,12 @@ def _batched_moments(space: SpaceOracle, X: list, L: int, roots: dict,
         M = E @ V
         if lo == 0:
             M = np.concatenate([V, M])
-        nums, den = space.norm_sq_batch(M, cols, weights)
+        nums, den = squared_norms(M)
         if lo == 0:
-            S = Fraction(sum(nums[:n]), den * L * L * D)
+            S = Fraction(sum(nums[:n])) / (den * L * L)
             nums = nums[n:]
         total += sum(nums)
-    return S, Fraction(total, (den * L * L * D) << (n - 1))
-
-
-def _walked_moments(space: SpaceOracle, vectors, X: list, L: int, roots: dict,
-                    mixed: dict) -> tuple:
-    """(sum_i ||x_i||^2, mean squared norm of the sign sums, inexact) by one
-    ``norm_sq`` call per vector and per pattern.
-
-    The 2^(n-1) patterns with eps_n = +1 are visited in binary reflected
-    Gray code order (Knuth, TAOCP 7.2.1.1) from sum_i L x_i: step g flips
-    vector b = lowest set bit of g, which adds or subtracts 2 L x_b on that
-    vector's nonzero coordinates only.  A root coordinate reaches the
-    oracle as the exact ``SqrtRat`` of m^2 r L^2, and a mixed one is summed
-    in float (``math.fsum``) from the current signs.
-    """
-    n = len(X)
-    S = sum(space.norm_sq(list(v)) for v in vectors)
-    acc = [sum(col) for col in zip(*X)]
-    steps = [[(k, 2 * c) for k, c in enumerate(row) if c] for row in X]
-    signs = [1] * n
-
-    def sign_sum() -> list:
-        if not (roots or mixed):
-            return acc
-        vec = list(acc)
-        for k, r in roots.items():
-            m = acc[k]
-            vec[k] = SqrtRat(1 if m > 0 else -1, m * m * r) if m else 0
-        for k, terms in mixed.items():
-            vec[k] = math.fsum(signs[i] * f for i, f in terms)
-        return vec
-
-    total = space.norm_sq(sign_sum())
-    for g in range(1, 1 << (n - 1)):
-        b = (g & -g).bit_length() - 1
-        s = signs[b]
-        signs[b] = -s
-        for k, c in steps[b]:
-            acc[k] -= s * c
-        total += space.norm_sq(sign_sum())
-    mean = Fraction(total) / (L * L << (n - 1))
-    inexact = bool(mixed) or isinstance(total, float) or isinstance(S, float)
-    return Fraction(S), mean, inexact
+    return S, Fraction(total) / ((den * L * L) << (n - 1)), exact
 
 
 def _check_kind(kind: str) -> None:

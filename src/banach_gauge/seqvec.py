@@ -29,16 +29,6 @@ def as_rat(value: RatLike) -> Rat:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-class IndexSet(tuple):
-    """Strictly increasing tuple of positive indices; may be empty."""
-
-    def __new__(cls, indices: Iterable[int] = ()) -> "IndexSet":
-        items = sorted({int(i) for i in indices})
-        if items and items[0] < 1:
-            raise ValueError("indices must be >= 1")
-        return super().__new__(cls, items)
-
-
 class FinVec:
     """Immutable finitely supported sequence with exact rational entries.
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from banach_gauge.cli import build_parser, main, render_json
+from banach_gauge.cli import SEEDED_COMMANDS, build_parser, main, render_json
 
 F = Fraction
 
@@ -233,6 +234,30 @@ def test_ratio_mc_manifest_and_determinism(capsys, tmp_path):
     assert m1["seed"] == 5
     m1.pop("wall_time_s"), m2.pop("wall_time_s")
     assert m1 == m2
+
+
+_SEEDED_ARGV = {
+    "ratio": ["ratio", "--space", "T2", "--kind", "cotype", "--mode", "exact", "--vecs"],
+    "jl-embed": ["jl-embed", "--eps", "0.9", "--seed", "4", "--points"],
+    "jl-mechanism": ["jl-mechanism", "--space", "l1", "--trials", "1", "--family"],
+    "walsh": ["walsh", "--seed", "3", "--family"],
+    "compare-norms": ["compare-norms", "--count", "3", "--seed", "2", "--vec"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SEEDED_ARGV))
+def test_output_digest_is_the_digest_of_the_printed_payload(capsys, tmp_path, command):
+    assert set(_SEEDED_ARGV) == SEEDED_COMMANDS
+    if command == "compare-norms":
+        path = write_vec(tmp_path, "x.json", {3: F(1, 2), 4: -1, 7: F(2, 3)})
+    else:
+        path = write_vectors(tmp_path, "fam.json", [["1/3", 2, -0.5], [0.25, "3", 1], [-1, 0, 2]])
+    code, out = run(capsys, *_SEEDED_ARGV[command], path)
+    assert code == 0
+    data = json.loads(out)
+    manifest = data.pop("manifest")
+    assert render_json({"manifest": manifest, **data}) + "\n" == out
+    assert manifest["output_digest"] == hashlib.sha256(render_json(data).encode()).hexdigest()
 
 
 def test_ratio_mc_sample_cap_exits_1(capsys, tmp_path):

@@ -14,7 +14,6 @@ from banach_gauge import (
     FinVec,
     InvalidBound,
     SpaceOracle,
-    SqrtRat,
     SupportTooLarge,
     TooManyVectors,
     VectorFamily,
@@ -29,7 +28,12 @@ from banach_gauge import (
 )
 import banach_gauge.tsirelson as tsirelson_module
 from banach_gauge.gauss import MC_CELL_CAP
-from banach_gauge.tsirelson import MAX_DP_SUPPORT
+from banach_gauge.tsirelson import (
+    MAX_DP_SUPPORT,
+    MAX_MODIFIED_SUPPORT,
+    modified_norm,
+    tsirelson_norm,
+)
 
 F = Fraction
 
@@ -47,36 +51,40 @@ def _basis_family(space, k):
 # oracles
 # --------------------------------------------------------------------------
 
+def _spot_check(oracle, seed, trials=25):
+    """Sampled norm axioms: homogeneity, positive-definiteness, triangle."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        a = rng.standard_normal(oracle.dim)
+        b = rng.standard_normal(oracle.dim)
+        c = float(rng.uniform(-3, 3))
+        na, nb = oracle.norm(a.tolist()), oracle.norm(b.tolist())
+        if na <= 0 and np.any(a != 0):
+            return False
+        if not math.isclose(oracle.norm((c * a).tolist()), abs(c) * na, rel_tol=1e-9, abs_tol=1e-12):
+            return False
+        if oracle.norm((a + b).tolist()) > na + nb + 1e-9 * (na + nb + 1):
+            return False
+    return True
+
+
 def test_oracle_tags_and_checks():
     for tag, dim in [("l1", 3), ("l2", 4), ("linf", 2), ("lp3", 3), ("T", 4), ("T2", 4)]:
         oracle = SpaceOracle.from_tag(tag, dim)
-        assert oracle.spot_check(seed=7)
+        assert _spot_check(oracle, seed=7)
 
 
 def test_polytope_oracle_is_linf_like():
     # functionals +-e_i* give the sup norm
     oracle = SpaceOracle.polytope(2, [[1, 0], [0, 1]])
     assert oracle.norm_sq([F(3), F(-4)]) == 16
-    assert oracle.spot_check(seed=3)
+    assert _spot_check(oracle, seed=3)
 
 
 def test_t2_span_oracle_exact():
     oracle = SpaceOracle.t2_span(4)
     assert oracle.norm_sq([F(0), F(0), F(1), F(1)]) == 1
     assert oracle.norm([0.0, 0.0, 1.0, 1.0]) == 1.0
-
-
-def test_sqrt_rat_arithmetic():
-    r = SqrtRat.of(F(1, 2))
-    assert r.square() == F(1, 2)
-    assert float(r) == pytest.approx(math.sqrt(0.5))
-    assert (-r).square() == F(1, 2)
-    assert (r + (-r)) == 0
-    two = r + r
-    assert isinstance(two, SqrtRat) and two.square() == 2
-    assert r + F(0) is r
-    mixed = r + SqrtRat.of(F(1, 3))
-    assert isinstance(mixed, float)
 
 
 # --------------------------------------------------------------------------
@@ -138,20 +146,16 @@ def test_rademacher_caps_and_errors():
 
 
 def _reference_ratio(family, kind):
-    """All 2^n sign patterns, each sign sum rebuilt from scratch.
-
-    A coordinate with one nonzero entry takes that entry signed (a SqrtRat
-    stays a SqrtRat); other coordinates are summed as exact Fractions.
-    Returns (ratio, exact), exact None when a squared norm was a float.
+    """All 2^n sign patterns, each sign sum rebuilt from scratch as exact
+    Fractions.  Returns (ratio, exact), exact None when a squared norm was a
+    float.
     """
     space, n = family.space, len(family)
     total = Fraction(0)
     for mask in range(1 << n):
-        acc = []
-        for k in range(space.dim):
-            terms = [-v[k] if mask >> i & 1 else v[k]
-                     for i, v in enumerate(family.vectors) if v[k] != 0]
-            acc.append(terms[0] if len(terms) == 1 else sum(map(Fraction, terms), Fraction(0)))
+        acc = [sum((-Fraction(v[k]) if mask >> i & 1 else Fraction(v[k])
+                    for i, v in enumerate(family.vectors)), Fraction(0))
+               for k in range(space.dim)]
         total += space.norm_sq(acc)
     S = sum((space.norm_sq(list(v)) for v in family.vectors), Fraction(0))
     mean = total / (1 << n)
@@ -196,15 +200,63 @@ def test_rademacher_equals_all_patterns_reference(family, kind):
     _check_against_reference(family, kind)
 
 
+def _squares_norm(tag, squares):
+    """Squared norm on T2, mod2 or l2 of a vector given by its squares."""
+    x = FinVec(dict(enumerate(squares, start=1)))
+    if tag == "T2":
+        return tsirelson_norm(x).value
+    return modified_norm(x) if tag == "mod2" else sum(squares, Fraction(0))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["T2", "mod2", "l2"]),
        st.lists(st.fractions(min_value=0, max_value=5, max_denominator=7), min_size=1, max_size=6),
        st.sampled_from(["type", "cotype"]))
 def test_rademacher_diagonal_sqrt_equals_reference(tag, squares, kind):
+    # every sign sum of { sqrt(q_j) e_j } has the squares q, so the mean is N(q)
     family = diagonal_sqrt_family(SpaceOracle.from_tag(tag, len(squares)), squares)
     if len(family) == 0:
         return
-    _check_against_reference(family, kind)
+    S, mean = sum(squares, Fraction(0)), _squares_norm(tag, squares)
+    est = rademacher_ratio(family, kind)
+    assert est.exact == (S / mean if kind == "cotype" else mean / S)
+
+
+@st.composite
+def _sqrt_column_families(draw):
+    """Families with col_sq, several vectors sharing a square-root column."""
+    dim, n = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    col_sq = draw(st.lists(st.sampled_from([F(1), F(2), F(1, 3), F(5, 2)]),
+                           min_size=dim, max_size=dim))
+    shared = draw(st.integers(0, dim - 1))
+    col_sq[shared] = draw(st.sampled_from([F(2), F(1, 3), F(5, 2)]))
+    vecs = draw(st.lists(st.lists(_entries, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    for v in vecs[:2]:
+        v[shared] = draw(_rationals.filter(bool))
+    return vecs, tuple(col_sq)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["T2", "mod2", "l2"]), _sqrt_column_families(),
+       st.sampled_from(["type", "cotype"]))
+def test_rademacher_sqrt_columns_equal_squares_reference(tag, vecs_col_sq, kind):
+    vecs, col_sq = vecs_col_sq
+    dim = len(col_sq)
+    family = VectorFamily(tuple(map(tuple, vecs)), SpaceOracle.from_tag(tag, dim), col_sq)
+    total = Fraction(0)
+    for signs in itertools.product((1, -1), repeat=len(vecs)):
+        acc = [sum((e * v[k] for e, v in zip(signs, vecs)), Fraction(0)) for k in range(dim)]
+        total += _squares_norm(tag, [a * a * q for a, q in zip(acc, col_sq)])
+    S = sum((_squares_norm(tag, [e * e * q for e, q in zip(v, col_sq)]) for v in vecs), Fraction(0))
+    mean = total / (1 << len(vecs))
+    assert S > 0
+    if mean == 0:
+        with pytest.raises(ZeroFamily):
+            rademacher_ratio(family, "cotype")
+        return
+    est = rademacher_ratio(family, kind)
+    assert est.exact == (mean / S if kind == "type" else S / mean)
+    assert est.point == float(est.exact)
 
 
 def test_rademacher_single_vector_and_zero_vector():
@@ -261,17 +313,6 @@ def test_rademacher_float_entries_are_exact_binary_rationals():
             assert est.exact == rademacher_ratio(as_fractions, kind).exact
 
 
-def test_rademacher_unlike_square_roots_are_not_exact():
-    # sqrt(2) +- sqrt(3) in one coordinate has no exact value.  Below index 3
-    # the T2 norm is the sup norm, so the two sign sums (up to eps -> -eps)
-    # have squared norms 5 + 2 sqrt(6) and 1, against 2 + 3.
-    space = SpaceOracle.t2_span(2)
-    fam = VectorFamily.make([[SqrtRat.of(2), F(1)], [SqrtRat.of(3), F(0)]], space)
-    est = rademacher_ratio(fam, "type")
-    assert est.exact is None
-    assert est.point == pytest.approx((3 + math.sqrt(6)) / 5, rel=1e-12)
-
-
 @pytest.mark.parametrize("tag", ["T", "T2", "mod2", "l1", "l2", "linf"])
 def test_rademacher_sign_sums_cancel_to_exact_zeros(tag):
     # x1 - x2 is the zero vector and x1 + x3 cancels on two coordinates, so the
@@ -301,26 +342,63 @@ def test_rademacher_float_entries_beyond_int64(tag, monkeypatch):
         assert seen and set(seen) == {np.dtype(object)}
 
 
-def test_rademacher_union_support_above_the_mod2_cap():
-    # every vector and sign sum has 12 labels, the mod2 cap, but their union
-    # has 13: the ratio takes the per-pattern walk instead of the batch
-    space = SpaceOracle.mod2_span(13)
-    x1 = [F(1)] * 12 + [F(0)]
-    x2 = [F(1), F(-1)] + [F(0)] * 10 + [F(1)]
-    assert not space.exact_batch_fits(13)
-    _check_against_reference(VectorFamily.make([x1, x2], space), "cotype")
+def test_rademacher_union_support_above_the_mod2_cap(monkeypatch):
+    # each vector fits the engine's cap but their union support is one label
+    # over it: the ratio raises before any plan is compiled or run
+    for name in ("_interval_plan", "_modified_plan", "_run_plan", "_run_modified_plan"):
+        monkeypatch.setattr(tsirelson_module, name,
+                            lambda *a: pytest.fail("a plan ran past the support cap"))
+    s = MAX_MODIFIED_SUPPORT + 1
+    x1 = [F(1)] * (s - 1) + [F(0)]
+    x2 = [F(1), F(-1)] + [F(0)] * (s - 3) + [F(1)]
+    with pytest.raises(SupportTooLarge):
+        rademacher_ratio(VectorFamily.make([x1, x2], SpaceOracle.mod2_span(s)), "cotype")
+    s = MAX_DP_SUPPORT + 1
+    y1 = [F(1)] * (s - 1) + [F(0)]
+    y2 = [F(0)] * (s - 1) + [F(1)]
+    with pytest.raises(SupportTooLarge):
+        rademacher_ratio(VectorFamily.make([y1, y2], SpaceOracle.t2_span(s)), "type")
 
 
 def test_norm_sq_batch_only_where_an_integer_evaluator_exists():
     M = np.array([[1, -2], [0, 3]], dtype=np.int64)
-    poly = SpaceOracle.polytope(2, [[F(1), F(1)]])
-    assert not poly.exact_batch_fits(2)
+    poly = SpaceOracle.polytope(2, [[F(1, 2), F(1, 3)], [F(0), F(-1, 4)]])
+    assert poly.has_exact_batch() and not poly.has_exact_batch(scaled=True)
+    nums, den = poly.norm_sq_batch(M, [0, 1])
+    assert [F(v, den) for v in nums] == [F(1, 4), 1]
+    lp3 = SpaceOracle.from_tag("lp3", 2)
+    assert not lp3.has_exact_batch()
     with pytest.raises(DomainError):
-        poly.norm_sq_batch(M, [0, 1])
+        lp3.norm_sq_batch(M, [0, 1])
     with pytest.raises(DomainError):  # T reads |x|, not squares
         SpaceOracle.tsirelson_span(2).norm_sq_batch(M, [0, 1], weights=[1, 2])
     nums, den = SpaceOracle.euclidean(2).norm_sq_batch(M, [0, 1], weights=[1, 2])
     assert [F(v, den) for v in nums] == [9, 18]
+
+
+_ONE_PATH_SPACES = {
+    "l1": SpaceOracle.from_tag("l1", 4), "l2": SpaceOracle.from_tag("l2", 4),
+    "linf": SpaceOracle.from_tag("linf", 4), "lp3": SpaceOracle.from_tag("lp3", 4),
+    "T": SpaceOracle.from_tag("T", 4), "T2": SpaceOracle.from_tag("T2", 4),
+    "mod2": SpaceOracle.from_tag("mod2", 4),
+    "polytope": SpaceOracle.polytope(4, [[F(1), F(-1, 2), 0, F(2)], [0, F(1, 3), F(1), 0]]),
+}
+
+
+@pytest.mark.parametrize("name", [*_ONE_PATH_SPACES, "sqrt-diagonal-T", "sqrt-diagonal-T2"])
+def test_rademacher_never_calls_the_per_vector_oracle(name, monkeypatch):
+    monkeypatch.setattr(SpaceOracle, "norm_sq",
+                        lambda self, vec: pytest.fail("per-vector norm_sq was called"))
+    if name.startswith("sqrt-diagonal-"):
+        space = SpaceOracle.from_tag(name.removeprefix("sqrt-diagonal-"), 4)
+        family = diagonal_sqrt_family(space, {1: 2, 2: F(1, 3), 4: 5})
+    else:
+        rows = [[F(1), F(-2, 3), F(0), F(1, 2)], [F(0), F(1), F(3), F(-1)], [F(2), F(0), F(1, 5), F(1)]]
+        family = VectorFamily.make(rows, _ONE_PATH_SPACES[name])
+    for kind in ("type", "cotype"):
+        est = rademacher_ratio(family, kind)
+        assert (est.exact is None) == (name in ("lp3", "sqrt-diagonal-T"))
+        assert est.point > 0
 
 
 @pytest.mark.parametrize("tag,dim", [("l1", 16), ("T2", 8)])
@@ -491,7 +569,7 @@ def test_tsirelson_span_irrational_roots_are_not_exact():
     # sqrt 2 and sqrt 3 have no exact value: the oracle answers in float
     space = SpaceOracle.tsirelson_span(4)
     fam = diagonal_sqrt_family(space, {3: 2, 4: 3})
-    assert isinstance(space.norm_sq(list(fam.vectors[0])), float)
+    assert fam.col_sq == (1, 1, 2, 3)
     for kind, ratio in (("cotype", 5 / 3), ("type", 3 / 5)):
         est = rademacher_ratio(fam, kind)
         assert est.exact is None

@@ -5,7 +5,6 @@ import pytest
 
 from banach_gauge import (
     FinVec,
-    IndexSet,
     abs_square,
     flip_signs,
     l1_norm,
@@ -15,6 +14,16 @@ from banach_gauge import (
 )
 
 from conftest import random_finvec
+
+
+class IndexSet(tuple):
+    """Strictly increasing tuple of positive indices; may be empty."""
+
+    def __new__(cls, indices=()):
+        items = sorted({int(i) for i in indices})
+        if items and items[0] < 1:
+            raise ValueError("indices must be >= 1")
+        return super().__new__(cls, items)
 
 
 def test_restrict_examples():
