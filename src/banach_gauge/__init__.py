@@ -75,10 +75,7 @@ from .seqvec import (
     FinVec,
     Rat,
     abs_square,
-    flip_signs,
     l1_norm,
-    l2_norm_sq,
-    restrict,
     sup_norm,
 )
 from .tsirelson import (

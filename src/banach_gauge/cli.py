@@ -434,12 +434,8 @@ def cmd_growth(args) -> Output:
     if sub == "alpha-diag":
         return Output(text=str(alpha_diag(args.n)))
     if sub == "delta-bound":
-        return cmd_delta_bound(args)
+        return Output(text=f"{delta_bound(float(args.n), args.K, args.D):.17g}")
     raise DomainError(f"unknown growth subcommand {sub!r}")
-
-
-def cmd_delta_bound(args) -> Output:
-    return Output(text=f"{delta_bound(float(args.n), args.K, args.D):.17g}")
 
 
 def cmd_flat_search(args) -> Output:
@@ -584,7 +580,6 @@ HANDLERS = {
     "jl-mechanism": cmd_jl_mechanism,
     "walsh": cmd_walsh,
     "growth": cmd_growth,
-    "delta-bound": cmd_delta_bound,
     "flat-search": cmd_flat_search,
     "cotype-cert": cmd_cotype_cert,
     "compare-norms": cmd_compare_norms,
@@ -659,11 +654,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("n", type=int)
     g = gsub.add_parser("alpha-diag")
     g.add_argument("n", type=int)
-    for p in (gsub.add_parser("delta-bound"),
-              sub.add_parser("delta-bound", help="recursive distortion bound")):
-        p.add_argument("n", type=float)
-        p.add_argument("--K", type=float, default=1.0)
-        p.add_argument("--D", type=float, default=1.0)
+    g = gsub.add_parser("delta-bound", help="recursive distortion bound")
+    g.add_argument("n", type=float)
+    g.add_argument("--K", type=float, default=1.0)
+    g.add_argument("--D", type=float, default=1.0)
 
     p = sub.add_parser("flat-search", help="cutting-plane search for flat vectors")
     p.add_argument("--N", required=True, type=int)

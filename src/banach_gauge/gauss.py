@@ -460,8 +460,8 @@ def _batched_moments(space: SpaceOracle, X: list, L: int, roots: dict) -> tuple:
     squared norms come from one ``SpaceOracle.norm_sq_batch`` call, with
     the int weights C_k = c_k D over D = lcm(denominators of c), and both
     moments are exact; otherwise from ``norm_array`` on the float rows
-    X sqrt(c_k).  The arrays' dtype is ``exact_dtype`` of a bound on their
-    row sums, taken up front.
+    X sqrt(c_k) 2^-e, e per row.  The arrays' dtype is ``exact_dtype`` of a
+    bound on their row sums, taken up front.
     """
     n = len(X)
     cols = [k for k in range(space.dim) if any(row[k] for row in X)]
@@ -482,13 +482,19 @@ def _batched_moments(space: SpaceOracle, X: list, L: int, roots: dict) -> tuple:
         if exact:
             nums, den = space.norm_sq_batch(M, cols, weights)
             return nums, den * D
+        # row r in float as M_r / 2^e_r, e_r the bit length of its largest
+        # entry, so no L-scaled row leaves the float range (entries past 2^1000
+        # lose their low bits first); squared norms return over 4^-max(e)
+        e = np.array([v.bit_length() for v in np.abs(M).max(axis=1, initial=0).tolist()])
+        cut = np.maximum(e - 1000, 0)[:, None]
         rows = np.zeros((len(M), space.dim))
-        rows[:, cols] = M.astype(float) * scale
+        rows[:, cols] = np.ldexp((M >> cut.astype(M.dtype)).astype(float), cut - e[:, None]) * scale
         with np.errstate(over="ignore"):
             sq = space.norm_array(rows) ** 2
         if not np.isfinite(sq).all():
             raise DomainError("squared norms leave the float range")
-        return sq.tolist(), 1
+        k = int(e.max(initial=0))
+        return np.ldexp(sq, 2 * (e - k)).tolist(), Fraction(1, 4 ** k)
 
     half = 1 << (n - 1)
     bits = np.arange(n)
@@ -503,8 +509,8 @@ def _batched_moments(space: SpaceOracle, X: list, L: int, roots: dict) -> tuple:
         if lo == 0:
             S = Fraction(sum(nums[:n])) / (den * L * L)
             nums = nums[n:]
-        total += sum(nums)
-    return S, Fraction(total) / ((den * L * L) << (n - 1)), exact
+        total += Fraction(sum(nums)) / den
+    return S, total / ((L * L) << (n - 1)), exact
 
 
 def _check_kind(kind: str) -> None:

@@ -118,12 +118,6 @@ class FinVec:
         return cls({int(j): Fraction(str(v)) for j, v in obj["v"].items()})
 
 
-def restrict(x: FinVec, indices: Iterable[int]) -> FinVec:
-    """Keep only the entries whose index lies in ``indices``."""
-    keep = set(int(i) for i in indices)
-    return FinVec({j: v for j, v in x.items() if j in keep})
-
-
 def sup_norm(x: FinVec) -> Rat:
     """max_j |x_j|; 0 for the zero vector."""
     return max((abs(v) for _, v in x.items()), default=Fraction(0))
@@ -131,10 +125,6 @@ def sup_norm(x: FinVec) -> Rat:
 
 def l1_norm(x: FinVec) -> Rat:
     return sum((abs(v) for _, v in x.items()), Fraction(0))
-
-
-def l2_norm_sq(x: FinVec) -> Rat:
-    return sum((v * v for _, v in x.items()), Fraction(0))
 
 
 def float_sqrt(q: Rat) -> float:
@@ -149,8 +139,3 @@ def float_sqrt(q: Rat) -> float:
 def abs_square(x: FinVec) -> FinVec:
     """Entrywise square; support is preserved."""
     return FinVec({j: v * v for j, v in x.items()})
-
-
-def flip_signs(x: FinVec, signs: Mapping[int, int]) -> FinVec:
-    """Flip the sign of entry j wherever signs[j] == -1 (default +1)."""
-    return FinVec({j: v * signs.get(j, 1) for j, v in x.items()})

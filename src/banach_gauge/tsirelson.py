@@ -11,7 +11,8 @@ fewer than two nonempty parts can never attain the max (they contribute at
 most half the norm of a restriction), so skipping them makes the recursion
 terminate and this module computes the fixed point directly.
 
-Three engines live here:
+Two statements of the rules live here: the interval DP, and one exhaustive
+bitmask recursion under two policies.
 
 * ``tsirelson_norm`` -- a dynamic program over ranges of support positions,
   filled bottom-up in one table (no Python recursion, support capped at
@@ -26,18 +27,16 @@ Three engines live here:
   float64 for ``tsirelson_norm_batch``, and exactly on integer columns
   (int64 when an up-front bound allows, else Python ints) for
   ``tsirelson_norm_batch_exact``.
-* ``tsirelson_norm_bruteforce`` -- exhaustive recursion over *all* admissible
-  families of arbitrary finite subsets, memoized on support bitmasks.  Slow,
-  capped, and deliberately independent of the interval argument.
-* ``modified_norm`` -- the variant whose recursion allows up to (n+1)^n
-  pairwise disjoint (not successive) finite sets inside [n, oo); here the
-  left endpoint n itself is allowed.  Disjoint arbitrary sets defeat the
-  interval DP, so this engine is exhaustive and capped.  Its bitmask state
-  graph depends only on the labels, so ``_modified_plan`` compiles it once
-  per label tuple into levels of a value table; ``_run_modified_plan`` runs
-  that plan on the same float64 or integer columns
-  (``modified_norm_batch``, ``modified_norm_batch_exact``).  One vector
-  stays on the recursive engine, which compiles nothing.
+* ``_exhaustive`` -- one memoized recursion on support bitmasks, evaluated
+  or compiled through callbacks.  With successive parts of arbitrary finite
+  sets it is ``tsirelson_norm_bruteforce``, the all-subsets oracle, which is
+  deliberately independent of the interval argument.  With up to (n+1)^n
+  disjoint blocks inside [n, oo), left endpoint included, it is
+  ``modified_norm``, where disjoint arbitrary sets defeat the interval DP.
+  Both are capped, and one vector compiles nothing.  ``_modified_plan``
+  compiles the modified state graph once per label tuple into levels of a
+  value table that ``_run_modified_plan`` runs on the same float64 or
+  integer columns (``modified_norm_batch``, ``modified_norm_batch_exact``).
 
 The exact engines run on integer-scaled values: every value appearing in the
 recursion is a dyadic multiple of the input entries with halving depth at
@@ -562,10 +561,113 @@ def tsirelson_norm_batch_exact(weights, indices: Sequence[int]) -> tuple[list[in
 
 
 # --------------------------------------------------------------------------
-# All-subsets oracle
+# Exhaustive bitmask recursion: the all-subsets oracle and the modified norm
 # --------------------------------------------------------------------------
 
-_INFEASIBLE = -1
+#: Default support cap of ``modified_norm``, and the cap of its batches.
+MAX_MODIFIED_SUPPORT = 12
+
+
+def _block_budget(n: int, cnt: int) -> int:
+    """Most blocks a partition of ``cnt`` labels in [n, oo) may use."""
+    if n >= 5:  # (n+1)^n >= 6^5 far exceeds any feasible block count
+        return cnt
+    return min((n + 1) ** n, cnt)
+
+
+def _exhaustive(sup: tuple[int, ...], successive: bool, leaf, half, node):
+    """The one statement of both exhaustive recursions, on bitmasks of the
+    positions of the labels ``sup``; returns the state of the full mask.
+
+    A norm state is the max of its weights and the halves of its best
+    families of >= 2 parts above each start p.  A family state (mask, t,
+    need) -- at most t parts in mask, at least ``need`` -- is the max over
+    terms (a, b): a the norm of the part holding the lowest element, b the
+    family of what remains.  Successive parts (the all-subsets oracle) leave
+    the part's upper tail as the remainder, may skip the lowest element
+    (term (0, b)) and number at most sup[p] - 1.  Otherwise (the modified
+    norm) blocks cover the mask, at most ``_block_budget`` of them.
+
+    ``leaf(p)`` is the handle of the weight at position p, ``half(h)`` of a
+    family's half, ``node(terms)`` of the max of a + b over terms, or None
+    (infeasible) when there are none.  Handle 0 is the zero.
+    """
+    s = len(sup)
+    norm_of = {1 << p: leaf(p) for p in range(s)}
+    family_of: dict = {}
+
+    def norm(mask: int):
+        hit = norm_of.get(mask)
+        if hit is None:
+            ts = [(leaf(p), 0) for p in range(s) if mask >> p & 1]
+            for p in range(s):
+                if mask >> p & 1:
+                    tail = mask >> p << p  # positions >= p
+                    cnt = tail.bit_count()
+                    t = min(sup[p] - 1, cnt) if successive else _block_budget(sup[p], cnt)
+                    v = family(tail, t, 2) if t >= 2 else None
+                    if v is not None:
+                        ts.append((half(v), 0))
+            hit = norm_of[mask] = node(ts)
+        return hit
+
+    def family(mask: int, t: int, need: int):
+        t = min(t, mask.bit_count())
+        if mask == 0 or t == 0:
+            return 0 if need == 0 and (successive or mask == 0) else None
+        key = (mask, t, need)
+        if key in family_of:
+            return family_of[key]
+        low = mask & -mask
+        rest = mask ^ low
+        need2 = need - 1 if need else 0
+        ts = []
+        if successive:
+            b = family(rest, t, need)
+            if b is not None:
+                ts.append((0, b))
+        sub = rest
+        while True:
+            part = low | sub
+            tail = mask & -(1 << part.bit_length()) if successive else rest ^ sub
+            # the base case and both memo lookups inline: most terms need no call
+            if tail == 0 or t == 1:
+                b = 0 if need2 == 0 and (successive or tail == 0) else None
+            else:
+                b = family_of.get((tail, min(t - 1, tail.bit_count()), need2), family_of)
+                if b is family_of:  # a miss (a stored None is infeasible)
+                    b = family(tail, t - 1, need2)
+            if b is not None:
+                a = norm_of.get(part)
+                ts.append((norm(part) if a is None else a, b))
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        v = family_of[key] = node(ts)
+        return v
+
+    root = norm((1 << s) - 1)
+    del norm, family  # empty the closures' cells: the memo tables go by refcount
+    return root
+
+
+def _half(v: int) -> int:
+    assert v % 2 == 0  # the integer scaling keeps every family sum even
+    return v // 2
+
+
+def _best(terms: list) -> int | None:
+    return max(itertools.starmap(operator.add, terms), default=None)
+
+
+def _exhaustive_value(x: FinVec, max_support: int, successive: bool, engine: str) -> Rat:
+    """``_exhaustive`` evaluated on the scaled weights of ``x``."""
+    sup, w, scale = _scaled_weights(x)
+    if len(sup) > max_support:
+        raise SupportTooLarge(f"support {len(sup)} exceeds {engine} cap {max_support}")
+    if not sup:
+        return Fraction(0)
+    return Fraction(_exhaustive(sup, successive, w.__getitem__, _half, _best), scale)
 
 
 def tsirelson_norm_bruteforce(x: FinVec, max_support: int = 12) -> Rat:
@@ -574,82 +676,21 @@ def tsirelson_norm_bruteforce(x: FinVec, max_support: int = 12) -> Rat:
     A family A_1 < ... < A_k of arbitrary finite sets is admissible for some
     threshold n iff k >= 2 and min A_1 >= k + 1 (choose n between k and
     min A_1 - 1; bigger budgets only widen the search), so the threshold is
-    eliminated and the recursion enumerates ordered part families directly.
-    Memoized on support bitmasks; exponential and capped.
+    eliminated and the recursion enumerates ordered part families directly
+    (``_exhaustive`` with successive parts).  Exponential and capped.
     """
-    sup, w, scale = _scaled_weights(x)
-    s = len(sup)
-    if s > max_support:
-        raise SupportTooLarge(f"support {s} exceeds brute-force cap {max_support}")
-    if s == 0:
-        return Fraction(0)
+    return _exhaustive_value(x, max_support, True, "brute-force")
 
-    full = (1 << s) - 1
-    above = [(full >> (p + 1)) << (p + 1) for p in range(s)]  # positions > p
-    norm_of: dict[int, int] = {}
-    fam_memo: dict[tuple[int, int, int], int] = {}
 
-    def norm(mask: int) -> int:
-        hit = norm_of.get(mask)
-        if hit is not None:
-            return hit
-        best = max(w[p] for p in range(s) if mask >> p & 1)
-        m = mask
-        while m:
-            p = (m & -m).bit_length() - 1
-            m &= m - 1
-            if sup[p] < 3:
-                continue
-            tail = mask & ~((1 << p) - 1)  # indices >= sup[p]
-            cnt = tail.bit_count()
-            if cnt < 2:
-                continue
-            t = min(sup[p] - 1, cnt)
-            if t < 2:
-                continue
-            v = family(tail, t, 2)
-            if v > _INFEASIBLE:
-                assert v % 2 == 0
-                best = max(best, v // 2)
-        norm_of[mask] = best
-        return best
+def modified_norm(x: FinVec, max_support: int = MAX_MODIFIED_SUPPORT) -> Rat:
+    """Exact value of the modified recursion with disjoint-set families.
 
-    def family(mask: int, t: int, need: int) -> int:
-        """Best sum over at most t successive parts inside mask, at least `need`."""
-        t = min(t, mask.bit_count())
-        if mask == 0 or t == 0:
-            return 0 if need == 0 else _INFEASIBLE
-        key = (mask, t, need)
-        hit = fam_memo.get(key)
-        if hit is not None:
-            return hit
-        low = mask & -mask
-        rest = mask ^ low
-        best = family(rest, t, need)  # element unused
-        need2 = need - 1 if need else 0
-        # parts containing the lowest element: P = low | sub, sub subset of rest
-        sub = rest
-        while True:
-            part = low | sub
-            top = part.bit_length() - 1
-            tail = mask & above[top]
-            if need2 and (tail == 0 or t == 1):
-                pass  # cannot place the remaining required parts
-            else:
-                rec = family(tail, t - 1, need2)
-                if rec > _INFEASIBLE:
-                    v = norm(part) + rec
-                    if v > best:
-                        best = v
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        fam_memo[key] = best
-        return best
-
-    value = Fraction(norm(full), scale)
-    del norm, family  # empty the closures' cells: the memo tables go by refcount
-    return value
+    max( sup-norm, 1/2 * best over n >= 1 of partitions of support(x) n [n, oo)
+    into at least 2 and at most min((n+1)^n, support size) disjoint nonempty
+    blocks ).  Blocks are arbitrary sets, so the engine enumerates set
+    partitions (``_exhaustive`` with covering blocks); capped support.
+    """
+    return _exhaustive_value(x, max_support, False, "modified-norm")
 
 
 # --------------------------------------------------------------------------
@@ -670,103 +711,6 @@ def t2_norm(x: FinVec) -> float:
     return float_sqrt(t2_norm_sq(x).value)
 
 
-# --------------------------------------------------------------------------
-# Modified norms (disjoint arbitrary sets, closed left endpoint)
-# --------------------------------------------------------------------------
-
-#: Default support cap of ``modified_norm``, and the cap of its batches.
-MAX_MODIFIED_SUPPORT = 12
-
-
-def _block_budget(n: int, cnt: int) -> int:
-    """Most blocks a partition of ``cnt`` labels in [n, oo) may use."""
-    if n >= 5:  # (n+1)^n >= 6^5 far exceeds any feasible block count
-        return cnt
-    return min((n + 1) ** n, cnt)
-
-
-def modified_norm(x: FinVec, max_support: int = MAX_MODIFIED_SUPPORT) -> Rat:
-    """Exact value of the modified recursion with disjoint-set families.
-
-    max( sup-norm, 1/2 * best over n >= 1 of partitions of support(x) n [n, oo)
-    into at least 2 and at most min((n+1)^n, support size) disjoint nonempty
-    blocks ).  Blocks are arbitrary sets, so the engine enumerates set
-    partitions with bitmask memoization; capped support.
-    """
-    sup, w, scale = _scaled_weights(x)
-    s = len(sup)
-    if s > max_support:
-        raise SupportTooLarge(f"support {s} exceeds modified-norm cap {max_support}")
-    if s == 0:
-        return Fraction(0)
-
-    full = (1 << s) - 1
-    norm_of: dict[int, int] = {}
-    part_memo: dict[tuple[int, int, int], int] = {}
-
-    def norm(mask: int) -> int:
-        hit = norm_of.get(mask)
-        if hit is not None:
-            return hit
-        best = max(w[p] for p in range(s) if mask >> p & 1)
-        m = mask
-        while m:
-            p = (m & -m).bit_length() - 1
-            m &= m - 1
-            tail = mask & ~((1 << p) - 1)  # indices >= sup[p]; n = sup[p] allowed
-            cnt = tail.bit_count()
-            if cnt < 2:
-                continue
-            budget = _block_budget(sup[p], cnt)
-            if budget < 2:
-                continue
-            v = partition(tail, budget, 2)
-            if v > _INFEASIBLE:
-                assert v % 2 == 0
-                best = max(best, v // 2)
-        norm_of[mask] = best
-        return best
-
-    def partition(mask: int, t: int, need: int) -> int:
-        """Best cover of mask by at most t disjoint nonempty blocks, at least `need`."""
-        t = min(t, mask.bit_count())
-        if mask == 0:
-            return 0 if need == 0 else _INFEASIBLE
-        if t == 0:
-            return _INFEASIBLE
-        key = (mask, t, need)
-        hit = part_memo.get(key)
-        if hit is not None:
-            return hit
-        low = mask & -mask
-        rest = mask ^ low
-        need2 = need - 1 if need else 0
-        best = _INFEASIBLE
-        # the block containing the lowest element: P = low | sub
-        sub = rest
-        while True:
-            remainder = rest ^ sub
-            if remainder == 0 and need2:
-                pass  # whole mask in one block but more blocks required
-            elif remainder and t == 1:
-                pass
-            else:
-                rec = partition(remainder, t - 1, need2)
-                if rec > _INFEASIBLE:
-                    v = norm(low | sub) + rec
-                    if v > best:
-                        best = v
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        part_memo[key] = best
-        return best
-
-    value = Fraction(norm(full), scale)
-    del norm, partition  # empty the closures' cells: the memo tables go by refcount
-    return value
-
-
 def modified_t2_norm_sq(x: FinVec, max_support: int = MAX_MODIFIED_SUPPORT) -> Rat:
     """Squared norm of the 2-convexified modified space: modified_norm of (x_j^2)."""
     return modified_norm(abs_square(x), max_support=max_support)
@@ -781,16 +725,16 @@ def _modified_plan(sup: tuple[int, ...]) -> tuple:
     """``modified_norm``'s state graph for index labels ``sup``, compiled
     into levels of one value table.
 
-    The recursion's states (norm of a mask; best partition of a mask into at
-    most t blocks, at least ``need``), the terms each state maxes over and
-    which states are infeasible depend only on the labels; infeasible states
-    are dropped with the terms that read them.  Slot 0 of the table holds 0,
-    slots 1..s the weights, and every other slot one state: the max over its
-    terms of table[a] + table[b] (a partition: a block's norm plus the rest;
-    a norm: a weight or the half of a partition, plus 0), or the half of a
-    partition slot that some norm reads.  Slots are numbered by dependency
-    level, so each level is one gather, one add and one
-    ``np.maximum.reduceat`` into a contiguous block, after which its halves
+    ``_exhaustive`` hands over the recursion's states with table slots as
+    handles: the states, the terms each maxes over and which are infeasible
+    depend only on the labels, and infeasible states are dropped with the
+    terms that read them; here the states are only numbered.  Slot 0 of the
+    table holds 0, slots 1..s the weights, and every other slot one state:
+    the max over its terms of table[a] + table[b] (a partition: a block's
+    norm plus the rest; a norm: a weight or the half of a partition, plus
+    0), or the half of a partition slot that some norm reads.  Slots are
+    numbered by dependency level, so each level is one gather, one add and
+    one ``np.maximum.reduceat`` into a contiguous block, after which its halves
     are written.  Returns (slots, cells per row, root slot, levels), each
     level (lo, a, b, starts, halves).  At s = 12 a plan holds ~16k slots and
     ~350k terms in 5.5 MiB.
@@ -799,10 +743,10 @@ def _modified_plan(sup: tuple[int, ...]) -> tuple:
     level = [0] * (s + 1)
     terms: list = [None] * (s + 1)  # a node's (a, b) list, or a half's source slot
     half_of: dict[int, int] = {}
-    norm_of = {1 << p: 1 + p for p in range(s)}
-    part_of: dict[tuple[int, int, int], int | None] = {}
 
-    def node(ts: list) -> int:
+    def node(ts: list) -> int | None:
+        if not ts:
+            return None
         level.append(1 + max(max(level[a], level[b]) for a, b in ts))
         terms.append(ts)
         return len(level) - 1
@@ -814,51 +758,7 @@ def _modified_plan(sup: tuple[int, ...]) -> tuple:
             half_of[slot] = len(level) - 1
         return half_of[slot]
 
-    def norm(mask: int) -> int:
-        hit = norm_of.get(mask)
-        if hit is None:
-            ts = [(1 + p, 0) for p in range(s) if mask >> p & 1]
-            m = mask
-            while m:
-                p = (m & -m).bit_length() - 1
-                m &= m - 1
-                tail = mask & ~((1 << p) - 1)
-                cnt = tail.bit_count()
-                budget = _block_budget(sup[p], cnt)
-                if cnt >= 2 and budget >= 2:
-                    v = partition(tail, budget, 2)
-                    if v is not None:
-                        ts.append((half(v), 0))
-            hit = norm_of[mask] = node(ts)
-        return hit
-
-    def partition(mask: int, t: int, need: int) -> int | None:
-        t = min(t, mask.bit_count())
-        if mask == 0:
-            return 0 if need == 0 else None
-        if t == 0:
-            return None
-        key = (mask, t, need)
-        if key not in part_of:
-            low = mask & -mask
-            rest = mask ^ low
-            need2 = need - 1 if need else 0
-            ts = []
-            sub = rest
-            while True:
-                remainder = rest ^ sub
-                if not ((remainder == 0 and need2) or (remainder and t == 1)):
-                    rec = partition(remainder, t - 1, need2)
-                    if rec is not None:
-                        ts.append((norm(low | sub), rec))
-                if sub == 0:
-                    break
-                sub = (sub - 1) & rest
-            part_of[key] = node(ts) if ts else None
-        return part_of[key]
-
-    root = norm((1 << s) - 1)
-    del norm, partition  # empty the closures' cells: the memo tables go now, not at a gc pass
+    root = _exhaustive(sup, False, lambda p: 1 + p, half, node)
     # number the states by level, a level's nodes before its halves
     order = sorted(range(s + 1, len(level)),
                    key=lambda k: (level[k], isinstance(terms[k], int)))

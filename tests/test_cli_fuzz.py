@@ -89,7 +89,7 @@ def _bad_flags(rows: str, witness: str) -> list[list[str]]:
         ["caratheodory", "--vecs", rows, "--dim", "0"],
         ["cotype-cert", "--witness", witness, "--N", "0"],
         ["norm", "--space", "T", "--vec", rows + ".missing"],
-        ["delta-bound", "0"],
+        ["growth", "delta-bound", "0"],
         ["growth", "delta-bound", "nan"],
         ["growth", "alpha", "0"],
         ["growth", "alpha-diag", "1"],
@@ -176,7 +176,7 @@ def test_float_commands_on_huge_entries_end_cleanly(tmp_path, alarm, junk, name)
 
 def test_sweep_usage_error_cell_keeps_stderr_empty(tmp_path, capsys):
     config = tmp_path / "sweep.json"
-    config.write_text('{"command": "delta-bound", "grid": {}}')
+    config.write_text('{"command": "growth", "grid": {}}')
     assert main(["sweep", "--config", str(config)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""

@@ -401,6 +401,24 @@ def test_rademacher_never_calls_the_per_vector_oracle(name, monkeypatch):
         assert est.point > 0
 
 
+@pytest.mark.parametrize("kind", ["type", "cotype"])
+def test_rademacher_lp_with_tiny_entries_matches_mpmath(kind):
+    # 1e-300 makes the common denominator L about 2^1049: the L-scaled sign
+    # sums leave the float range unless each row is shrunk by a power of two
+    mpmath = pytest.importorskip("mpmath")
+    rows = [[1e-300, 1.0], [1.0, 2.0]]
+    est = rademacher_ratio(VectorFamily.make(rows, SpaceOracle.from_tag("lp3", 2)), kind)
+    with mpmath.workdps(50):
+        def norm_sq(v):
+            return mpmath.power(sum(abs(mpmath.mpf(c)) ** 3 for c in v), mpmath.mpf(2) / 3)
+        x, y = rows
+        mean = (norm_sq([a + b for a, b in zip(x, y)]) + norm_sq([a - b for a, b in zip(x, y)])) / 2
+        ref = mean / (norm_sq(x) + norm_sq(y))
+        if kind == "cotype":
+            ref = 1 / ref
+        assert abs(est.point - ref) <= 1e-14 * ref
+
+
 @pytest.mark.parametrize("tag,dim", [("l1", 16), ("T2", 8)])
 def test_rademacher_patterns_run_in_chunks(tag, dim):
     # 2^15 sign sums: unchunked, the pattern and sum arrays alone take > 13 MiB

@@ -19,7 +19,9 @@ from banach_gauge import FinVec
 from banach_gauge.cli import main
 from banach_gauge.growth import ackermann_g
 from banach_gauge.tsirelson import (
+    _modified_plan,
     modified_norm,
+    modified_norm_batch,
     norming_functional,
     t2_norm_sq,
     tsirelson_norm,
@@ -27,6 +29,11 @@ from banach_gauge.tsirelson import (
 )
 
 X = FinVec({3: Fraction(1, 2), 4: Fraction(-1), 5: Fraction(2), 7: Fraction(1, 3), 9: Fraction(1)})
+
+
+def compile_and_run_modified_plan():
+    _modified_plan.cache_clear()  # so the measured call compiles the plan again
+    modified_norm_batch([[0.5, 1.0, 2.0, 0.25, 1.0], [1.0, 0.0, 3.0, 1.0, 0.5]], [3, 4, 5, 7, 9])
 
 
 def cyclic_garbage(call) -> int:
@@ -45,10 +52,11 @@ def cyclic_garbage(call) -> int:
     lambda: t2_norm_sq(X),
     lambda: tsirelson_norm_bruteforce(X),
     lambda: modified_norm(X),
+    compile_and_run_modified_plan,
     lambda: norming_functional(tsirelson_norm(X).certificate),
     lambda: ackermann_g(3, 2),
     lambda: ackermann_g(4, 2),  # exceeds the cap: leaves by an exception
-], ids=["tsirelson_norm", "t2_norm_sq", "bruteforce", "modified_norm",
+], ids=["tsirelson_norm", "t2_norm_sq", "bruteforce", "modified_norm", "modified_plan",
         "norming_functional", "ackermann_g", "ackermann_g-exceeds-cap"])
 def test_engines_leave_no_cycles(call):
     assert cyclic_garbage(call) == 0
@@ -86,7 +94,7 @@ COMMANDS = {
     "walsh": "walsh --family {family}",
     "jl-mechanism": "jl-mechanism --space l1 --family {family} --trials 2 --eps 0.9",
     "growth": "growth g 3 2",
-    "delta-bound": "delta-bound 4",
+    "delta-bound": "growth delta-bound 4",
     "flat-search": "flat-search --N 6",
     "cotype-cert": "cotype-cert --witness {witness}",
     "compare-norms": "compare-norms --count 3 --max-support 5",

@@ -6,14 +6,11 @@ import pytest
 from banach_gauge import (
     FinVec,
     abs_square,
-    flip_signs,
     l1_norm,
-    l2_norm_sq,
-    restrict,
     sup_norm,
 )
 
-from conftest import random_finvec
+from conftest import flip_signs, l2_norm_sq, random_finvec, restrict
 
 
 class IndexSet(tuple):

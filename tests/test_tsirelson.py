@@ -1,5 +1,8 @@
+import functools
 import hashlib
+import itertools
 import json
+import math
 import random
 import sys
 import tracemalloc
@@ -22,14 +25,12 @@ from banach_gauge import (
     certificate_from_json,
     certificate_to_json,
     certificate_value,
-    flip_signs,
     l1_norm,
     modified_norm,
     modified_norm_batch,
     modified_norm_batch_exact,
     modified_t2_norm_sq,
     norming_functional,
-    restrict,
     sup_norm,
     t2_norm,
     t2_norm_sq,
@@ -43,7 +44,7 @@ import banach_gauge.tsirelson as tsirelson_module
 from banach_gauge.errors import DomainError
 from banach_gauge.tsirelson import MAX_DP_SUPPORT
 
-from conftest import random_finvec
+from conftest import flip_signs, random_finvec, restrict
 
 
 # --------------------------------------------------------------------------
@@ -233,6 +234,9 @@ def test_modified_examples():
         assert modified_norm(FinVec({j: 1})) == 1
     assert modified_norm(FinVec({1: 1, 2: 1})) == 1
     assert modified_norm(FinVec({1: 1, 2: 1, 3: 1})) == 1
+    # the (n+1)^n budget first binds at n = 2: eleven ones from label 2 on
+    # allow 9 blocks there, so ten singletons from label 3 win (not 11/2)
+    assert modified_norm(FinVec({j: 1 for j in range(2, 13)})) == 5
 
 
 def test_modified_t2_examples():
@@ -362,6 +366,74 @@ def test_random_certificate_is_a_lower_bound(tree, entries):
     assert value <= tsirelson_norm(x).value
     lam = norming_functional(tree)
     assert sum((lam[j] * abs(x[j]) for j in x.support()), Fraction(0)) == value
+
+
+# --------------------------------------------------------------------------
+# both exhaustive recursions against their definitions
+# --------------------------------------------------------------------------
+
+def _successive_families(labels: tuple[int, ...], n: int):
+    """Every family A_1 < ... < A_k of 2 <= k <= n nonempty subsets of the
+    labels above n: a used set, cut into k runs of consecutive members."""
+    above = [j for j in labels if j > n]
+    for size in range(2, len(above) + 1):
+        for used in itertools.combinations(above, size):
+            for k in range(2, min(n, size) + 1):
+                for cuts in itertools.combinations(range(1, size), k - 1):
+                    bounds = (0, *cuts, size)
+                    yield [used[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _set_partitions(items: tuple[int, ...]):
+    """Every partition of ``items`` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for blocks in _set_partitions(items[1:]):
+        yield [(first,), *blocks]
+        for i in range(len(blocks)):
+            yield [*blocks[:i], (first, *blocks[i]), *blocks[i + 1:]]
+
+
+def _definitional_norm(x: FinVec, families) -> Fraction:
+    """max(max_j |x_j|, 1/2 max over explicit thresholds n and the families
+    ``families(labels, n)`` of the sum of the parts' norms), memoized on the
+    label tuples of restrictions.  Families of fewer than two parts never
+    attain the max, so they are left out and the recursion ends."""
+    @functools.cache
+    def norm(labels: tuple[int, ...]) -> Fraction:
+        best = max(abs(x[j]) for j in labels)
+        for n in range(1, labels[-1] + 1):
+            for family in families(labels, n):
+                best = max(best, sum(map(norm, family), Fraction(0)) / 2)
+        return best
+
+    return norm(tuple(x.support())) if len(x) else Fraction(0)
+
+
+def _mod_partitions(labels: tuple[int, ...], n: int):
+    """Partitions of the labels >= n into 2 .. (n+1)^n blocks."""
+    for blocks in _set_partitions(tuple(j for j in labels if j >= n)):
+        if 2 <= len(blocks) <= (n + 1) ** n:
+            yield blocks
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.integers(1, 9), _entries, max_size=6))
+@example({1: Fraction(1), 2: Fraction(-1), 3: Fraction(1), 4: Fraction(1)})
+@example({1: Fraction(2), 2: Fraction(1, 2), 5: Fraction(1), 6: Fraction(-3), 8: Fraction(1),
+          9: Fraction(1, 3)})
+def test_exhaustive_engines_match_their_definitions(entries):
+    x = FinVec(entries)
+    base = _definitional_norm(x, _successive_families)
+    assert tsirelson_norm_bruteforce(x) == base == tsirelson_norm(x).value
+    mod = _definitional_norm(x, _mod_partitions)
+    assert modified_norm(x) == mod
+    labels = x.support()
+    den = math.lcm(*(v.denominator for _, v in x.items()))
+    nums, scale = modified_norm_batch_exact([[int(abs(x[j]) * den) for j in labels]], labels)
+    assert Fraction(nums[0], scale * den) == mod
 
 
 def _within_sum_of_roots(a: Fraction, b: Fraction, c: Fraction) -> bool:
