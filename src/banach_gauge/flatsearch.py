@@ -115,36 +115,23 @@ def search_flat(N: int, max_rounds: int = 200) -> FlatSearchResult:
 
     # seed pool: coordinate functionals <e_j, |x|> <= ||x||_T
     pool: list[FinVec] = [FinVec.basis(j) for j in range(1, N + 1)]
-    seen = {lam for lam in pool}
-
-    c = [Fraction(0)] * N + [Fraction(1)]  # minimize t
-    tail_row = [Fraction(1) if j >= 3 else Fraction(0) for j in range(1, N + 1)]
-    tail_row.append(Fraction(0))
 
     incumbent: tuple[FinVec, Rat, NormCertificate] | None = None
-    lp_value = Fraction(0)
     rounds = 0
     converged = False
     while rounds < max_rounds:
         rounds += 1
-        A_ub = [[lam[j] for j in range(1, N + 1)] + [Fraction(-1)] for lam in pool]
-        b_ub = [Fraction(0)] * len(pool)
-        res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=[tail_row], b_eq=[Fraction(1)])
-        if res.status != "optimal":  # cannot happen: LP is feasible and bounded
-            raise RuntimeError(f"master LP came back {res.status}")
-        lp_value = res.objective
-        xvec = FinVec({j + 1: res.x[j] for j in range(N)})
+        x, lp_value = solve_lp(pool, N)
+        xvec = FinVec({j + 1: v for j, v in enumerate(x)})
         nr = tsirelson_norm(xvec)
         if incumbent is None or nr.value < incumbent[1]:
             incumbent = (xvec, nr.value, nr.certificate)
         if nr.value == lp_value:
             converged = True
             break
-        lam = norming_functional(nr.certificate)
-        if lam in seen:  # the cut is violated by x*, so this cannot happen
-            break
-        seen.add(lam)
-        pool.append(lam)
+        # the cut is violated by x (its value there is ||x||_T > lp_value),
+        # so it is not yet in the pool
+        pool.append(norming_functional(nr.certificate))
 
     x_best, norm_best, cert_best = incumbent
     theta = norm_best / _tail_sum(x_best)

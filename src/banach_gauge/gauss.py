@@ -243,10 +243,10 @@ class SpaceOracle:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
-        if self.tag == "lp":
-            return np.linalg.norm(pts, ord=self.p, axis=1)
         if pts.shape[1] != self.dim:
             raise DomainError(f"vector length {pts.shape[1]} != dim {self.dim}")
+        if self.tag == "lp":
+            return np.linalg.norm(pts, ord=self.p, axis=1)
         if self.tag == "polytope":
             return np.abs(pts @ np.array(self.functionals, dtype=float).T).max(axis=1)
         cols = np.flatnonzero(pts.any(axis=0))
@@ -359,14 +359,17 @@ def diagonal_sqrt_family(space: SpaceOracle, squares) -> VectorFamily:
     vectors = []
     col_sq = [Fraction(1)] * space.dim
     for j, q in items:
+        q = Fraction(q)
         if q == 0:
             continue
         if not 1 <= j <= space.dim:
             raise DomainError(f"index {j} outside dim {space.dim}")
+        if q < 0:
+            raise DomainError(f"square at index {j} is {q} < 0")
         row: list = [Fraction(0)] * space.dim
-        root = _fraction_sqrt(Fraction(q))
+        root = _fraction_sqrt(q)
         if root is None:
-            row[j - 1], col_sq[j - 1] = Fraction(1), Fraction(q)
+            row[j - 1], col_sq[j - 1] = Fraction(1), q
         else:
             row[j - 1] = root
         vectors.append(tuple(row))

@@ -60,10 +60,9 @@ MECHANISM_M_CAP = 12
 
 @dataclass(frozen=True)
 class PointSet:
-    """Finite list of coordinate vectors; ambient None means plain Euclidean."""
+    """Finite list of coordinate vectors."""
 
     points: np.ndarray
-    ambient: SpaceOracle | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))

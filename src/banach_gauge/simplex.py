@@ -1,4 +1,13 @@
-"""Dense two-phase simplex over exact rationals, in integer arithmetic.
+"""Exact simplex for the flat-vector master LP, in integer arithmetic.
+
+Given cuts lambda_1..lambda_m (nonnegative rational functionals on [1, N]),
+the master LP is
+
+    minimize t  subject to  <lambda_k, x> - t <= 0  (k = 1..m),
+                            sum_{j>=3} x_j = 1,  x >= 0,  t >= 0.
+
+Its tableau has columns x_1..x_N, t, one slack per cut and one artificial
+for the tail row; phase 1 drives the artificial to zero, phase 2 minimizes t.
 
 Small and deliberately boring: Bland's rule everywhere (no cycling).  Each
 tableau row is kept as a list of Python ints, a positive integer multiple of
@@ -11,33 +20,17 @@ cost), the ratio test (compared by cross-multiplying) and its tie-break on
 the basis pick exactly the pivots a ``Fraction`` tableau would, and the
 solver returns the same vertex.  The objective row is a positive multiple of
 the reduced costs; only its signs are read.
-
-    minimize c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-
-
-@dataclass(frozen=True)
-class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: tuple[Fraction, ...] | None
-    objective: Fraction | None
 
 
 def _reduce(row):
     g = math.gcd(*row)
     return row if g <= 1 else [v // g for v in row]
-
-
-def _int_row(row):
-    """The rational row times the least common multiple of its denominators."""
-    scale = math.lcm(*(v.denominator for v in row))
-    return _reduce([v.numerator * (scale // v.denominator) for v in row])
 
 
 def _eliminate(row, prow, col):
@@ -58,11 +51,12 @@ def _pivot(rows, basis, leave, enter):
 
 
 def _optimize(rows, basis, cost, ncols):
-    """Bland-rule simplex on a feasible tableau; mutates rows/basis in place.
+    """Bland-rule simplex on a feasible tableau for an integer cost row;
+    mutates rows/basis in place.
 
     Returns the status and a positive multiple of the reduced-cost row.
     """
-    zrow = _int_row(list(cost) + [Fraction(0)])
+    zrow = list(cost) + [0]
     for row, b in zip(rows, basis):
         if zrow[b]:
             zrow = _eliminate(zrow, row, b)
@@ -87,72 +81,37 @@ def _optimize(rows, basis, cost, ncols):
             zrow = _eliminate(zrow, rows[leave], enter)
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
-    c = [Fraction(v) for v in c]
-    A_ub = [[Fraction(v) for v in row] for row in (A_ub or [])]
-    b_ub = [Fraction(v) for v in (b_ub or [])]
-    A_eq = [[Fraction(v) for v in row] for row in (A_eq or [])]
-    b_eq = [Fraction(v) for v in (b_eq or [])]
-    n = len(c)
-    m1, m2 = len(A_ub), len(A_eq)
-    if any(len(r) != n for r in A_ub + A_eq):
-        raise ValueError("constraint row length does not match len(c)")
+def solve_lp(cuts, N: int) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Optimal (x_1..x_N, t) of the master LP over the ``FinVec`` list ``cuts``.
 
-    base_cols = n + m1
-    raw = []
-    for i in range(m1):
-        row = A_ub[i] + [Fraction(0)] * m1
-        row[n + i] = Fraction(1)
-        raw.append((row, b_ub[i]))
-    for i in range(m2):
-        raw.append((A_eq[i] + [Fraction(0)] * m1, b_eq[i]))
-    raw = [([-v for v in row], -rhs) if rhs < 0 else (row, rhs) for row, rhs in raw]
+    The LP is always feasible and bounded (t >= 0 on x >= 0), so phase 1
+    ends with the artificial at zero and phase 2 at an optimum.
+    """
+    m = len(cuts)
+    art = N + 1 + m  # the artificial's column; the rhs follows it
+    rows = []
+    for k, lam in enumerate(cuts):
+        scale = math.lcm(*(v.denominator for _, v in lam.items()))
+        row = [0] * (art + 2)
+        for j, v in lam.items():
+            row[j - 1] = v.numerator * (scale // v.denominator)
+        row[N], row[N + 1 + k] = -scale, scale
+        rows.append(_reduce(row))
+    rows.append([0, 0] + [1] * (N - 2) + [0] * (m + 1) + [1, 1])
+    basis = list(range(N + 1, art + 1))  # the slacks, then the artificial
 
-    # initial basis: the slack where it survived sign normalization, else artificial
-    basis = [-1] * (m1 + m2)
-    art_rows = []
-    for i, (row, _) in enumerate(raw):
-        if i < m1 and row[n + i] == 1:
-            basis[i] = n + i
-        else:
-            art_rows.append(i)
+    _optimize(rows, basis, [0] * art + [1], art + 1)
+    # drive a zero-valued artificial out of the basis.  Its row is a
+    # combination of the original rows that is nonzero on x, t or the slacks:
+    # each slack is a unit column of its cut row, and the tail row is nonzero
+    # on x_3, so a combination vanishing there is the zero row.
+    if art in basis:
+        i = basis.index(art)
+        _pivot(rows, basis, i, next(j for j in range(art) if rows[i][j]))
+    rows = [_reduce(row[:art] + row[-1:]) for row in rows]
 
-    ncols = base_cols + len(art_rows)
-    rows = [row + [Fraction(0)] * len(art_rows) + [rhs] for row, rhs in raw]
-    for j, i in enumerate(art_rows):
-        rows[i][base_cols + j] = Fraction(1)
-        basis[i] = base_cols + j
-    rows = [_int_row(row) for row in rows]
-
-    if art_rows:
-        phase1 = [Fraction(0)] * base_cols + [Fraction(1)] * len(art_rows)
-        status, zrow = _optimize(rows, basis, phase1, ncols)
-        if zrow[-1] < 0:
-            return LPResult("infeasible", None, None)
-        # drive leftover zero-value artificials out of the basis
-        for i in range(len(rows)):
-            if basis[i] >= base_cols:
-                pivot_col = next(
-                    (j for j in range(base_cols) if rows[i][j] != 0), None
-                )
-                if pivot_col is None:
-                    continue  # redundant row; dropped below
-                _pivot(rows, basis, i, pivot_col)
-        # drop redundant rows still pinned to an artificial, excise artificial columns
-        keep = [i for i in range(len(rows)) if basis[i] < base_cols]
-        rows = [_reduce(rows[i][:base_cols] + rows[i][-1:]) for i in keep]
-        basis = [basis[i] for i in keep]
-        ncols = base_cols
-
-    cost = c + [Fraction(0)] * (ncols - n)
-    status, _ = _optimize(rows, basis, cost, ncols)
-    if status == "unbounded":
-        return LPResult("unbounded", None, None)
-
-    x_full = [Fraction(0)] * ncols
-    for i, b in enumerate(basis):
-        if b < ncols:
-            x_full[b] = Fraction(rows[i][-1], rows[i][b])
-    x = tuple(x_full[:n])
-    objective = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
-    return LPResult("optimal", x, objective)
+    _optimize(rows, basis, [0] * N + [1] + [0] * m, art)
+    x_full = [Fraction(0)] * art
+    for row, b in zip(rows, basis):
+        x_full[b] = Fraction(row[-1], row[b])
+    return tuple(x_full[:N]), x_full[N]

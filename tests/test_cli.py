@@ -1,13 +1,18 @@
 import hashlib
 import json
 import math
+import os
 import re
 import signal
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import banach_gauge
 from banach_gauge.cli import SEEDED_COMMANDS, build_parser, main, render_json
 
 F = Fraction
@@ -581,3 +586,13 @@ def test_env_seed_overrides_on_a_reused_parser(capsys, tmp_path, monkeypatch):
     assert (seed("--seed", "5"), seed()) == (77, 77)
     monkeypatch.delenv("BANACH_GAUGE_SEED")
     assert (seed("--seed", "5"), seed()) == (5, 0)
+
+
+def test_cli_import_loads_no_optional_module():
+    # scipy, mpmath and hypothesis are test-side tools, not dependencies
+    probe = ("import sys, banach_gauge.cli; "
+             "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'hypothesis'}))")
+    src = str(Path(banach_gauge.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

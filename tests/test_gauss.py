@@ -579,8 +579,17 @@ def test_norm_array_uses_the_union_support():
     pts[2] = 1.0
     with pytest.raises(SupportTooLarge):
         space.norm_array(pts)
+    # rows of the wrong width are rejected on every tag, l_p included
+    for narrow in (space, SpaceOracle.lp(5, 1.0)):
+        with pytest.raises(DomainError):
+            narrow.norm_array(np.ones((2, 3)))
+
+
+def test_diagonal_sqrt_family_rejects_negative_squares():
     with pytest.raises(DomainError):
-        space.norm_array(np.ones((2, 3)))
+        diagonal_sqrt_family(SpaceOracle.t2_span(3), {1: -4})
+    with pytest.raises(DomainError):
+        diagonal_sqrt_family(SpaceOracle.t2_span(3), [1, F(-1, 3)])
 
 
 def test_tsirelson_span_irrational_roots_are_not_exact():

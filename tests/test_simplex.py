@@ -4,81 +4,66 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banach_gauge import FinVec
 from banach_gauge.simplex import solve_lp
 
 F = Fraction
 
 
+def _coordinate_cuts(N):
+    return [FinVec.basis(j) for j in range(1, N + 1)]
+
+
+def _check_point(cuts, N, x, t):
+    """x is feasible, tail-normalized, and t is the largest cut value at x."""
+    assert len(x) == N and all(v >= 0 for v in x)
+    assert sum(x[2:]) == 1
+    assert t == max(sum((lam[j + 1] * v for j, v in enumerate(x)), F(0)) for lam in cuts)
+
+
 def test_simple_bounded():
-    # min -x - y  s.t. x + y <= 1  ->  objective -1 anywhere on the segment
-    res = solve_lp([-1, -1], A_ub=[[1, 1]], b_ub=[1])
-    assert res.status == "optimal"
-    assert res.objective == -1
-    assert sum(res.x) == 1
+    # coordinate cuts only: min max_j x_j over the tail simplex is 1/(N - 2)
+    for N in range(3, 8):
+        cuts = _coordinate_cuts(N)
+        x, t = solve_lp(cuts, N)
+        assert t == F(1, N - 2)
+        assert x[2:] == (F(1, N - 2),) * (N - 2)
+        _check_point(cuts, N, x, t)
 
 
 def test_equality_and_inequality():
-    # min t s.t. x - t <= 0, y - t <= 0, x + y = 1 -> t = 1/2 at x = y = 1/2
-    res = solve_lp(
-        [0, 0, 1],
-        A_ub=[[1, 0, -1], [0, 1, -1]],
-        b_ub=[0, 0],
-        A_eq=[[1, 1, 0]],
-        b_eq=[1],
-    )
-    assert res.status == "optimal"
-    assert res.objective == F(1, 2)
-    assert res.x[0] == res.x[1] == F(1, 2)
+    # the tail equality holds exactly and the binding cut is the head-heavy one:
+    # max(x_1, .., x_4, x_1 + x_3) under x_3 + x_4 = 1 is 1/2 at x_1 = 0
+    cuts = _coordinate_cuts(4) + [FinVec({1: 1, 3: 1})]
+    x, t = solve_lp(cuts, 4)
+    assert t == F(1, 2)
+    assert x == (0, 0, F(1, 2), F(1, 2))
+    _check_point(cuts, 4, x, t)
 
 
 def test_exact_fractions():
-    # min x + y s.t. 3x + y >= 1, x + 3y >= 1   (as <= with negation)
-    res = solve_lp([1, 1], A_ub=[[-3, -1], [-1, -3]], b_ub=[-1, -1])
-    assert res.status == "optimal"
-    assert res.x == (F(1, 4), F(1, 4))
-    assert res.objective == F(1, 2)
-
-
-def test_infeasible():
-    # x <= -1 with x >= 0
-    res = solve_lp([1], A_ub=[[1]], b_ub=[-1])
-    assert res.status == "infeasible"
-
-
-def test_unbounded():
-    res = solve_lp([-1], A_ub=[], b_ub=[])
-    assert res.status == "unbounded"
+    # max(x_3, x_4, x_3 + x_4/2) under x_3 + x_4 = 1 is 2/3 at x_3 = 1/3
+    cuts = _coordinate_cuts(4) + [FinVec({3: 1, 4: F(1, 2)})]
+    x, t = solve_lp(cuts, 4)
+    assert t == F(2, 3)
+    assert x[2:] == (F(1, 3), F(2, 3))
+    _check_point(cuts, 4, x, t)
 
 
 def test_trivial_optimum_at_origin():
-    res = solve_lp([2, 3], A_ub=[[1, 1]], b_ub=[5])
-    assert res.status == "optimal"
-    assert res.x == (0, 0)
-    assert res.objective == 0
+    # N = 3: the tail is x_3 alone, and the head coordinates stay at 0
+    cuts = _coordinate_cuts(3)
+    assert solve_lp(cuts, 3) == ((0, 0, 1), 1)
 
 
 def test_degenerate_does_not_cycle():
-    # several redundant constraints active at the optimum
-    res = solve_lp(
-        [0, 1],
-        A_ub=[[1, -1], [1, -1], [2, -2], [-1, 0]],
-        b_ub=[0, 0, 0, 0],
-        A_eq=[[1, 0]],
-        b_eq=[1],
-    )
-    assert res.status == "optimal"
-    assert res.x[1] == 1
-    assert res.objective == 1
-
-
-def test_redundant_equalities():
-    res = solve_lp(
-        [1, 1],
-        A_eq=[[1, 1], [2, 2]],
-        b_eq=[1, 2],
-    )
-    assert res.status == "optimal"
-    assert res.objective == 1
+    # repeated cuts that are all tight at the unique optimum x_3 = x_4 = x_5 = 1/3
+    mean = FinVec({3: F(1, 3), 4: F(1, 3), 5: F(1, 3)})
+    cuts = _coordinate_cuts(5) + [mean, FinVec.basis(3), mean, FinVec.basis(5), mean]
+    x, t = solve_lp(cuts, 5)
+    assert t == F(1, 3)
+    assert x == (0, 0, F(1, 3), F(1, 3), F(1, 3))
+    _check_point(cuts, 5, x, t)
 
 
 # --------------------------------------------------------------------------
@@ -101,64 +86,44 @@ def _solve_square(M, rhs):
     return tuple(aug[i][n] / aug[i][i] for i in range(n))
 
 
-def _feasible(x, A_ub, b_ub, A_eq, b_eq):
-    def dot(row):
-        return sum((a * v for a, v in zip(row, x)), F(0))
+def _vertex_oracle(cuts, N):
+    """Minimum of t over the vertices of the master LP's polyhedron.
 
-    return (
-        all(v >= 0 for v in x)
-        and all(dot(row) <= b for row, b in zip(A_ub, b_ub))
-        and all(dot(row) == b for row, b in zip(A_eq, b_eq))
-    )
+    The cuts are nonnegative, so x_1 = x_2 = 0 at some optimum, and the
+    minimum is taken over (x_3..x_N, t).  Every vertex there lies on the tail
+    plane and on N - 2 more of the hyperplanes <lambda_k, x> = t and
+    x_j = 0 (t >= 0 is implied by the coordinate cuts and never binds)."""
+    def dot(row, z):
+        return sum((a * v for a, v in zip(row, z)), F(0))
 
-
-def _vertex_oracle(c, A_ub, b_ub, A_eq, b_eq):
-    """Minimum of c.x over the vertices of a bounded polyhedron, or None.
-
-    Every vertex solves some square subsystem of the constraint hyperplanes
-    (rows of A_ub, rows of A_eq, and the coordinate planes x_j = 0)."""
-    n = len(c)
-    planes = [(row, b) for row, b in zip(A_ub + A_eq, b_ub + b_eq)]
-    planes += [([F(int(i == j)) for i in range(n)], F(0)) for j in range(n)]
+    n = N - 1  # x_3..x_N, then t
+    cut_rows = [[lam[j] for j in range(3, N + 1)] + [F(-1)] for lam in cuts]
+    planes = [(row, F(0)) for row in cut_rows]
+    planes += [([F(int(i == j)) for i in range(n)], F(0)) for j in range(n - 1)]
+    tail = ([F(1)] * (n - 1) + [F(0)], F(1))
     best = None
-    for subset in itertools.combinations(planes, n):
-        x = _solve_square([p[0] for p in subset], [p[1] for p in subset])
-        if x is not None and _feasible(x, A_ub, b_ub, A_eq, b_eq):
-            val = sum((ci * xi for ci, xi in zip(c, x)), F(0))
-            best = val if best is None else min(best, val)
+    for subset in itertools.combinations(planes, n - 1):
+        z = _solve_square([tail[0]] + [p[0] for p in subset], [tail[1]] + [p[1] for p in subset])
+        if z is not None and all(v >= 0 for v in z) and all(dot(r, z) <= 0 for r in cut_rows):
+            best = z[-1] if best is None else min(best, z[-1])
     return best
 
 
-rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+rationals = st.builds(F, st.integers(0, 4), st.integers(1, 3))
 
 
 @st.composite
-def bounded_lps(draw):
-    n = draw(st.integers(1, 4))
-    row = st.lists(rationals, min_size=n, max_size=n)
-    c = draw(row)
-    A_ub = draw(st.lists(row, max_size=5))
-    b_ub = draw(st.lists(rationals, min_size=len(A_ub), max_size=len(A_ub)))
-    A_eq = draw(st.lists(row, max_size=2))
-    b_eq = draw(st.lists(rationals, min_size=len(A_eq), max_size=len(A_eq)))
-    if A_eq and draw(st.booleans()):  # duplicated or scaled equality row
-        k = draw(rationals.filter(bool))
-        A_eq.append([k * v for v in A_eq[0]])
-        b_eq.append(k * b_eq[0])
-    A_ub.append([F(1)] * n)  # sum(x) <= K keeps every LP bounded
-    b_ub.append(F(draw(st.integers(0, 5))))
-    return c, A_ub, b_ub, A_eq, b_eq
+def master_lps(draw):
+    N = draw(st.integers(3, 5))
+    extra = draw(st.lists(st.lists(rationals, min_size=N, max_size=N), max_size=3))
+    cuts = _coordinate_cuts(N) + [FinVec(enumerate(row, start=1)) for row in extra]
+    return draw(st.permutations(cuts)), N
 
 
-@settings(max_examples=150, deadline=None)
-@given(bounded_lps())
+@settings(max_examples=100, deadline=None)
+@given(master_lps())
 def test_matches_vertex_enumeration(lp):
-    c, A_ub, b_ub, A_eq, b_eq = lp
-    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
-    best = _vertex_oracle(c, A_ub, b_ub, A_eq, b_eq)
-    if best is None:
-        assert res.status == "infeasible"
-        return
-    assert res.status == "optimal"
-    assert res.objective == best
-    assert _feasible(res.x, A_ub, b_ub, A_eq, b_eq)
+    cuts, N = lp
+    x, t = solve_lp(cuts, N)
+    _check_point(cuts, N, x, t)
+    assert t == _vertex_oracle(cuts, N)
