@@ -133,26 +133,6 @@ class Output:
     csv: tuple[list[str], list[list]] | None = None
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    argv: tuple[str, ...]
-    seed: int | None
-    version: str
-    wall_time_s: float
-    output_digest: str
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "argv": list(self.argv),
-            "seed": self.seed,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "output_digest": self.output_digest,
-        }
-
-
 # --------------------------------------------------------------------------
 # Input parsing
 # --------------------------------------------------------------------------
@@ -713,16 +693,16 @@ def main(argv=None) -> int:
         # the payload is rendered once: its items give the digest, and the
         # manifest item is spliced in at its sorted place
         keys, items = _dict_items(payload, 0)
-        manifest = RunManifest(
-            command=args.command,
-            argv=tuple(argv),
-            seed=getattr(args, "seed", None),
-            version=__version__,
-            wall_time_s=time.monotonic() - start,
-            output_digest=hashlib.sha256(_braced(items).encode()).hexdigest(),
-        )
+        manifest = {
+            "command": args.command,
+            "argv": argv,
+            "seed": getattr(args, "seed", None),
+            "version": __version__,
+            "wall_time_s": time.monotonic() - start,
+            "output_digest": hashlib.sha256(_braced(items).encode()).hexdigest(),
+        }
         items.insert(bisect.bisect(keys, "manifest"),
-                     f'  "manifest": {render_json(manifest.to_json(), 1)}')
+                     f'  "manifest": {render_json(manifest, 1)}')
         print(_braced(items))
     return 0
 

@@ -49,13 +49,10 @@ from .errors import (
     ZeroFamily,
 )
 from .seeds import derive_seed, seeded_rng
-from .seqvec import FinVec, float_sqrt
 from .tsirelson import (
     exact_dtype,
-    modified_norm,
     modified_norm_batch,
     modified_norm_batch_exact,
-    tsirelson_norm,
     tsirelson_norm_batch,
     tsirelson_norm_batch_exact,
 )
@@ -96,11 +93,12 @@ class SpaceOracle:
 
     Tags: ``lp`` (with parameter p, math.inf allowed), ``tsirelson_span``,
     ``t2_span``, ``mod2_span``, ``polytope`` (norm = max |<f_i, x>| over a
-    spanning list of functionals).  ``norm_sq`` reads rational entries (and
-    floats, as the binary rationals they are) and returns the exact squared
-    norm as a ``Fraction``, or a float on l_p with p not in {1, 2, inf};
-    ``norm_array`` is the batched float path and ``norm_sq_batch`` the
-    batched exact one on integer rows.
+    spanning list of functionals).  Each space has two evaluators:
+    ``norm_sq_batch``, the exact squared norms of integer rows, on every tag
+    but l_p with p not in {1, 2, inf}, and ``norm_array``, the float64 norms
+    of rows, on every tag.  ``norm_sq`` runs the exact one on a single
+    vector of rational entries (floats read as the binary rationals they
+    are) and returns a ``Fraction``.
     """
 
     def __init__(self, dim: int, tag: str, p: float | None = None,
@@ -181,54 +179,13 @@ class SpaceOracle:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _check(self, vec) -> None:
-        if len(vec) != self.dim:
-            raise DomainError(f"vector length {len(vec)} != dim {self.dim}")
-
-    def _finvec(self, entries: Iterable[Fraction]) -> FinVec:
-        return FinVec({i + 1: v for i, v in enumerate(entries)})
-
-    def norm_sq(self, vec):
-        """Exact squared norm; a float on l_p with p not in {1, 2, inf}."""
-        self._check(vec)
+    def norm_sq(self, vec) -> Fraction:
+        """Exact squared norm of one vector, by the exact ratios' integer path
+        (``norm_sq_batch`` on a one-vector family); DomainError on l_p with p
+        not in {1, 2, inf}, whose norms only ``norm_array`` evaluates."""
         if not self.has_exact_batch():
-            n = self.norm(vec)
-            return n * n
-        x = [Fraction(e) for e in vec]
-        if self.tag == "lp" and self.p == 2.0:
-            return sum((e * e for e in x), Fraction(0))
-        if self.tag == "t2_span":
-            return tsirelson_norm(self._finvec(e * e for e in x)).value
-        if self.tag == "mod2_span":
-            return modified_norm(self._finvec(e * e for e in x))
-        if self.tag == "polytope":
-            n = max(abs(sum((fi * xi for fi, xi in zip(f, x)), Fraction(0)))
-                    for f in self.functionals)
-        elif self.tag == "tsirelson_span":
-            n = tsirelson_norm(self._finvec(map(abs, x))).value
-        elif self.p == 1.0:
-            n = sum(map(abs, x), Fraction(0))
-        else:
-            n = max(map(abs, x), default=Fraction(0))
-        return n * n
-
-    def norm(self, vec) -> float:
-        """Float norm (sqrt of the exact squared value where one exists)."""
-        self._check(vec)
-        if self.tag in ("t2_span", "mod2_span", "tsirelson_span", "polytope"):
-            return float_sqrt(self.norm_sq(vec))
-        try:
-            fv = [float(e) for e in vec]
-        except OverflowError as exc:
-            raise DomainError(f"a vector entry is out of the float range: {exc}") from exc
-        p = self.p
-        if p == math.inf:
-            return max((abs(v) for v in fv), default=0.0)
-        with np.errstate(over="ignore"):
-            n = float(np.linalg.norm(np.asarray(fv), ord=p))
-        if n == math.inf:
-            raise DomainError(f"an l{p:g} norm is out of the float range")
-        return n
+            raise DomainError(f"{self!r} has no exact norm; use norm_array")
+        return _family_moments(VectorFamily.make([vec], self))[0]
 
     def norm_array(self, points: np.ndarray) -> np.ndarray:
         """Float norms of the rows of ``points``.
@@ -415,11 +372,7 @@ def rademacher_ratio(family: VectorFamily, kind: str) -> RatioEstimate:
         raise TooManyVectors(f"{n} vectors exceed the 2^n enumeration cap {RADEMACHER_CAP}")
     if n == 0:
         raise ZeroFamily("empty family")
-    try:
-        X, L, roots = _integer_family(family)
-        S, mean, exact = _batched_moments(family.space, X, L, roots)
-    except OverflowError as exc:
-        raise DomainError(f"family leaves the float range once scaled to integers: {exc}") from exc
+    S, mean, exact = _family_moments(family)
     if kind == "type":
         if S == 0:
             raise ZeroFamily("sum of squared norms is zero")
@@ -431,6 +384,15 @@ def rademacher_ratio(family: VectorFamily, kind: str) -> RatioEstimate:
     point = float(ratio)
     return RatioEstimate(point, point, point, 1 << n, 0, "rademacher-exact", kind,
                          ratio if exact else None)
+
+
+def _family_moments(family: VectorFamily) -> tuple:
+    """``_batched_moments`` of the family's integer numerators."""
+    try:
+        X, L, roots = _integer_family(family)
+        return _batched_moments(family.space, X, L, roots)
+    except OverflowError as exc:
+        raise DomainError(f"family leaves the float range once scaled to integers: {exc}") from exc
 
 
 def _integer_family(family: VectorFamily) -> tuple:
@@ -516,6 +478,19 @@ def _batched_moments(space: SpaceOracle, X: list, L: int, roots: dict) -> tuple:
     return S, total / ((L * L) << (n - 1)), exact
 
 
+def _gaussian_moments(space: SpaceOracle, V: np.ndarray, G: np.ndarray) -> tuple:
+    """(sum_i ||v_i||^2, mean of ||(G V)_r||^2, the squared norms of G V),
+    in float; DomainError when S or the mean leaves the float range."""
+    # an overflow shows as a non-finite S or mean and is reported below
+    with np.errstate(over="ignore"):
+        S = float(np.sum(space.norm_array(V) ** 2))
+        ns = space.norm_array(G @ V) ** 2
+        mean = float(ns.mean())
+    if not (math.isfinite(S) and math.isfinite(mean)):
+        raise DomainError("squared norms leave the float range")
+    return S, mean, ns
+
+
 def _check_kind(kind: str) -> None:
     if kind not in ("type", "cotype"):
         raise DomainError(f"kind must be 'type' or 'cotype', got {kind!r}")
@@ -543,13 +518,7 @@ def gaussian_ratio(family: VectorFamily, kind: str, samples: int = 100_000,
     space = family.space
     rng = seeded_rng(seed)
     G = rng.standard_normal((samples, len(family)))
-    # an overflow shows as a non-finite S or mean and is reported below
-    with np.errstate(over="ignore"):
-        S = float(np.sum(space.norm_array(V) ** 2))
-        ns = space.norm_array(G @ V) ** 2
-        mean = float(ns.mean())
-    if not (math.isfinite(S) and math.isfinite(mean)):
-        raise DomainError("squared norms leave the float range")
+    S, mean, ns = _gaussian_moments(space, V, G)
     se = float(ns.std(ddof=1) / math.sqrt(samples))
     if kind == "type":
         if S == 0:
@@ -647,7 +616,10 @@ def caratheodory_reduce(vectors, dim: int | None = None) -> ConeReduction:
         raise DegenerateInput("all input vectors are zero")
     bound = d * (d + 1) // 2
     c = np.ones(m)
-    sym = np.array([_sym_vec(U[i]) for i in range(m)])  # m x D
+    with np.errstate(over="ignore"):
+        sym = np.array([_sym_vec(U[i]) for i in range(m)])  # m x D
+    if not np.isfinite(sym).all():
+        raise DomainError("outer products of the vectors leave the float range")
 
     while int(np.count_nonzero(c)) > bound:
         active = np.flatnonzero(c)
@@ -673,10 +645,9 @@ def caratheodory_reduce(vectors, dim: int | None = None) -> ConeReduction:
 
 
 def _mc_ratio(vectors: np.ndarray, G: np.ndarray, space: SpaceOracle, kind: str) -> float:
-    S = float(np.sum(space.norm_array(vectors) ** 2))
+    S, mean, _ = _gaussian_moments(space, vectors, G)
     if S == 0:
         return -math.inf
-    mean = float((space.norm_array(G @ vectors) ** 2).mean())
     if kind == "type":
         return mean / S
     return S / mean if mean > 0 else -math.inf

@@ -435,7 +435,7 @@ class MechanismReport:
 
 def jl_mechanism_experiment(space: SpaceOracle, vectors: Sequence[Sequence[float]],
                             eps: float = 0.5, constant: float = 8.0, seed: int = 0,
-                            trials: int = 10, mc_retries: int = 100) -> MechanismReport:
+                            trials: int = 10) -> MechanismReport:
     """Probe the inequality that caps sign-averaged functionals via embeddability.
 
     Per trial: draw Gaussian weights, build the Walsh point set U_g, embed its
@@ -462,8 +462,7 @@ def jl_mechanism_experiment(space: SpaceOracle, vectors: Sequence[Sequence[float
         ens = WalshEnsemble.from_vectors(V, seed=derive_seed(seed, "walsh-g", t), m=m)
         pset = walsh_pointset(ens)
         pts = pset.points
-        lmap, rep, euclid = _embed(pts, eps, constant, derive_seed(seed, "jl", t),
-                                   mc_retries)
+        lmap, rep, euclid = _embed(pts, eps, constant, derive_seed(seed, "jl", t), 100)
         # composite: space norm on the source, Euclidean on the image
         src = _pair_dists(pts, space)
         d_comp = _scan(src, _euclidean_dists(lmap.apply(pts))).distortion

@@ -54,16 +54,20 @@ def _basis_family(space, k):
 def _spot_check(oracle, seed, trials=25):
     """Sampled norm axioms: homogeneity, positive-definiteness, triangle."""
     rng = np.random.default_rng(seed)
+
+    def norm(v):
+        return float(oracle.norm_array(v)[0])
+
     for _ in range(trials):
         a = rng.standard_normal(oracle.dim)
         b = rng.standard_normal(oracle.dim)
         c = float(rng.uniform(-3, 3))
-        na, nb = oracle.norm(a.tolist()), oracle.norm(b.tolist())
+        na, nb = norm(a), norm(b)
         if na <= 0 and np.any(a != 0):
             return False
-        if not math.isclose(oracle.norm((c * a).tolist()), abs(c) * na, rel_tol=1e-9, abs_tol=1e-12):
+        if not math.isclose(norm(c * a), abs(c) * na, rel_tol=1e-9, abs_tol=1e-12):
             return False
-        if oracle.norm((a + b).tolist()) > na + nb + 1e-9 * (na + nb + 1):
+        if norm(a + b) > na + nb + 1e-9 * (na + nb + 1):
             return False
     return True
 
@@ -84,7 +88,29 @@ def test_polytope_oracle_is_linf_like():
 def test_t2_span_oracle_exact():
     oracle = SpaceOracle.t2_span(4)
     assert oracle.norm_sq([F(0), F(0), F(1), F(1)]) == 1
-    assert oracle.norm([0.0, 0.0, 1.0, 1.0]) == 1.0
+    assert oracle.norm_array([0.0, 0.0, 1.0, 1.0]).tolist() == [1.0]
+
+
+def _ref_norm_sq(space, vec):
+    """Squared norm of one vector from the norms' definitions, through
+    ``tsirelson_norm``, ``modified_norm`` and ``Fraction`` sums; a float only
+    on l_p with p not in {1, 2, inf}.  It shares no plan with the batch
+    paths, so it serves as their reference."""
+    x = [Fraction(e) for e in vec]
+    if space.reads_squares():
+        tag = {"t2_span": "T2", "mod2_span": "mod2"}.get(space.tag, "l2")
+        return _squares_norm(tag, [e * e for e in x])
+    if space.tag == "tsirelson_span":
+        n = tsirelson_norm(FinVec(dict(enumerate(map(abs, x), start=1)))).value
+    elif space.tag == "polytope":
+        n = max(abs(sum((fk * e for fk, e in zip(f, x)), Fraction(0))) for f in space.functionals)
+    elif space.p == 1.0:
+        n = sum(map(abs, x), Fraction(0))
+    elif space.p == math.inf:
+        n = max(map(abs, x), default=Fraction(0))
+    else:
+        n = float(np.linalg.norm(np.array(x, dtype=float), ord=space.p))
+    return n * n
 
 
 # --------------------------------------------------------------------------
@@ -156,8 +182,8 @@ def _reference_ratio(family, kind):
         acc = [sum((-Fraction(v[k]) if mask >> i & 1 else Fraction(v[k])
                     for i, v in enumerate(family.vectors)), Fraction(0))
                for k in range(space.dim)]
-        total += space.norm_sq(acc)
-    S = sum((space.norm_sq(list(v)) for v in family.vectors), Fraction(0))
+        total += _ref_norm_sq(space, acc)
+    S = sum((_ref_norm_sq(space, v) for v in family.vectors), Fraction(0))
     mean = total / (1 << n)
     if (S if kind == "type" else mean) == 0:
         return None, None
@@ -198,6 +224,15 @@ def _rational_families(draw):
 @given(_rational_families(), st.sampled_from(["type", "cotype"]))
 def test_rademacher_equals_all_patterns_reference(family, kind):
     _check_against_reference(family, kind)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rational_families())
+def test_norm_sq_equals_the_engine_reference(family):
+    for v in family.vectors:
+        got = family.space.norm_sq(v)
+        assert type(got) is Fraction
+        assert got == _ref_norm_sq(family.space, v)
 
 
 def _squares_norm(tag, squares):
@@ -370,6 +405,8 @@ def test_norm_sq_batch_only_where_an_integer_evaluator_exists():
     assert not lp3.has_exact_batch()
     with pytest.raises(DomainError):
         lp3.norm_sq_batch(M, [0, 1])
+    with pytest.raises(DomainError, match="norm_array"):  # nor one vector's
+        lp3.norm_sq([F(3), F(-4)])
     with pytest.raises(DomainError):  # T reads |x|, not squares
         SpaceOracle.tsirelson_span(2).norm_sq_batch(M, [0, 1], weights=[1, 2])
     nums, den = SpaceOracle.euclidean(2).norm_sq_batch(M, [0, 1], weights=[1, 2])
@@ -518,6 +555,14 @@ def test_caratheodory_degenerate():
         caratheodory_reduce([[0.0, 0.0], [0.0, 0.0]], 2)
 
 
+def test_caratheodory_rejects_outer_products_out_of_float_range():
+    # u (x) u overflows: the null directions are meaningless, and the
+    # reduction would not keep the covariance
+    U = np.random.default_rng(0).standard_normal((8, 2)) * 1e160
+    with pytest.raises(DomainError, match="float range"):
+        caratheodory_reduce(U, 2)
+
+
 def test_gaussian_cell_cap_checked_before_drawing(monkeypatch):
     monkeypatch.setattr("banach_gauge.gauss.np.random.default_rng",
                         lambda seed: pytest.fail("drew samples past the cell cap"))
@@ -548,7 +593,16 @@ def test_gaussian_on_tsirelson_spans_deterministic(tag):
 # --------------------------------------------------------------------------
 
 def _row_norms(space, pts):
-    return [space.norm(row.tolist()) for row in pts]
+    return [math.sqrt(_ref_norm_sq(space, row.tolist())) for row in pts]
+
+
+def test_engine_reference_runs_no_batch_plan(monkeypatch):
+    for name in ("_run_plan", "_run_modified_plan"):
+        monkeypatch.setattr(tsirelson_module, name,
+                            lambda *a, name=name: pytest.fail(f"{name} was run"))
+    pts = np.array([[1.0, 0.0, -2.5, 0.5], [0.0, 3.0, 1.0, -1.0]])
+    for tag in ("T", "T2", "mod2"):
+        assert all(v > 0 for v in _row_norms(SpaceOracle.from_tag(tag, 4), pts))
 
 
 @pytest.mark.parametrize("space", [
@@ -651,6 +705,15 @@ def test_flm_ratio_preserved_l1():
     after = gaussian_ratio(out, "type", samples=samples, seed=seed)
     spread = (before.ci_high - before.ci_low) + (after.ci_high - after.ci_low)
     assert after.point >= before.point - 1.5 * spread
+
+
+@pytest.mark.parametrize("kind", ["type", "cotype"])
+def test_flm_rejects_squared_norms_out_of_float_range(kind):
+    # the outer products stay finite, but the branch ratios' squared norms do not
+    rows = np.random.default_rng(1).standard_normal((8, 2)) * 3e152
+    fam = VectorFamily.make(rows.tolist(), SpaceOracle.lp(2, 1.0))
+    with pytest.raises(DomainError, match="squared norms"):
+        flm_reduce(fam, kind, mc_samples=2000)
 
 
 # --------------------------------------------------------------------------
