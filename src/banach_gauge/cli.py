@@ -137,16 +137,25 @@ class Output:
 # Input parsing
 # --------------------------------------------------------------------------
 
-def _load_json(path: str):
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _parse_json(path: str, text: str):
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _load_json(path: str):
+    return _parse_json(path, _read_text(path))
 
 
 def _load_finvec(path: str) -> FinVec:
@@ -171,8 +180,7 @@ def _parse_entry(v):
     raise DomainError(f"bad vector entry {v!r}")
 
 
-def _load_rows(path: str) -> list[list]:
-    data = _load_json(path)
+def _check_rows(path: str, data) -> list[list]:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise DomainError(f"{path}: expected a JSON list of vectors")
     if len({len(r) for r in data}) != 1:
@@ -182,21 +190,35 @@ def _load_rows(path: str) -> list[list]:
 
 def _load_vectors(path: str) -> list[list]:
     """Exact entries (ints and "p/q" strings as Fractions, floats as is)."""
-    return [[_parse_entry(v) for v in r] for r in _load_rows(path)]
+    return [[_parse_entry(v) for v in r] for r in _check_rows(path, _load_json(path))]
 
 
 def _load_float_array(path: str) -> np.ndarray:
     """The vectors as one float64 (n, dim) array, for the float-only commands.
 
-    JSON floats pass as is; other entries are parsed as in _load_vectors and
-    rounded once.  Finiteness is checked on the whole array.
+    A text with no '"' and no t, f or n (no string, true, false or null)
+    holds only numbers, or nested lists and objects, which numpy rejects:
+    numpy converts its rows in one call, rounding ints as float() does.
+    Otherwise, or when numpy rejects the rows, JSON floats pass as is and
+    other entries are parsed as in _load_vectors and rounded once.
+    Finiteness is checked on the whole array.
     """
-    rows = [[v if type(v) is float else _parse_entry(v) for v in r]
-            for r in _load_rows(path)]
-    try:
-        arr = np.array(rows, dtype=float)
-    except OverflowError as exc:
-        raise DomainError(f"{path}: a vector entry is out of the float range: {exc}") from exc
+    text = _read_text(path)
+    numbers_only = not any(c in text for c in '"tfn')  # one memchr pass each
+    rows = _check_rows(path, _parse_json(path, text))
+    del text  # freed before the array is built
+    arr = None
+    if numbers_only:
+        try:
+            arr = np.array(rows, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pass  # the entry parser below names the bad entry
+    if arr is None or arr.ndim != 2:
+        rows = [[v if type(v) is float else _parse_entry(v) for v in r] for r in rows]
+        try:
+            arr = np.array(rows, dtype=float)
+        except OverflowError as exc:
+            raise DomainError(f"{path}: a vector entry is out of the float range: {exc}") from exc
     bad = ~np.isfinite(arr)
     if bad.any():
         raise DomainError(f"vector entry {arr[bad][0]} is not finite")

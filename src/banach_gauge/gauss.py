@@ -519,7 +519,11 @@ def gaussian_ratio(family: VectorFamily, kind: str, samples: int = 100_000,
     rng = seeded_rng(seed)
     G = rng.standard_normal((samples, len(family)))
     S, mean, ns = _gaussian_moments(space, V, G)
-    se = float(ns.std(ddof=1) / math.sqrt(samples))
+    # the spread of ns / 2^e (2^e just above max ns): the power of two scales
+    # every step exactly, and the squared deviations of norms near the float
+    # max no longer overflow
+    unit = math.ldexp(1.0, math.frexp(float(ns.max()))[1])
+    se = float((ns / unit).std(ddof=1) * unit / math.sqrt(samples))
     if kind == "type":
         if S == 0:
             raise ZeroFamily("sum of squared norms is zero")

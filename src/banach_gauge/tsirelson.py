@@ -30,7 +30,12 @@ bitmask recursion under two policies.
 * ``_exhaustive`` -- one memoized recursion on support bitmasks, evaluated
   or compiled through callbacks.  With successive parts of arbitrary finite
   sets it is ``tsirelson_norm_bruteforce``, the all-subsets oracle, which is
-  deliberately independent of the interval argument.  With up to (n+1)^n
+  deliberately independent of the interval argument.  What may follow a
+  part depends only on its top element m, so the oracle groups the parts
+  by m: one term per m reads the best norm over every part with top m
+  (memoized per segment of the mask), instead of one term per part.  That
+  regroups the same max; every subset is still evaluated as a part, and
+  neither monotonicity nor intervals are assumed.  With up to (n+1)^n
   disjoint blocks inside [n, oo), left endpoint included, it is
   ``modified_norm``, where disjoint arbitrary sets defeat the interval DP.
   Both are capped, and one vector compiles nothing.  ``_modified_plan``
@@ -582,11 +587,18 @@ def _exhaustive(sup: tuple[int, ...], successive: bool, leaf, half, node):
     A norm state is the max of its weights and the halves of its best
     families of >= 2 parts above each start p.  A family state (mask, t,
     need) -- at most t parts in mask, at least ``need`` -- is the max over
-    terms (a, b): a the norm of the part holding the lowest element, b the
-    family of what remains.  Successive parts (the all-subsets oracle) leave
-    the part's upper tail as the remainder, may skip the lowest element
-    (term (0, b)) and number at most sup[p] - 1.  Otherwise (the modified
-    norm) blocks cover the mask, at most ``_block_budget`` of them.
+    terms (a, b): a the norm of the first part, b the family of what
+    remains.  Successive parts (the all-subsets oracle) number at most
+    sup[p] - 1 and need not cover the mask.  The remainder of a first part
+    with top element m is the family of mask ∩ (m, oo), whatever the part's
+    other elements, so the parts are grouped by m: one term per m whose a
+    is ``best`` of mask ∩ (-oo, m], the largest norm of a part of it that
+    holds m, over every such part (plus the empty family when need is 0).
+    This is the max over all parts regrouped, not a bound, so the oracle
+    still evaluates every subset and owes nothing to the interval DP.
+    Otherwise (the modified norm) blocks cover the mask, at most
+    ``_block_budget`` of them: one term per block holding the lowest
+    element, with the rest of the mask as the remainder.
 
     ``leaf(p)`` is the handle of the weight at position p, ``half(h)`` of a
     family's half, ``node(terms)`` of the max of a + b over terms, or None
@@ -594,22 +606,39 @@ def _exhaustive(sup: tuple[int, ...], successive: bool, leaf, half, node):
     """
     s = len(sup)
     norm_of = {1 << p: leaf(p) for p in range(s)}
+    best_of = dict(norm_of)  # a single element is its segment's only part
     family_of: dict = {}
 
     def norm(mask: int):
         hit = norm_of.get(mask)
         if hit is None:
-            ts = [(leaf(p), 0) for p in range(s) if mask >> p & 1]
-            for p in range(s):
-                if mask >> p & 1:
-                    tail = mask >> p << p  # positions >= p
-                    cnt = tail.bit_count()
-                    t = min(sup[p] - 1, cnt) if successive else _block_budget(sup[p], cnt)
-                    v = family(tail, t, 2) if t >= 2 else None
-                    if v is not None:
-                        ts.append((half(v), 0))
+            ps = [p for p in range(s) if mask >> p & 1]
+            ts = [(leaf(p), 0) for p in ps]
+            for p in ps:
+                tail = mask >> p << p  # positions >= p
+                cnt = tail.bit_count()
+                t = min(sup[p] - 1, cnt) if successive else _block_budget(sup[p], cnt)
+                v = family_of.get((tail, t, 2), family_of) if t >= 2 else None
+                if v is family_of:  # a miss (a stored None is infeasible)
+                    v = family(tail, t, 2)
+                if v is not None:
+                    ts.append((half(v), 0))
             hit = norm_of[mask] = node(ts)
         return hit
+
+    def best(seg: int):
+        # a part of seg holding its top element is seg itself, or such a
+        # part of seg without one of the other elements
+        a = norm_of.get(seg)
+        ts = [(norm(seg) if a is None else a, 0)]
+        rest = seg ^ (1 << seg.bit_length() - 1)
+        while rest:
+            e = rest & -rest
+            rest ^= e
+            a = best_of.get(seg ^ e)
+            ts.append((best(seg ^ e) if a is None else a, 0))
+        v = best_of[seg] = node(ts)
+        return v
 
     def family(mask: int, t: int, need: int):
         t = min(t, mask.bit_count())
@@ -618,36 +647,49 @@ def _exhaustive(sup: tuple[int, ...], successive: bool, leaf, half, node):
         key = (mask, t, need)
         if key in family_of:
             return family_of[key]
-        low = mask & -mask
-        rest = mask ^ low
         need2 = need - 1 if need else 0
-        ts = []
         if successive:
-            b = family(rest, t, need)
-            if b is not None:
-                ts.append((0, b))
-        sub = rest
-        while True:
-            part = low | sub
-            tail = mask & -(1 << part.bit_length()) if successive else rest ^ sub
-            # the base case and both memo lookups inline: most terms need no call
-            if tail == 0 or t == 1:
-                b = 0 if need2 == 0 and (successive or tail == 0) else None
-            else:
-                b = family_of.get((tail, min(t - 1, tail.bit_count()), need2), family_of)
-                if b is family_of:  # a miss (a stored None is infeasible)
-                    b = family(tail, t - 1, need2)
-            if b is not None:
-                a = norm_of.get(part)
-                ts.append((norm(part) if a is None else a, b))
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
+            ts = [(0, 0)] if need == 0 else []  # the empty family
+            seg, tail = 0, mask
+            while tail:
+                top = tail & -tail
+                seg |= top  # mask ∩ (-oo, top]
+                tail ^= top  # mask ∩ (top, oo)
+                # the base case and both memo lookups inline: most terms need no call
+                if tail == 0 or t == 1:
+                    b = 0 if need2 == 0 else None
+                else:
+                    b = family_of.get((tail, min(t - 1, tail.bit_count()), need2), family_of)
+                    if b is family_of:  # a miss (a stored None is infeasible)
+                        b = family(tail, t - 1, need2)
+                if b is not None:
+                    a = best_of.get(seg)
+                    ts.append((best(seg) if a is None else a, b))
+        else:
+            ts = []
+            low = mask & -mask
+            rest = mask ^ low
+            sub = rest
+            while True:
+                part = low | sub
+                tail = rest ^ sub
+                if tail == 0 or t == 1:
+                    b = 0 if need2 == 0 and tail == 0 else None
+                else:
+                    b = family_of.get((tail, min(t - 1, tail.bit_count()), need2), family_of)
+                    if b is family_of:
+                        b = family(tail, t - 1, need2)
+                if b is not None:
+                    a = norm_of.get(part)
+                    ts.append((norm(part) if a is None else a, b))
+                if sub == 0:
+                    break
+                sub = (sub - 1) & rest
         v = family_of[key] = node(ts)
         return v
 
     root = norm((1 << s) - 1)
-    del norm, family  # empty the closures' cells: the memo tables go by refcount
+    del norm, best, family  # empty the closures' cells: the memo tables go by refcount
     return root
 
 
@@ -677,7 +719,10 @@ def tsirelson_norm_bruteforce(x: FinVec, max_support: int = 12) -> Rat:
     threshold n iff k >= 2 and min A_1 >= k + 1 (choose n between k and
     min A_1 - 1; bigger budgets only widen the search), so the threshold is
     eliminated and the recursion enumerates ordered part families directly
-    (``_exhaustive`` with successive parts).  Exponential and capped.
+    (``_exhaustive`` with successive parts).  Parts are grouped by their top
+    element, whose tail alone decides what may follow; the best norm of a
+    part with a given top is a max over every such subset, so nothing of
+    the interval DP is assumed.  Exponential and capped.
     """
     return _exhaustive_value(x, max_support, True, "brute-force")
 

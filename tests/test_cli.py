@@ -349,6 +349,32 @@ def test_float_commands_reject_bad_entries(capsys, tmp_path, command, entry):
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
+@pytest.mark.parametrize("command", sorted(_FLOAT_COMMANDS))
+@pytest.mark.parametrize("text", ["[[1, 2], [{}, 1]]", "[[1, 2], [[1, 2], 1]]",
+                                  "[[[1, 2]], [[3, 4]]]", "[[[]], [[]]]"])
+def test_float_commands_reject_nested_entries(capsys, tmp_path, command, text):
+    # numbers-only text: numpy sees these rows first, the entry parser names them
+    path = tmp_path / "pts.json"
+    path.write_text(text)
+    code, out = run(capsys, *_FLOAT_COMMANDS[command], str(path))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+def test_float_loader_numbers_only_text_matches_entry_parser(tmp_path):
+    from banach_gauge.cli import _load_float_array
+
+    ints = [2**64 + 1, 10**30, -(2**53) - 1, 0, 7, -3]
+    floats = [-0.0, 1e-310, 0.1, 1e308, -2.5, 3.0]
+    numbers = tmp_path / "numbers.json"
+    numbers.write_text(json.dumps([ints, floats]))
+    quoted = tmp_path / "quoted.json"
+    quoted.write_text(json.dumps([[str(v) for v in ints], floats]))
+    fast, parsed = _load_float_array(str(numbers)), _load_float_array(str(quoted))
+    assert fast.shape == (2, 6)
+    assert fast.tobytes() == parsed.tobytes()
+
+
 def test_jl_embed_zero_width_points_exit_1(capsys, tmp_path):
     code, out = run(capsys, *_FLOAT_COMMANDS["jl-embed"], write_vectors(tmp_path, "e.json", [[], []]))
     assert code == 1
@@ -391,11 +417,24 @@ def test_ratio_mc_overflow_exits_1_without_warnings(capsys, tmp_path, space):
     vecs = write_vectors(tmp_path, "huge.json", [[1e300, 1e300], [1e300, -1e300]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out = run(capsys, "ratio", "--space", space, "--kind", "cotype", "--mode", "mc",
-                        "--samples", "200", "--vecs", vecs)
+        code = main(["ratio", "--space", space, "--kind", "cotype", "--mode", "mc",
+                     "--samples", "200", "--vecs", vecs])
+    out, err = capsys.readouterr()
     assert code == 1
     assert json.loads(out)["error"]["type"] == "DomainError"
-    assert capsys.readouterr().err == ""
+    assert err == ""
+
+
+def test_ratio_mc_ci_finite_near_float_max(capsys, tmp_path):
+    # squared norms of ~1e300 are in range, but their squared deviations are not
+    vecs = write_vectors(tmp_path, "big.json", [[1e150, 0], [0, 1e150]])
+    code = main(["ratio", "--space", "l2", "--kind", "type", "--mode", "mc",
+                 "--samples", "200", "--vecs", vecs])
+    out, err = capsys.readouterr()
+    assert code == 0
+    lo, hi = json.loads(out)["ci"]
+    assert 0 < lo <= hi < math.inf
+    assert err == ""
 
 
 def test_walsh_command(capsys, tmp_path):

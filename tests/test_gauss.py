@@ -578,6 +578,19 @@ def test_gaussian_rejects_norms_out_of_float_range():
             gaussian_ratio(fam, "type", samples=200, seed=0)
 
 
+def test_gaussian_ci_finite_for_squared_norms_near_float_max():
+    # the squared norms are ~1e300: their deviations squared would overflow
+    huge = VectorFamily.make([[1e150, 0.0], [0.0, 1e150]], SpaceOracle.from_tag("l2", 2))
+    unit = VectorFamily.make([[1.0, 0.0], [0.0, 1.0]], SpaceOracle.from_tag("l2", 2))
+    for kind in ("type", "cotype"):
+        est = gaussian_ratio(huge, kind, samples=200, seed=0)
+        assert 0 < est.ci_low <= est.point <= est.ci_high < math.inf
+        # the ratio is scale-invariant, and so is its interval
+        ref = gaussian_ratio(unit, kind, samples=200, seed=0)
+        assert (est.point, est.ci_low, est.ci_high) == pytest.approx(
+            (ref.point, ref.ci_low, ref.ci_high), rel=1e-12)
+
+
 @pytest.mark.parametrize("tag", ["T", "T2"])
 def test_gaussian_on_tsirelson_spans_deterministic(tag):
     rng = np.random.default_rng(4)

@@ -84,6 +84,52 @@ def test_bruteforce_cap():
     assert tsirelson_norm_bruteforce(big, max_support=13) == tsirelson_norm(big).value
 
 
+def _rational_vec(s: int, start: int) -> FinVec:
+    rng = random.Random(f"{s}-{start}")
+    return FinVec({j: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+                   for j in range(start, start + s)})
+
+
+@pytest.mark.parametrize("s", [9, 10, 11, 12])
+@pytest.mark.parametrize("start", [1, 2, 3, 5])
+def test_bruteforce_matches_dp_at_large_supports(s, start):
+    # states here have many top elements and long segments to take the best of
+    x = _rational_vec(s, start)
+    assert tsirelson_norm_bruteforce(x) == tsirelson_norm(x).value
+
+
+def test_t2_bruteforce_matches_dp_at_support_11():
+    sq = abs_square(_rational_vec(11, 3))
+    assert tsirelson_norm_bruteforce(sq) == t2_norm_sq(_rational_vec(11, 3)).value
+
+
+def _plan_digest(sup: tuple[int, ...]) -> str:
+    slots, cells, root, levels = tsirelson_module._modified_plan.__wrapped__(sup)
+    h = hashlib.sha256(repr((slots, cells, root)).encode())
+    for lo, a, b, starts, halves in levels:
+        h.update(repr((lo, a.tolist(), b.tolist(), starts.tolist(), halves.tolist())).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("sup, digest", [
+    ((1,), "17c9a753cf579efa"),
+    ((1, 2), "cddb439a6c107cec"),
+    ((1, 2, 3), "dfeda1375a808338"),
+    ((1, 2, 3, 4), "6fe19f2017b82f20"),
+    ((1, 2, 3, 4, 5), "b84daca8f3335c2a"),
+    ((1, 2, 3, 4, 5, 6), "84c6ac09c3cac4b7"),
+    ((1, 2, 3, 4, 5, 6, 7), "b72cfcf09e555a1c"),
+    ((1, 2, 3, 4, 5, 6, 7, 8), "f3f673a969f3471e"),
+    ((1, 2, 3, 4, 5, 6, 7, 8, 9), "ef5b2b05e6087c0c"),
+    ((3, 4, 5, 6, 7, 8, 9, 10), "acf70b704e083c48"),
+    ((2, 4, 5, 9, 11, 12, 20), "a1ce2a02fcda080c"),
+])
+def test_modified_plan_arrays_pinned(sup, digest):
+    # the covering policy shares _exhaustive with the brute oracle: its
+    # compiled state graph (slot numbering, terms, levels) stays as it was
+    assert _plan_digest(sup) == digest
+
+
 # --------------------------------------------------------------------------
 # oracle agreement and structural invariants
 # --------------------------------------------------------------------------
