@@ -544,7 +544,9 @@ def cmd_sweep(args) -> Output:
             argv += ["--seed", str(derive_seed(root_seed, command, idx))]
         cell_params = dict(zip(keys, cell))
         try:
-            with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage text
+            # argparse writes usage errors to stderr, and a --help key's text to stdout
+            sink = io.StringIO()
+            with contextlib.redirect_stderr(sink), contextlib.redirect_stdout(sink):
                 ns = build_parser().parse_args(argv)
             out = HANDLERS[command](ns)
             flat: dict = {}

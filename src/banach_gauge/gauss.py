@@ -114,7 +114,7 @@ class SpaceOracle:
             else None
         )
         if tag == "lp":
-            if p is None or p < 1:
+            if p is None or not p >= 1:  # NaN fails every comparison
                 raise DomainError("lp oracle needs p >= 1")
         elif tag == "polytope":
             if not self.functionals:

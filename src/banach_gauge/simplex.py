@@ -51,11 +51,10 @@ def _pivot(rows, basis, leave, enter):
 
 
 def _optimize(rows, basis, cost, ncols):
-    """Bland-rule simplex on a feasible tableau for an integer cost row;
-    mutates rows/basis in place.
-
-    Returns the status and a positive multiple of the reduced-cost row.
-    """
+    """Bland-rule simplex to an optimum on a feasible tableau for an integer
+    cost row; mutates rows/basis in place.  Both phases minimize a column
+    that is >= 0 (the artificial, then t), so every entering column has a
+    leaving row."""
     zrow = list(cost) + [0]
     for row, b in zip(rows, basis):
         if zrow[b]:
@@ -63,7 +62,7 @@ def _optimize(rows, basis, cost, ncols):
     while True:
         enter = next((j for j in range(ncols) if zrow[j] < 0), -1)
         if enter < 0:
-            return "optimal", zrow
+            return
         leave = -1
         for i, row in enumerate(rows):
             a = row[enter]
@@ -74,8 +73,7 @@ def _optimize(rows, basis, cost, ncols):
                 lhs, rhs = row[-1] * rows[leave][enter], rows[leave][-1] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
-        if leave < 0:
-            return "unbounded", zrow
+        assert leave >= 0, "the master LP is bounded: t >= 0"
         _pivot(rows, basis, leave, enter)
         if zrow[enter]:
             zrow = _eliminate(zrow, rows[leave], enter)

@@ -63,7 +63,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -147,7 +147,13 @@ class NormResult:
     stats: EvalStats
 
 
-def _check_node(node: CertNode, ancestors: tuple[tuple[int, int], ...]) -> None:
+def _leaves(node: CertNode, ancestors: tuple[tuple[int, int], ...] = ()) -> Iterator[tuple[int, Rat]]:
+    """The one walk of a certificate: check each node, parents before their
+    children, and yield (index, 2^-depth) at each leaf in tree order.
+
+    Sibling intervals are disjoint and every leaf lies in all its ancestors'
+    intervals, so a tree that passes the checks has distinct leaves.
+    """
     if isinstance(node, Leaf):
         if not isinstance(node.index, int) or node.index < 1:
             raise MalformedCertificate(f"leaf index {node.index!r} must be a positive integer")
@@ -156,6 +162,7 @@ def _check_node(node: CertNode, ancestors: tuple[tuple[int, int], ...]) -> None:
                 raise MalformedCertificate(
                     f"leaf index {node.index} escapes ancestor interval [{lo}, {hi}]"
                 )
+        yield node.index, Fraction(1, 2 ** len(ancestors))
         return
     if isinstance(node, Split):
         if not isinstance(node.n, int) or node.n < 1:
@@ -176,26 +183,30 @@ def _check_node(node: CertNode, ancestors: tuple[tuple[int, int], ...]) -> None:
                 )
             prev_hi = part.hi
         for part in node.parts:
-            _check_node(part.child, ancestors + ((part.lo, part.hi),))
+            yield from _leaves(part.child, ancestors + ((part.lo, part.hi),))
         return
     raise MalformedCertificate(f"unknown certificate node {node!r}")
 
 
-def _node_value(node: CertNode, x: FinVec) -> Rat:
-    if isinstance(node, Leaf):
-        return abs(x[node.index])
-    return sum((_node_value(p.child, x) for p in node.parts), Fraction(0)) / 2
+def norming_functional(cert: NormCertificate | CertNode) -> FinVec:
+    """Linearize a certificate: coefficient 2^(-depth) at each leaf index.
+
+    Raises MalformedCertificate if any structural invariant fails.  The
+    result lam gives ``certificate_value(cert, z)`` = sum_j lam_j * |z_j|,
+    hence <lam, |z|> <= ||z||_T for every z: a reusable dual certificate.
+    """
+    return FinVec(_leaves(cert.root if isinstance(cert, NormCertificate) else cert))
 
 
 def certificate_value(cert: NormCertificate | CertNode, x: FinVec) -> Rat:
-    """Evaluate a certificate tree on ``x`` after checking its structure.
+    """Evaluate a certificate tree on ``x`` after checking its structure:
+    sum_j lam_j * |x_j| for lam its ``norming_functional``, which equals the
+    tree's sum of leaves halved once per split above them.
 
     Raises MalformedCertificate if any structural invariant fails.  For a
     well-formed tree the returned value is a lower bound for ||x||_T.
     """
-    node = cert.root if isinstance(cert, NormCertificate) else cert
-    _check_node(node, ())
-    return _node_value(node, x)
+    return sum((c * abs(x[j]) for j, c in norming_functional(cert).items()), Fraction(0))
 
 
 def validate_certificate(cert: NormCertificate, x: FinVec) -> bool:
@@ -206,27 +217,6 @@ def validate_certificate(cert: NormCertificate, x: FinVec) -> bool:
     except MalformedCertificate:
         return False
     return val == cert.value and val <= tsirelson_norm(x).value
-
-
-def norming_functional(cert: NormCertificate | CertNode) -> FinVec:
-    """Linearize a certificate: coefficient 2^(-depth) at each leaf index.
-
-    The result lam satisfies sum_j lam_j * |z_j| = certificate_value(cert, z)
-    for every z, hence <lam, |z|> <= ||z||_T: a reusable dual certificate.
-    """
-    node = cert.root if isinstance(cert, NormCertificate) else cert
-    _check_node(node, ())
-    coeffs: dict[int, Rat] = {}
-    stack = [(node, 0)]  # depth first, leaves in tree order
-    while stack:
-        nd, depth = stack.pop()
-        if isinstance(nd, Leaf):
-            if nd.index in coeffs:
-                raise MalformedCertificate(f"duplicate leaf index {nd.index}")
-            coeffs[nd.index] = Fraction(1, 2**depth)
-        else:
-            stack.extend((part.child, depth + 1) for part in reversed(nd.parts))
-    return FinVec(coeffs)
 
 
 # -- certificate JSON: {"leaf": 5} / {"split": {"n":, "parts":[{"lo","hi","child"}]}}
@@ -601,8 +591,12 @@ def _exhaustive(sup: tuple[int, ...], successive: bool, leaf, half, node):
     element, with the rest of the mask as the remainder.
 
     ``leaf(p)`` is the handle of the weight at position p, ``half(h)`` of a
-    family's half, ``node(terms)`` of the max of a + b over terms, or None
-    (infeasible) when there are none.  Handle 0 is the zero.
+    family's half, ``node(terms)`` of the max of a + b over terms.  Handle 0
+    is the zero.  Every state reached has a term: a norm asks for need-2
+    families only with >= 2 labels and budget >= 2, and a need <= 1 state
+    admits one block or the empty family.  Callers of ``family`` cap t at
+    the labels of the mask and look up the memo themselves, and a term whose
+    remainder cannot hold the parts still needed is skipped where it is made.
     """
     s = len(sup)
     norm_of = {1 << p: leaf(p) for p in range(s)}
@@ -618,11 +612,10 @@ def _exhaustive(sup: tuple[int, ...], successive: bool, leaf, half, node):
                 tail = mask >> p << p  # positions >= p
                 cnt = tail.bit_count()
                 t = min(sup[p] - 1, cnt) if successive else _block_budget(sup[p], cnt)
-                v = family_of.get((tail, t, 2), family_of) if t >= 2 else None
-                if v is family_of:  # a miss (a stored None is infeasible)
-                    v = family(tail, t, 2)
-                if v is not None:
-                    ts.append((half(v), 0))
+                if t >= 2:
+                    key = (tail, t, 2)
+                    v = family_of.get(key)
+                    ts.append((half(family(key) if v is None else v), 0))
             hit = norm_of[mask] = node(ts)
         return hit
 
@@ -640,51 +633,45 @@ def _exhaustive(sup: tuple[int, ...], successive: bool, leaf, half, node):
         v = best_of[seg] = node(ts)
         return v
 
-    def family(mask: int, t: int, need: int):
-        t = min(t, mask.bit_count())
-        if mask == 0 or t == 0:
-            return 0 if need == 0 and (successive or mask == 0) else None
-        key = (mask, t, need)
-        if key in family_of:
-            return family_of[key]
+    def family(key: tuple[int, int, int]):
+        mask, t, need = key
         need2 = need - 1 if need else 0
+        ts = [(0, 0)] if successive and need == 0 else []  # the empty family
         if successive:
-            ts = [(0, 0)] if need == 0 else []  # the empty family
             seg, tail = 0, mask
             while tail:
                 top = tail & -tail
                 seg |= top  # mask ∩ (-oo, top]
                 tail ^= top  # mask ∩ (top, oo)
-                # the base case and both memo lookups inline: most terms need no call
-                if tail == 0 or t == 1:
-                    b = 0 if need2 == 0 else None
+                if tail and t > 1:  # the memo lookup inline: most terms need no call
+                    k = (tail, min(t - 1, tail.bit_count()), need2)
+                    b = family_of.get(k)
+                    if b is None:
+                        b = family(k)
+                elif need2:  # no room for the part still needed
+                    continue
                 else:
-                    b = family_of.get((tail, min(t - 1, tail.bit_count()), need2), family_of)
-                    if b is family_of:  # a miss (a stored None is infeasible)
-                        b = family(tail, t - 1, need2)
-                if b is not None:
-                    a = best_of.get(seg)
-                    ts.append((best(seg) if a is None else a, b))
+                    b = 0
+                a = best_of.get(seg)
+                ts.append((best(seg) if a is None else a, b))
         else:
-            ts = []
             low = mask & -mask
             rest = mask ^ low
-            sub = rest
-            while True:
-                part = low | sub
-                tail = rest ^ sub
-                if tail == 0 or t == 1:
-                    b = 0 if need2 == 0 and tail == 0 else None
-                else:
-                    b = family_of.get((tail, min(t - 1, tail.bit_count()), need2), family_of)
-                    if b is family_of:
-                        b = family(tail, t - 1, need2)
-                if b is not None:
-                    a = norm_of.get(part)
-                    ts.append((norm(part) if a is None else a, b))
-                if sub == 0:
-                    break
+            sub = rest + 1  # the first step makes it rest
+            while sub:
                 sub = (sub - 1) & rest
+                part, tail = low | sub, rest ^ sub
+                if tail and t > 1:
+                    k = (tail, min(t - 1, tail.bit_count()), need2)
+                    b = family_of.get(k)
+                    if b is None:
+                        b = family(k)
+                elif need2 or tail:  # a part still needed, or labels left uncovered
+                    continue
+                else:
+                    b = 0
+                a = norm_of.get(part)
+                ts.append((norm(part) if a is None else a, b))
         v = family_of[key] = node(ts)
         return v
 
@@ -698,8 +685,8 @@ def _half(v: int) -> int:
     return v // 2
 
 
-def _best(terms: list) -> int | None:
-    return max(itertools.starmap(operator.add, terms), default=None)
+def _best(terms: list) -> int:
+    return max(itertools.starmap(operator.add, terms))
 
 
 def _exhaustive_value(x: FinVec, max_support: int, successive: bool, engine: str) -> Rat:
@@ -771,9 +758,8 @@ def _modified_plan(sup: tuple[int, ...]) -> tuple:
     into levels of one value table.
 
     ``_exhaustive`` hands over the recursion's states with table slots as
-    handles: the states, the terms each maxes over and which are infeasible
-    depend only on the labels, and infeasible states are dropped with the
-    terms that read them; here the states are only numbered.  Slot 0 of the
+    handles: the states and the terms each maxes over depend only on the
+    labels, and here the states are only numbered.  Slot 0 of the
     table holds 0, slots 1..s the weights, and every other slot one state:
     the max over its terms of table[a] + table[b] (a partition: a block's
     norm plus the rest; a norm: a weight or the half of a partition, plus
@@ -789,9 +775,7 @@ def _modified_plan(sup: tuple[int, ...]) -> tuple:
     terms: list = [None] * (s + 1)  # a node's (a, b) list, or a half's source slot
     half_of: dict[int, int] = {}
 
-    def node(ts: list) -> int | None:
-        if not ts:
-            return None
+    def node(ts: list) -> int:
         level.append(1 + max(max(level[a], level[b]) for a, b in ts))
         terms.append(ts)
         return len(level) - 1

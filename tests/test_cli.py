@@ -124,6 +124,36 @@ def test_norm_cert_out(capsys, tmp_path):
     assert "split" in cert["tree"] or "leaf" in cert["tree"]
 
 
+def test_norm_oracle_paths_match_their_engines(capsys, tmp_path):
+    from banach_gauge.seqvec import FinVec, abs_square
+    from banach_gauge.tsirelson import modified_t2_norm_sq, tsirelson_norm_bruteforce
+
+    entries = {3: F(1, 2), 4: -1, 6: F(2, 3), 7: 2, 9: F(-3, 4)}
+    x = FinVec(entries)
+    vec = write_vec(tmp_path, "x.json", entries)
+    code, out = run(capsys, "norm", "--space", "mod2", "--vec", vec)
+    assert code == 0
+    data = json.loads(out)
+    assert Fraction(data["value_sq"]) == modified_t2_norm_sq(x)
+    assert data["value"] == math.sqrt(modified_t2_norm_sq(x)) and data["engine"] == "exhaustive"
+    code, out = run(capsys, "norm", "--space", "T2", "--brute", "--vec", vec)
+    assert code == 0
+    data = json.loads(out)
+    assert Fraction(data["value_sq"]) == tsirelson_norm_bruteforce(abs_square(x))
+    assert data["engine"] == "bruteforce"
+
+
+@pytest.mark.parametrize("flags", [["--space", "T", "--brute"], ["--space", "T2", "--brute"],
+                                   ["--space", "mod"], ["--space", "mod2"]])
+def test_norm_cert_out_without_a_certificate_exits_1(capsys, tmp_path, flags):
+    vec = write_vec(tmp_path, "x.json", {3: 1, 4: 1})
+    cert_path = tmp_path / "cert.json"
+    code, out = run(capsys, "norm", *flags, "--vec", vec, "--cert-out", str(cert_path))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+    assert not cert_path.exists()
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["norm", "--space", "T"]) == 2  # missing --vec
     assert main(["--bogus"]) == 2
@@ -261,6 +291,18 @@ def test_output_digest_is_the_digest_of_the_printed_payload(capsys, tmp_path, co
     manifest = data.pop("manifest")
     assert render_json({"manifest": manifest, **data}) + "\n" == out
     assert manifest["output_digest"] == hashlib.sha256(render_json(data).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", [
+    ["jl-mechanism", "--trials", "1", "--family"],
+    ["ratio", "--kind", "type", "--vecs"],
+    ["ratio", "--kind", "cotype", "--mode", "mc", "--samples", "100", "--vecs"],
+])
+def test_lp_nan_space_exits_1(capsys, tmp_path, command):
+    path = write_vectors(tmp_path, "fam.json", [[1, 2], [3, 4]])
+    code, out = run(capsys, command[0], "--space", "lpnan", *command[1:], path)
+    assert code == 1
+    assert json.loads(out)["error"] == {"message": "lp oracle needs p >= 1", "type": "DomainError"}
 
 
 def test_ratio_mc_sample_cap_exits_1(capsys, tmp_path):
@@ -507,6 +549,24 @@ def test_compare_norms(capsys):
         assert Fraction(row["mod2_sq"]) >= Fraction(row["t2_sq"])
 
 
+def test_compare_norms_csv_matches_json(capsys):
+    import csv
+
+    argv = ["compare-norms", "--count", "6", "--max-support", "6", "--seed", "4"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    code, out = run(capsys, *argv, "--csv")
+    assert code == 0
+    header, *cells = list(csv.reader(out.splitlines()))
+    assert header == ["vec", "t2_sq", "mod2_sq", "ratio"]
+    assert len(cells) == len(rows) == 6
+    assert any(row["ratio"] != 1 for row in rows)
+    for row, cell in zip(rows, cells):
+        assert cell[:3] == [row["vec"], row["t2_sq"], row["mod2_sq"]]
+        assert float(cell[3]) == row["ratio"]
+
+
 def test_sweep_flat_search(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "flat-search", "grid": {"N": [3, 4, 5, 6, 7, 8]}}))
@@ -538,6 +598,28 @@ def test_sweep_records_cell_errors(capsys, tmp_path):
     lines = out.strip().split("\n")
     assert len(lines) == 3
     assert "BadSupportBound" in lines[2]
+
+
+def test_sweep_derives_cell_seeds(capsys, tmp_path, monkeypatch):
+    from banach_gauge.seeds import derive_seed
+
+    monkeypatch.delenv("BANACH_GAUGE_SEED", raising=False)
+    vecs = write_vectors(tmp_path, "fam.json", [["1", "0"], ["0", "1"]])
+    fixed = {"space": "l1", "kind": "type", "mode": "mc", "vecs": vecs}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "ratio", "fixed": fixed,
+                               "grid": {"samples": [200, 300, 400]}, "seed": 9}))
+    code, out = run(capsys, "sweep", "--config", str(cfg))
+    assert code == 0
+    lines = out.strip().split("\n")
+    pi = lines[0].split(",").index("point")
+    points = [float(line.split(",")[pi]) for line in lines[1:]]
+    alone = []
+    for idx, samples in enumerate([200, 300, 400]):
+        argv = ["ratio", *(a for k, v in fixed.items() for a in (f"--{k}", v)),
+                "--samples", str(samples), "--seed", str(derive_seed(9, "ratio", idx))]
+        alone.append(json.loads(run(capsys, *argv)[1])["point"])
+    assert points == alone
 
 
 def test_sweep_growth_plain_text(capsys, tmp_path):

@@ -175,9 +175,13 @@ def test_float_commands_on_huge_entries_end_cleanly(tmp_path, alarm, junk, name)
 
 
 def test_sweep_usage_error_cell_keeps_stderr_empty(tmp_path, capsys):
-    config = tmp_path / "sweep.json"
-    config.write_text('{"command": "growth", "grid": {}}')
-    assert main(["sweep", "--config", str(config)]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert captured.out.splitlines() == ["error", "usage error"]
+    # a missing positional, and a "help" key, whose --help text argparse
+    # prints to stdout
+    for text in ['{"command": "growth", "grid": {}}',
+                 '{"command": "flat-search", "fixed": {"help": "x"}}']:
+        config = tmp_path / "sweep.json"
+        config.write_text(text)
+        assert main(["sweep", "--config", str(config)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == ["error", "usage error"]
