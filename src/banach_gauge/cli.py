@@ -244,8 +244,10 @@ def _float_only(handler):
 
 
 def cmd_norm(args) -> Output:
-    x = _load_finvec(args.vec)
     space = args.space
+    if args.cert_out and (args.brute or space not in ("T", "T2")):
+        raise DomainError("certificates are only produced by the T/T2 interval engine")
+    x = _load_finvec(args.vec)
     payload: dict = {"space": space}
     cert = None
     if space == "T":
@@ -279,8 +281,6 @@ def cmd_norm(args) -> Output:
         payload["value"] = float_sqrt(payload["value_sq"])
         payload["engine"] = "exhaustive"
     if args.cert_out:
-        if cert is None:
-            raise DomainError("certificates are only produced by the T/T2 interval engine")
         with open(args.cert_out, "w", encoding="utf-8") as fh:
             fh.write(render_json(certificate_to_json(cert)) + "\n")
         payload["cert_out"] = args.cert_out

@@ -11,8 +11,8 @@ fewer than two nonempty parts can never attain the max (they contribute at
 most half the norm of a restriction), so skipping them makes the recursion
 terminate and this module computes the fixed point directly.
 
-Two statements of the rules live here: the interval DP, and one exhaustive
-bitmask recursion under two policies.
+Three statements of rules live here: the interval DP, the all-subsets
+oracle, and the modified recursion.
 
 * ``tsirelson_norm`` -- a dynamic program over ranges of support positions,
   filled bottom-up in one table (no Python recursion, support capped at
@@ -27,21 +27,28 @@ bitmask recursion under two policies.
   float64 for ``tsirelson_norm_batch``, and exactly on integer columns
   (int64 when an up-front bound allows, else Python ints) for
   ``tsirelson_norm_batch_exact``.
-* ``_exhaustive`` -- one memoized recursion on support bitmasks, evaluated
-  or compiled through callbacks.  With successive parts of arbitrary finite
-  sets it is ``tsirelson_norm_bruteforce``, the all-subsets oracle, which is
+* ``_all_subsets`` -- ``tsirelson_norm_bruteforce``, a memoized recursion
+  on support bitmasks over successive parts of arbitrary finite sets,
   deliberately independent of the interval argument.  What may follow a
   part depends only on its top element m, so the oracle groups the parts
   by m: one term per m reads the best norm over every part with top m
   (memoized per segment of the mask), instead of one term per part.  That
   regroups the same max; every subset is still evaluated as a part, and
-  neither monotonicity nor intervals are assumed.  With up to (n+1)^n
-  disjoint blocks inside [n, oo), left endpoint included, it is
-  ``modified_norm``, where disjoint arbitrary sets defeat the interval DP.
-  Both are capped, and one vector compiles nothing.  ``_modified_plan``
-  compiles the modified state graph once per label tuple into levels of a
-  value table that ``_run_modified_plan`` runs on the same float64 or
-  integer columns (``modified_norm_batch``, ``modified_norm_batch_exact``).
+  neither monotonicity nor intervals are assumed.
+* ``_modified_rules`` -- the modified norm, with up to (n+1)^n disjoint
+  blocks inside [n, oo), left endpoint included, where disjoint arbitrary
+  sets defeat the interval DP.  The norm is 1-unconditional, so splitting
+  a block never lowers a family's sum: a threshold whose budget covers its
+  tail gives half the tail's sum, and only the thresholds where the budget
+  binds are searched, n = 1 (2 blocks) and n = 2 (9 blocks, with >= 10
+  labels >= 2).  The rules read the labels alone, so they are evaluated
+  two ways through callbacks: on values in ``modified_norm``, and on table
+  slots in ``_modified_plan``, which compiles them once per label tuple
+  into levels of a value table that ``_run_modified_plan`` runs on the same
+  float64 or integer columns (``modified_norm_batch``,
+  ``modified_norm_batch_exact``).
+
+Both exhaustive engines are capped, and one vector compiles nothing.
 
 The exact engines run on integer-scaled values: every value appearing in the
 recursion is a dyadic multiple of the input entries with halving depth at
@@ -556,128 +563,180 @@ def tsirelson_norm_batch_exact(weights, indices: Sequence[int]) -> tuple[list[in
 
 
 # --------------------------------------------------------------------------
-# Exhaustive bitmask recursion: the all-subsets oracle and the modified norm
+# Exhaustive bitmask recursions: the all-subsets oracle and the modified norm
 # --------------------------------------------------------------------------
 
-#: Default support cap of ``modified_norm``, and the cap of its batches.
+#: Support cap of ``modified_norm`` and of its batches.
 MAX_MODIFIED_SUPPORT = 12
 
 
-def _block_budget(n: int, cnt: int) -> int:
-    """Most blocks a partition of ``cnt`` labels in [n, oo) may use."""
-    if n >= 5:  # (n+1)^n >= 6^5 far exceeds any feasible block count
-        return cnt
-    return min((n + 1) ** n, cnt)
+def _all_subsets(sup: tuple[int, ...], w: list[int]) -> int:
+    """The all-subsets recursion on bitmasks of the positions of the labels
+    ``sup``, on the scaled weights ``w``; returns the full mask's norm.
 
-
-def _exhaustive(sup: tuple[int, ...], successive: bool, leaf, half, node):
-    """The one statement of both exhaustive recursions, on bitmasks of the
-    positions of the labels ``sup``; returns the state of the full mask.
-
-    A norm state is the max of its weights and the halves of its best
-    families of >= 2 parts above each start p.  A family state (mask, t,
-    need) -- at most t parts in mask, at least ``need`` -- is the max over
-    terms (a, b): a the norm of the first part, b the family of what
-    remains.  Successive parts (the all-subsets oracle) number at most
-    sup[p] - 1 and need not cover the mask.  The remainder of a first part
-    with top element m is the family of mask ∩ (m, oo), whatever the part's
-    other elements, so the parts are grouped by m: one term per m whose a
-    is ``best`` of mask ∩ (-oo, m], the largest norm of a part of it that
-    holds m, over every such part (plus the empty family when need is 0).
-    This is the max over all parts regrouped, not a bound, so the oracle
-    still evaluates every subset and owes nothing to the interval DP.
-    Otherwise (the modified norm) blocks cover the mask, at most
-    ``_block_budget`` of them: one term per block holding the lowest
-    element, with the rest of the mask as the remainder.
-
-    ``leaf(p)`` is the handle of the weight at position p, ``half(h)`` of a
-    family's half, ``node(terms)`` of the max of a + b over terms.  Handle 0
-    is the zero.  Every state reached has a term: a norm asks for need-2
-    families only with >= 2 labels and budget >= 2, and a need <= 1 state
-    admits one block or the empty family.  Callers of ``family`` cap t at
-    the labels of the mask and look up the memo themselves, and a term whose
-    remainder cannot hold the parts still needed is skipped where it is made.
+    A norm is the max of its weights and the halves of its best families of
+    2 .. sup[p] - 1 successive parts above each start p.  A family state
+    (mask, t, need) -- at most t parts, at least ``need`` -- is the max over
+    a first part's norm plus the family of what remains.  That remainder is
+    the family of mask ∩ (m, oo) for m the part's top element, so the parts
+    are grouped by m: one term per m reads ``best`` of mask ∩ (-oo, m], the
+    largest norm of a part of it that holds m, over every such part (plus
+    the empty family when need is 0).  This is the max over all parts
+    regrouped, not a bound.  Callers of ``family`` cap t at the labels of
+    the mask and look up the memo themselves.
     """
     s = len(sup)
-    norm_of = {1 << p: leaf(p) for p in range(s)}
+    norm_of = {1 << p: w[p] for p in range(s)}
     best_of = dict(norm_of)  # a single element is its segment's only part
     family_of: dict = {}
 
-    def norm(mask: int):
-        hit = norm_of.get(mask)
-        if hit is None:
-            ps = [p for p in range(s) if mask >> p & 1]
-            ts = [(leaf(p), 0) for p in ps]
-            for p in ps:
-                tail = mask >> p << p  # positions >= p
-                cnt = tail.bit_count()
-                t = min(sup[p] - 1, cnt) if successive else _block_budget(sup[p], cnt)
-                if t >= 2:
-                    key = (tail, t, 2)
-                    v = family_of.get(key)
-                    ts.append((half(family(key) if v is None else v), 0))
-            hit = norm_of[mask] = node(ts)
-        return hit
+    def norm(mask: int) -> int:
+        ps = [p for p in range(s) if mask >> p & 1]
+        v = max(w[p] for p in ps)
+        for p in ps:
+            tail = mask >> p << p  # positions >= p
+            t = min(sup[p] - 1, tail.bit_count())
+            if t >= 2:
+                key = (tail, t, 2)
+                f = family_of.get(key)
+                v = max(v, _half(family(key) if f is None else f))
+        norm_of[mask] = v
+        return v
 
-    def best(seg: int):
+    def best(seg: int) -> int:
         # a part of seg holding its top element is seg itself, or such a
         # part of seg without one of the other elements
         a = norm_of.get(seg)
-        ts = [(norm(seg) if a is None else a, 0)]
+        v = norm(seg) if a is None else a
         rest = seg ^ (1 << seg.bit_length() - 1)
         while rest:
             e = rest & -rest
             rest ^= e
             a = best_of.get(seg ^ e)
-            ts.append((best(seg ^ e) if a is None else a, 0))
-        v = best_of[seg] = node(ts)
+            v = max(v, best(seg ^ e) if a is None else a)
+        best_of[seg] = v
         return v
 
-    def family(key: tuple[int, int, int]):
+    def family(key: tuple[int, int, int]) -> int:
         mask, t, need = key
         need2 = need - 1 if need else 0
-        ts = [(0, 0)] if successive and need == 0 else []  # the empty family
-        if successive:
-            seg, tail = 0, mask
-            while tail:
-                top = tail & -tail
-                seg |= top  # mask ∩ (-oo, top]
-                tail ^= top  # mask ∩ (top, oo)
-                if tail and t > 1:  # the memo lookup inline: most terms need no call
-                    k = (tail, min(t - 1, tail.bit_count()), need2)
-                    b = family_of.get(k)
-                    if b is None:
-                        b = family(k)
-                elif need2:  # no room for the part still needed
-                    continue
-                else:
-                    b = 0
-                a = best_of.get(seg)
-                ts.append((best(seg) if a is None else a, b))
-        else:
-            low = mask & -mask
-            rest = mask ^ low
-            sub = rest + 1  # the first step makes it rest
-            while sub:
-                sub = (sub - 1) & rest
-                part, tail = low | sub, rest ^ sub
-                if tail and t > 1:
-                    k = (tail, min(t - 1, tail.bit_count()), need2)
-                    b = family_of.get(k)
-                    if b is None:
-                        b = family(k)
-                elif need2 or tail:  # a part still needed, or labels left uncovered
-                    continue
-                else:
-                    b = 0
-                a = norm_of.get(part)
-                ts.append((norm(part) if a is None else a, b))
-        v = family_of[key] = node(ts)
+        v, seg, tail = 0, 0, mask  # values are >= 0, so 0 stands in for the empty family
+        while tail:
+            top = tail & -tail
+            seg |= top  # mask ∩ (-oo, top]
+            tail ^= top  # mask ∩ (top, oo)
+            if tail and t > 1:  # the memo lookup inline: most terms need no call
+                k = (tail, min(t - 1, tail.bit_count()), need2)
+                b = family_of.get(k)
+                if b is None:
+                    b = family(k)
+            elif need2:  # no room for the part still needed
+                continue
+            else:
+                b = 0
+            a = best_of.get(seg)
+            v = max(v, (best(seg) if a is None else a) + b)
+        family_of[key] = v
         return v
 
-    root = norm((1 << s) - 1)
+    root = norm_of.get((1 << s) - 1)
+    if root is None:
+        root = norm((1 << s) - 1)
     del norm, best, family  # empty the closures' cells: the memo tables go by refcount
     return root
+
+
+def _modified_rules(sup: tuple[int, ...], leaf, half, node):
+    """The one statement of the modified recursion, on bitmasks of the
+    positions of the labels ``sup``; returns the handle of the full mask.
+
+    For disjoint A and B, f(A ∪ B) <= f(A) + f(B), so the best family of at
+    most k blocks is a best partition into min(k, labels) blocks: where a
+    threshold's budget covers its tail, the singletons, worth the tail's
+    sum.  That sum bounds every later threshold's family, so a norm reads
+    its thresholds in label order up to the first whose budget covers its
+    tail.  The best
+    partition into at most k blocks, ``part(mask, k)``, is the sum when k
+    covers the mask, the norm when k = 1, and otherwise the max over the
+    block holding the lowest label of its norm plus the best k - 1 blocks
+    of the rest.  At n = 1 that is f(S) >= ½ max over nonempty B ⊆ S∖{1} of
+    f(S∖B) + f(B): 3^(s-1) terms over the 2^(s-1) sets S holding label 1.
+
+    If the first threshold binds, every subset's norm is evaluated, masks
+    ascending, so each norm's subsets are plain lookups (from label 1 every
+    subset is some family's block); otherwise the norm is
+    max(‖x‖∞, ½‖x‖₁) and nothing else is evaluated.  ``leaf(p)`` is the
+    handle of the weight at position p, ``half(h)`` of a handle's half and
+    ``node(terms)`` of the max of a + b over terms (a, b); handle 0 is zero.
+    """
+    s = len(sup)
+    norm_of: list = [None] * (1 << s)
+    top_of: list = [None] * (1 << s)  # max of the weights
+    sum_of: list = [None] * (1 << s)
+    for p in range(s):
+        norm_of[1 << p] = top_of[1 << p] = sum_of[1 << p] = leaf(p)
+    part_of: dict = {}
+
+    def table(of: list, mask: int):
+        # the sum or the max of the entry without the lowest label and its weight
+        low = mask & -mask
+        a = of[mask ^ low]
+        if a is None:
+            a = table(of, mask ^ low)
+        v = of[mask] = node([(a, of[low])] if of is sum_of else [(a, 0), (of[low], 0)])
+        return v
+
+    def part(mask: int, k: int):  # k >= 2
+        if mask.bit_count() <= k:
+            v = sum_of[mask]
+            return table(sum_of, mask) if v is None else v
+        v = part_of.get((mask, k))
+        if v is None:
+            # the labels the other blocks take: nonempty subsets of the rest
+            outs = _submasks(mask ^ (mask & -mask))
+            if k == 2:  # the rest is one block
+                ts = [(norm_of[mask ^ o], norm_of[o]) for o in outs]
+            else:
+                ts = [(norm_of[mask ^ o], part(o, k - 1)) for o in outs if o.bit_count() >= k - 1]
+            v = part_of[mask, k] = node(ts)
+        return v
+
+    def norm(mask: int):
+        v = top_of[mask]
+        ts = [(table(top_of, mask) if v is None else v, 0)]
+        tail = mask
+        while tail & (tail - 1):  # a family needs two labels
+            low = tail & -tail
+            n = sup[low.bit_length() - 1]
+            k = (n + 1) ** n if n < 5 else s  # from n = 5 on, (n+1)^n exceeds any cap
+            ts.append((half(part(tail, k)), 0))
+            if k >= tail.bit_count():
+                break
+            tail ^= low
+        v = norm_of[mask] = node(ts)
+        return v
+
+    full, n = (1 << s) - 1, sup[0]
+    if n < 5 and (n + 1) ** n < s:  # the first threshold binds
+        for mask in _submasks(full):
+            if norm_of[mask] is None:
+                norm(mask)
+    elif s > 1:
+        norm(full)
+    root = norm_of[full]
+    del table, part, norm  # empty the closures' cells: the memo tables go by refcount
+    return root
+
+
+def _submasks(mask: int) -> list[int]:
+    """The nonempty submasks of ``mask`` in increasing order, so each
+    follows its own submasks."""
+    subs = [0]
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        subs += [m | low for m in subs]
+    return subs[1:]
 
 
 def _half(v: int) -> int:
@@ -689,14 +748,11 @@ def _best(terms: list) -> int:
     return max(itertools.starmap(operator.add, terms))
 
 
-def _exhaustive_value(x: FinVec, max_support: int, successive: bool, engine: str) -> Rat:
-    """``_exhaustive`` evaluated on the scaled weights of ``x``."""
-    sup, w, scale = _scaled_weights(x)
-    if len(sup) > max_support:
-        raise SupportTooLarge(f"support {len(sup)} exceeds {engine} cap {max_support}")
-    if not sup:
-        return Fraction(0)
-    return Fraction(_exhaustive(sup, successive, w.__getitem__, _half, _best), scale)
+def _scaled_capped(x: FinVec, cap: int, engine: str) -> tuple[tuple[int, ...], list[int], int]:
+    """``_scaled_weights`` of ``x``, after checking its support against ``cap``."""
+    if len(x) > cap:
+        raise SupportTooLarge(f"support {len(x)} exceeds {engine} cap {cap}")
+    return _scaled_weights(x)
 
 
 def tsirelson_norm_bruteforce(x: FinVec, max_support: int = 12) -> Rat:
@@ -706,23 +762,29 @@ def tsirelson_norm_bruteforce(x: FinVec, max_support: int = 12) -> Rat:
     threshold n iff k >= 2 and min A_1 >= k + 1 (choose n between k and
     min A_1 - 1; bigger budgets only widen the search), so the threshold is
     eliminated and the recursion enumerates ordered part families directly
-    (``_exhaustive`` with successive parts).  Parts are grouped by their top
-    element, whose tail alone decides what may follow; the best norm of a
-    part with a given top is a max over every such subset, so nothing of
-    the interval DP is assumed.  Exponential and capped.
+    (``_all_subsets``).  Parts are grouped by their top element, whose tail
+    alone decides what may follow; the best norm of a part with a given top
+    is a max over every such subset, so nothing of the interval DP is
+    assumed.  Exponential and capped.
     """
-    return _exhaustive_value(x, max_support, True, "brute-force")
+    sup, w, scale = _scaled_capped(x, max_support, "brute-force")
+    return Fraction(_all_subsets(sup, w), scale) if sup else Fraction(0)
 
 
-def modified_norm(x: FinVec, max_support: int = MAX_MODIFIED_SUPPORT) -> Rat:
+def modified_norm(x: FinVec) -> Rat:
     """Exact value of the modified recursion with disjoint-set families.
 
     max( sup-norm, 1/2 * best over n >= 1 of partitions of support(x) n [n, oo)
     into at least 2 and at most min((n+1)^n, support size) disjoint nonempty
-    blocks ).  Blocks are arbitrary sets, so the engine enumerates set
-    partitions (``_exhaustive`` with covering blocks); capped support.
+    blocks ).  The norm is 1-unconditional, so splitting a block never lowers
+    a family's sum, and a threshold whose budget covers its tail gives half
+    the tail's sum.  Under the cap the budget binds only at n = 1 (2 blocks)
+    and at n = 2 (9 blocks, with >= 10 labels >= 2), and only there are
+    partitions searched (``_modified_rules`` on the scaled weights).  At
+    most ``MAX_MODIFIED_SUPPORT`` labels, checked before any table is built.
     """
-    return _exhaustive_value(x, max_support, False, "modified-norm")
+    sup, w, scale = _scaled_capped(x, MAX_MODIFIED_SUPPORT, "modified-norm")
+    return Fraction(_modified_rules(sup, w.__getitem__, _half, _best), scale) if sup else Fraction(0)
 
 
 # --------------------------------------------------------------------------
@@ -743,9 +805,9 @@ def t2_norm(x: FinVec) -> float:
     return float_sqrt(t2_norm_sq(x).value)
 
 
-def modified_t2_norm_sq(x: FinVec, max_support: int = MAX_MODIFIED_SUPPORT) -> Rat:
+def modified_t2_norm_sq(x: FinVec) -> Rat:
     """Squared norm of the 2-convexified modified space: modified_norm of (x_j^2)."""
-    return modified_norm(abs_square(x), max_support=max_support)
+    return modified_norm(abs_square(x))
 
 
 # --------------------------------------------------------------------------
@@ -757,18 +819,18 @@ def _modified_plan(sup: tuple[int, ...]) -> tuple:
     """``modified_norm``'s state graph for index labels ``sup``, compiled
     into levels of one value table.
 
-    ``_exhaustive`` hands over the recursion's states with table slots as
-    handles: the states and the terms each maxes over depend only on the
-    labels, and here the states are only numbered.  Slot 0 of the
-    table holds 0, slots 1..s the weights, and every other slot one state:
-    the max over its terms of table[a] + table[b] (a partition: a block's
-    norm plus the rest; a norm: a weight or the half of a partition, plus
-    0), or the half of a partition slot that some norm reads.  Slots are
-    numbered by dependency level, so each level is one gather, one add and
-    one ``np.maximum.reduceat`` into a contiguous block, after which its halves
-    are written.  Returns (slots, cells per row, root slot, levels), each
-    level (lo, a, b, starts, halves).  At s = 12 a plan holds ~16k slots and
-    ~350k terms in 5.5 MiB.
+    ``_modified_rules`` hands over the recursion's states with table slots
+    as handles: the states and the terms each maxes over depend only on the
+    labels, and here the states are only numbered.  Slot 0 of the table
+    holds 0, slots 1..s the weights, and every other slot one state: the max
+    over its terms of table[a] + table[b] (a partition: a block's norm plus
+    the rest; a subset's sum or max; a norm: its max or the half of a
+    partition, plus 0), or the half of a slot that some norm reads.  Slots
+    are numbered by dependency level, so each level is one gather, one add
+    and one ``np.maximum.reduceat`` into a contiguous block, after which its
+    halves are written.  Returns (slots, cells per row, root slot, levels),
+    each level (lo, a, b, starts, halves).  At s = 12 from label 1 a plan
+    holds ~16k slots and ~196k terms in 3.1 MiB (22 levels).
     """
     s = len(sup)
     level = [0] * (s + 1)
@@ -787,7 +849,7 @@ def _modified_plan(sup: tuple[int, ...]) -> tuple:
             half_of[slot] = len(level) - 1
         return half_of[slot]
 
-    root = _exhaustive(sup, False, lambda p: 1 + p, half, node)
+    root = _modified_rules(sup, lambda p: 1 + p, half, node)
     # number the states by level, a level's nodes before its halves
     order = sorted(range(s + 1, len(level)),
                    key=lambda k: (level[k], isinstance(terms[k], int)))

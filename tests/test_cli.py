@@ -154,6 +154,21 @@ def test_norm_cert_out_without_a_certificate_exits_1(capsys, tmp_path, flags):
     assert not cert_path.exists()
 
 
+@pytest.mark.parametrize("flags", [["--space", "T", "--brute"], ["--space", "T2", "--brute"],
+                                   ["--space", "mod"], ["--space", "mod2"]])
+def test_norm_cert_out_is_refused_before_any_engine_runs(capsys, tmp_path, monkeypatch, flags):
+    # on 12 labels these engines take up to a second: the refusal comes first
+    for name in ("tsirelson_norm_bruteforce", "modified_norm", "modified_t2_norm_sq"):
+        monkeypatch.setattr(f"banach_gauge.cli.{name}",
+                            lambda *a, **k: pytest.fail("an engine ran before the refusal"))
+    vec = write_vec(tmp_path, "x.json", {j: 1 for j in range(1, 13)})
+    cert_path = tmp_path / "cert.json"
+    code, out = run(capsys, "norm", *flags, "--vec", vec, "--cert-out", str(cert_path))
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DomainError"
+    assert not cert_path.exists()
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["norm", "--space", "T"]) == 2  # missing --vec
     assert main(["--bogus"]) == 2

@@ -13,6 +13,7 @@ import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from banach_gauge import FinVec
@@ -31,9 +32,19 @@ from banach_gauge.tsirelson import (
 X = FinVec({3: Fraction(1, 2), 4: Fraction(-1), 5: Fraction(2), 7: Fraction(1, 3), 9: Fraction(1)})
 
 
+# from label 1 every subset is evaluated; ten labels from 2 make threshold 2 bind
+X1 = FinVec({1: Fraction(1, 2), 2: Fraction(-1), 3: Fraction(2), 5: Fraction(1, 3), 6: Fraction(1)})
+BINDING = FinVec({j: Fraction(j % 4 + 1, 2) for j in range(2, 12)})
+
+
 def compile_and_run_modified_plan():
     _modified_plan.cache_clear()  # so the measured call compiles the plan again
     modified_norm_batch([[0.5, 1.0, 2.0, 0.25, 1.0], [1.0, 0.0, 3.0, 1.0, 0.5]], [3, 4, 5, 7, 9])
+
+
+def compile_and_run_modified_plan_on(labels):
+    _modified_plan.cache_clear()
+    modified_norm_batch(np.arange(2 * len(labels)).reshape(2, -1) / 2, labels)
 
 
 def cyclic_garbage(call) -> int:
@@ -52,11 +63,16 @@ def cyclic_garbage(call) -> int:
     lambda: t2_norm_sq(X),
     lambda: tsirelson_norm_bruteforce(X),
     lambda: modified_norm(X),
+    lambda: modified_norm(X1),
+    lambda: modified_norm(BINDING),
     compile_and_run_modified_plan,
+    lambda: compile_and_run_modified_plan_on((1, 2, 4, 5, 7)),
+    lambda: compile_and_run_modified_plan_on(tuple(range(2, 12))),
     lambda: norming_functional(tsirelson_norm(X).certificate),
     lambda: ackermann_g(3, 2),
     lambda: ackermann_g(4, 2),  # exceeds the cap: leaves by an exception
-], ids=["tsirelson_norm", "t2_norm_sq", "bruteforce", "modified_norm", "modified_plan",
+], ids=["tsirelson_norm", "t2_norm_sq", "bruteforce", "modified_norm", "modified_norm-from-1",
+        "modified_norm-binding", "modified_plan", "modified_plan-from-1", "modified_plan-binding",
         "norming_functional", "ackermann_g", "ackermann_g-exceeds-cap"])
 def test_engines_leave_no_cycles(call):
     assert cyclic_garbage(call) == 0

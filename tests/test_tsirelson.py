@@ -113,20 +113,21 @@ def _plan_digest(sup: tuple[int, ...]) -> str:
 
 @pytest.mark.parametrize("sup, digest", [
     ((1,), "17c9a753cf579efa"),
-    ((1, 2), "cddb439a6c107cec"),
-    ((1, 2, 3), "dfeda1375a808338"),
-    ((1, 2, 3, 4), "6fe19f2017b82f20"),
-    ((1, 2, 3, 4, 5), "b84daca8f3335c2a"),
-    ((1, 2, 3, 4, 5, 6), "84c6ac09c3cac4b7"),
-    ((1, 2, 3, 4, 5, 6, 7), "b72cfcf09e555a1c"),
-    ((1, 2, 3, 4, 5, 6, 7, 8), "f3f673a969f3471e"),
-    ((1, 2, 3, 4, 5, 6, 7, 8, 9), "ef5b2b05e6087c0c"),
-    ((3, 4, 5, 6, 7, 8, 9, 10), "acf70b704e083c48"),
-    ((2, 4, 5, 9, 11, 12, 20), "a1ce2a02fcda080c"),
+    ((1, 2), "4f4fe291b87b6f57"),
+    ((1, 2, 3), "0bc5a831025589b0"),
+    ((1, 2, 3, 4), "a4f4fc468b891541"),
+    ((1, 2, 3, 4, 5), "b4e68f82fd94c83d"),
+    ((1, 2, 3, 4, 5, 6), "2048b25ea132ce1d"),
+    ((1, 2, 3, 4, 5, 6, 7), "3c05843dc03cc7bc"),
+    ((1, 2, 3, 4, 5, 6, 7, 8), "1385929c9a8fce43"),
+    ((1, 2, 3, 4, 5, 6, 7, 8, 9), "94d5b94a61835302"),
+    ((3, 4, 5, 6, 7, 8, 9, 10), "3ba94f50192846d0"),
+    ((2, 4, 5, 9, 11, 12, 20), "7f853ad98d982edc"),
+    ((2, 3, 4, 5, 6, 7, 8, 9, 10, 11), "5b8e8ac143ee5490"),
 ])
 def test_modified_plan_arrays_pinned(sup, digest):
-    # the covering policy shares _exhaustive with the brute oracle: its
-    # compiled state graph (slot numbering, terms, levels) stays as it was
+    # _modified_rules is stated once for values and slots: the compiled state
+    # graph (slot numbering, terms, levels) changes only with the rules
     assert _plan_digest(sup) == digest
 
 
@@ -283,6 +284,28 @@ def test_modified_examples():
     # the (n+1)^n budget first binds at n = 2: eleven ones from label 2 on
     # allow 9 blocks there, so ten singletons from label 3 win (not 11/2)
     assert modified_norm(FinVec({j: 1 for j in range(2, 13)})) == 5
+
+
+_SPARSE_FROM_2 = FinVec({2: Fraction(5, 2), 3: 1, 5: Fraction(-7, 3), 8: 4, 9: Fraction(1, 2),
+                         13: 3, 17: Fraction(-9, 4), 21: 2, 30: Fraction(5, 3), 31: 6,
+                         40: Fraction(-1, 4), 55: Fraction(7, 2)})
+
+
+@pytest.mark.parametrize("x, expected", [
+    (_rational_vec(11, 1), Fraction(127, 8)),
+    (_rational_vec(11, 2), Fraction(73, 6)),
+    (_rational_vec(12, 1), Fraction(11)),
+    (_rational_vec(12, 2), Fraction(73, 8)),
+    # twelve labels >= 2: the nine-block budget at threshold 2 binds
+    (_SPARSE_FROM_2, Fraction(655, 48)),
+    # the best nine blocks at threshold 2 put {3, 4, 5, 6} in one block
+    # (blocks of at most 3 labels reach only 133/4)
+    (FinVec({2: 9, **{j: 1 for j in range(3, 7)}, **{j: 8 for j in range(7, 14)}}),
+     Fraction(67, 2)),
+], ids=["s11-at1", "s11-at2", "s12-at1", "s12-at2", "sparse12-at2", "four-label-block"])
+def test_modified_values_where_the_budget_binds(x, expected):
+    # recorded from the set-partition recursion this engine replaced
+    assert modified_norm(x) == expected
 
 
 def test_modified_t2_examples():
@@ -480,6 +503,84 @@ def test_exhaustive_engines_match_their_definitions(entries):
     den = math.lcm(*(v.denominator for _, v in x.items()))
     nums, scale = modified_norm_batch_exact([[int(abs(x[j]) * den) for j in labels]], labels)
     assert Fraction(nums[0], scale * den) == mod
+
+
+def _covering_reference(x: FinVec) -> Fraction:
+    """``modified_norm`` by the set-partition recursion: at every threshold
+    n that is a label, every partition of the labels >= n into 2 ..
+    min((n+1)^n, labels) blocks, one term per block holding the lowest
+    label.  Memoized on bitmasks of label positions; slow past ~10 labels.
+    It searches every budget, binding or not, so it shares nothing with the
+    subadditivity argument of ``_modified_rules``."""
+    labels = x.support()
+    w = [abs(x[j]) for j in labels]
+
+    @functools.cache
+    def norm(mask: int) -> Fraction:
+        ps = [p for p in range(len(labels)) if mask >> p & 1]
+        best = max(w[p] for p in ps)
+        for p in ps:
+            tail = mask >> p << p  # positions >= p
+            n, cnt = labels[p], tail.bit_count()
+            t = cnt if n >= 5 else min((n + 1) ** n, cnt)
+            if t >= 2:
+                best = max(best, family(tail, t, 2) / 2)
+        return best
+
+    @functools.cache
+    def family(mask: int, t: int, need: int) -> Fraction:
+        # blocks covering mask, at most t of them and at least need
+        low = mask & -mask
+        rest = mask ^ low
+        best, sub = None, rest
+        while True:
+            block, tail = low | sub, rest ^ sub
+            if tail and t > 1:
+                b = family(tail, min(t - 1, tail.bit_count()), max(need - 1, 0))
+            else:
+                b = None if tail or need > 1 else Fraction(0)
+            if b is not None and (best is None or norm(block) + b > best):
+                best = norm(block) + b
+            if not sub:
+                return best
+            sub = (sub - 1) & rest
+
+    return norm((1 << len(labels)) - 1) if labels else Fraction(0)
+
+
+def _check_modified_engines(x: FinVec, expected: Fraction) -> None:
+    """modified_norm, the exact batch and the float batch all give ``expected``."""
+    assert modified_norm(x) == expected
+    labels = x.support()
+    den = math.lcm(*(v.denominator for _, v in x.items()))
+    row = [[int(abs(x[j]) * den) for j in labels]]
+    nums, scale = modified_norm_batch_exact(row, labels)
+    assert Fraction(nums[0], scale * den) == expected
+    assert modified_norm_batch(np.array(row, dtype=float), labels)[0] / den == pytest.approx(
+        float(expected), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("offset", [1, 2, 3, 5])
+@settings(max_examples=25, deadline=None)
+@given(gaps=st.sets(st.integers(1, 9), max_size=6), data=st.data())
+def test_modified_engines_match_the_covering_reference(offset, gaps, data):
+    # the offset decides which budgets can bind: from label 1 every set
+    # holding it is split in two at n = 1
+    labels = [offset, *(offset + g for g in sorted(gaps))]
+    x = FinVec(dict(zip(labels, data.draw(st.lists(_entries, min_size=len(labels),
+                                                  max_size=len(labels))))))
+    _check_modified_engines(x, _covering_reference(x))
+
+
+@pytest.mark.parametrize("x", [
+    _rational_vec(10, 1),
+    _rational_vec(10, 2),  # ten labels >= 2: nine blocks at threshold 2
+    FinVec({2: 9, **{j: 1 for j in range(3, 7)}, 7: 8, 8: 8, 9: 8, 10: 8, 11: 8}),
+    FinVec({1: 3, 2: Fraction(5, 2), 4: 1, 5: Fraction(-7, 3), 8: 4, 9: Fraction(1, 2),
+            13: 3, 17: Fraction(-9, 4), 21: 2, 30: Fraction(5, 3)}),
+], ids=["s10-at1", "s10-at2", "light-middle-at2", "sparse10-at1"])
+def test_modified_engines_match_the_covering_reference_at_ten_labels(x):
+    _check_modified_engines(x, _covering_reference(x))
 
 
 def _within_sum_of_roots(a: Fraction, b: Fraction, c: Fraction) -> bool:
