@@ -13,7 +13,7 @@ Every converged witness then yields an exact cotype ratio in the
 
 from banach_gauge import (
     SpaceOracle,
-    cotype_certificate_from_witness,
+    cotype_certificate,
     diagonal_sqrt_family,
     flatness,
     rademacher_ratio,
@@ -25,30 +25,30 @@ print("  N   theta*      rounds  pool  witness")
 witnesses = {}
 for N in range(3, 9):
     res = search_flat(N)
-    witnesses[N] = res.witness
+    witnesses[N] = res.x
     flag = "converged" if res.converged else "round-capped"
-    print(f"  {N}   {str(res.witness.theta):9s}  {res.rounds:4d}  {len(res.pool):4d}"
-          f"  {res.witness.x}  ({flag})")
+    print(f"  {N}   {str(res.theta):9s}  {res.rounds:4d}  {len(res.pool):4d}"
+          f"  {res.x}  ({flag})")
 
 print()
 print("=== from witness to certified distortion bound ===")
 print("  N   cotype ratio   c2 lower   claimed-at-scale")
-for N, w in witnesses.items():
-    cert = cotype_certificate_from_witness(w)
+for N, x in witnesses.items():
+    cert = cotype_certificate(x, N)
     claimed = f"{cert.claimed_c2_lower:.3f}" if cert.claimed_c2_lower else "-"
     print(f"  {N}   {str(cert.ratio):11s}  {cert.c2_lower:9.4f}   {claimed}")
 
 print()
 print("=== cross-check: the generic sign enumeration gives the same ratio ===")
 for N in (4, 8):
-    w = witnesses[N]
-    fam = diagonal_sqrt_family(SpaceOracle.t2_span(N), w.x)
+    x = witnesses[N]
+    fam = diagonal_sqrt_family(SpaceOracle.t2_span(N), x)
     est = rademacher_ratio(fam, "cotype")
-    cert = cotype_certificate_from_witness(w)
+    cert = cotype_certificate(x, N)
     print(f"  N={N}: flat-search ratio {cert.ratio}  == sign-enumeration {est.exact}")
 
 print()
 print("=== flatness is scale-free ===")
-w = witnesses[4]
-print(f"  theta({w.x}) = {flatness(w.x)}")
-print(f"  theta(6 * witness) = {flatness(6 * w.x)}")
+x = witnesses[4]
+print(f"  theta({x}) = {flatness(x)}")
+print(f"  theta(6 * witness) = {flatness(6 * x)}")

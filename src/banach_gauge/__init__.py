@@ -30,8 +30,7 @@ from .errors import (
 from .flatsearch import (
     CotypeCertificate,
     FlatSearchResult,
-    FlatWitness,
-    cotype_certificate_from_witness,
+    cotype_certificate,
     flatness,
     search_flat,
 )

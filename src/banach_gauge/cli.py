@@ -18,6 +18,7 @@ import argparse
 import bisect
 import contextlib
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -34,8 +35,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .errors import BanachGaugeError, DomainError
-from .flatsearch import FlatWitness, cotype_certificate_from_witness, flatness, search_flat
+from .errors import BanachGaugeError, DomainError, SupportTooLarge
+from .flatsearch import cotype_certificate, search_flat
 from .gauss import (
     SpaceOracle,
     VectorFamily,
@@ -45,6 +46,7 @@ from .gauss import (
 )
 from .growth import ackermann_g, alpha, alpha_diag, delta_bound, log_star
 from .jl import (
+    MechanismTrial,
     WalshEnsemble,
     jl_embed,
     jl_mechanism_experiment,
@@ -52,8 +54,10 @@ from .jl import (
     walsh_pointset,
 )
 from .seeds import derive_seed
-from .seqvec import FinVec, float_sqrt
+from .seqvec import FinVec, abs_square, float_sqrt
 from .tsirelson import (
+    MAX_DP_SUPPORT,
+    MAX_MODIFIED_SUPPORT,
     certificate_to_json,
     modified_norm,
     modified_t2_norm_sq,
@@ -61,8 +65,6 @@ from .tsirelson import (
     tsirelson_norm,
     tsirelson_norm_bruteforce,
 )
-
-SEEDED_COMMANDS = {"ratio", "jl-embed", "jl-mechanism", "walsh", "compare-norms"}
 
 
 # --------------------------------------------------------------------------
@@ -244,42 +246,31 @@ def _float_only(handler):
 
 
 def cmd_norm(args) -> Output:
-    space = args.space
-    if args.cert_out and (args.brute or space not in ("T", "T2")):
+    squared = args.space.endswith("2")  # T2 and mod2 are T and mod on the squares
+    exhaustive = args.space.startswith("mod")
+    if args.cert_out and (args.brute or exhaustive):
         raise DomainError("certificates are only produced by the T/T2 interval engine")
     x = _load_finvec(args.vec)
-    payload: dict = {"space": space}
+    if squared:
+        x = abs_square(x)
+    payload: dict = {"space": args.space}
     cert = None
-    if space == "T":
-        if args.brute:
-            payload["value"] = tsirelson_norm_bruteforce(x)
-            payload["engine"] = "bruteforce"
-        else:
-            res = tsirelson_norm(x)
-            payload["value"] = res.value
+    if exhaustive:
+        value, payload["engine"] = modified_norm(x), "exhaustive"
+    elif args.brute:
+        value, payload["engine"] = tsirelson_norm_bruteforce(x), "bruteforce"
+    else:
+        res = tsirelson_norm(x)
+        value, cert = res.value, res.certificate
+        if not squared:
             payload["stats"] = {
                 "memo_entries": res.stats.memo_entries,
                 "expansions": res.stats.expansions,
             }
-            cert = res.certificate
-    elif space == "T2":
-        if args.brute:
-            from .seqvec import abs_square
-
-            payload["value_sq"] = tsirelson_norm_bruteforce(abs_square(x))
-            payload["engine"] = "bruteforce"
-        else:
-            res = t2_norm_sq(x)
-            payload["value_sq"] = res.value
-            cert = res.certificate
-        payload["value"] = float_sqrt(payload["value_sq"])
-    elif space == "mod":
-        payload["value"] = modified_norm(x)
-        payload["engine"] = "exhaustive"
-    elif space == "mod2":
-        payload["value_sq"] = modified_t2_norm_sq(x)
-        payload["value"] = float_sqrt(payload["value_sq"])
-        payload["engine"] = "exhaustive"
+    if squared:
+        payload["value_sq"], payload["value"] = value, float_sqrt(value)
+    else:
+        payload["value"] = value
     if args.cert_out:
         with open(args.cert_out, "w", encoding="utf-8") as fh:
             fh.write(render_json(certificate_to_json(cert)) + "\n")
@@ -337,16 +328,12 @@ def cmd_jl_embed(args) -> Output:
     lmap, rep = jl_embed(pts, args.eps, constant=args.constant, seed=args.seed,
                          max_retries=args.retries)
     payload = {
+        **dataclasses.asdict(rep),
         "n": len(pts),
         "source_dim": int(pts.shape[1]),
         "target_dim": lmap.target_dim,
         "eps": args.eps,
         "constant": args.constant,
-        "distortion": rep.distortion,
-        "min_ratio": rep.min_ratio,
-        "max_ratio": rep.max_ratio,
-        "argmin": list(rep.argmin),
-        "argmax": list(rep.argmax),
         "map_scale": lmap.scale,
     }
     return Output(payload=payload)
@@ -381,24 +368,10 @@ def cmd_jl_mechanism(args) -> Output:
         seed=args.seed,
         trials=args.trials,
     )
-    trial_rows = [
-        {
-            "trial": t.trial,
-            "lhs": t.lhs,
-            "rhs": t.rhs,
-            "ratio": t.ratio,
-            "d_composite": t.d_composite,
-            "d_jl": t.d_jl,
-            "delta_proxy": t.delta_proxy,
-            "target_dim": t.target_dim,
-            "point_count": t.point_count,
-        }
-        for t in rep.trials
-    ]
+    trial_rows = [dataclasses.asdict(t) for t in rep.trials]
     if args.csv:
-        header = ["trial", "lhs", "rhs", "ratio", "d_composite", "d_jl",
-                  "delta_proxy", "target_dim", "point_count"]
-        return Output(csv=(header, [[r[h] for h in header] for r in trial_rows]))
+        header = [f.name for f in dataclasses.fields(MechanismTrial)]
+        return Output(csv=(header, [list(r.values()) for r in trial_rows]))
     payload = {
         "space": args.space,
         "m": rep.m,
@@ -444,31 +417,22 @@ def cmd_flat_search(args) -> Output:
     res = search_flat(args.N, max_rounds=args.rounds)
     payload = {
         "N": args.N,
-        "witness": res.witness.x.to_json(),
-        "theta": res.witness.theta,
+        "witness": res.x.to_json(),
+        "theta": res.theta,
         "lp_rounds": res.rounds,
         "lp_value": res.lp_value,
         "converged": res.converged,
         "pool_size": len(res.pool),
-        "certificate": certificate_to_json(res.witness.certificate),
+        "certificate": certificate_to_json(res.certificate),
     }
     return Output(payload=payload)
 
 
 def cmd_cotype_cert(args) -> Output:
-    x = _load_finvec(args.witness)
-    if not x:
-        raise DomainError("witness vector is zero")
-    N = args.N if args.N is not None else max(x.support())
-    if N < max(x.support()):
-        raise DomainError(f"span bound N={N} does not contain the witness support")
-    theta = flatness(x)
-    cert = tsirelson_norm(x).certificate
-    witness = FlatWitness(x, N, theta, cert)
-    cc = cotype_certificate_from_witness(witness)
+    cc = cotype_certificate(_load_finvec(args.witness), args.N)
     payload = {
         "n": cc.N,
-        "theta": theta,
+        "theta": cc.theta,
         "ratio": cc.ratio,
         "c2_lower": cc.c2_lower,
         "paper_claimed": cc.claimed_c2_lower,
@@ -492,6 +456,11 @@ def cmd_compare_norms(args) -> Output:
         vecs = []
         for _ in range(args.count):
             size = rng.randint(1, args.max_support)
+            # refuse a support that t2, then mod2, would refuse, before it is drawn
+            for cap, engine in ((MAX_DP_SUPPORT, "interval-DP"),
+                                (MAX_MODIFIED_SUPPORT, "modified-norm")):
+                if size > cap:
+                    raise SupportTooLarge(f"support {size} exceeds {engine} cap {cap}")
             support = rng.sample(range(1, args.max_support + 1), size)
             vecs.append(FinVec({j: rng.choice(_COMPARE_VALUES) for j in support}))
     for v in vecs:
@@ -540,14 +509,14 @@ def cmd_sweep(args) -> Output:
         argv = [command]
         for k, v in params.items():
             argv += [f"--{k}", str(v)]
-        if command in SEEDED_COMMANDS and "seed" not in params:
-            argv += ["--seed", str(derive_seed(root_seed, command, idx))]
         cell_params = dict(zip(keys, cell))
         try:
             # argparse writes usage errors to stderr, and a --help key's text to stdout
             sink = io.StringIO()
             with contextlib.redirect_stderr(sink), contextlib.redirect_stdout(sink):
                 ns = build_parser().parse_args(argv)
+            if hasattr(ns, "seed") and "seed" not in params:
+                ns.seed = derive_seed(root_seed, command, idx)
             out = HANDLERS[command](ns)
             flat: dict = {}
             if out.payload is not None:
@@ -711,7 +680,7 @@ def main(argv=None) -> int:
         sys.stdout.write(_csv_text(*out.csv))
     else:
         payload = out.payload or {}
-        if args.command not in SEEDED_COMMANDS:
+        if not hasattr(args, "seed"):
             print(render_json(payload))
             return 0
         # the payload is rendered once: its items give the digest, and the
@@ -720,7 +689,7 @@ def main(argv=None) -> int:
         manifest = {
             "command": args.command,
             "argv": argv,
-            "seed": getattr(args, "seed", None),
+            "seed": args.seed,
             "version": __version__,
             "wall_time_s": time.monotonic() - start,
             "output_digest": hashlib.sha256(_braced(items).encode()).hexdigest(),

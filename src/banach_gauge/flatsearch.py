@@ -31,18 +31,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadSupportBound, DomainError, NegativeEntry, ZeroTail
-from .growth import ackermann_g
+from .growth import ackermann_g, alpha
 from .seqvec import FinVec, Rat
 from .simplex import solve_lp
 from .tsirelson import NormCertificate, norming_functional, tsirelson_norm
 
 __all__ = [
-    "FlatWitness",
     "CotypeCertificate",
     "FlatSearchResult",
     "flatness",
     "search_flat",
-    "cotype_certificate_from_witness",
+    "cotype_certificate",
 ]
 
 MIN_SUPPORT_BOUND = 3
@@ -50,18 +49,12 @@ MAX_SUPPORT_BOUND = 16
 
 
 @dataclass(frozen=True)
-class FlatWitness:
-    """Nonnegative vector with its flatness ratio and a norm certificate."""
+class FlatSearchResult:
+    """The flattest vector found, its flatness ratio and a norm certificate."""
 
     x: FinVec
-    N: int
     theta: Rat
     certificate: NormCertificate
-
-
-@dataclass(frozen=True)
-class FlatSearchResult:
-    witness: FlatWitness
     rounds: int
     lp_value: Rat
     converged: bool
@@ -71,34 +64,34 @@ class FlatSearchResult:
 @dataclass(frozen=True)
 class CotypeCertificate:
     """Exact cotype ratio of the diagonal family {sqrt(x_j) e_j} in the
-    2-convexified span of e_1..e_N.
+    2-convexified span of e_1..e_N, with the witness's flatness ``theta``.
 
-    ``witness_sq`` holds the squares x_j (the conceptual family entries are
-    their square roots, which are irrational in general).  ``claimed_c2_lower``
-    carries the construction's asserted 2^k/k figure when N = g_k(2); it is
-    not certified by this computation.
+    ``claimed_c2_lower`` carries the construction's asserted 2^k/k figure
+    when N = g_k(2); it is not certified by this computation.
     """
 
     N: int
-    witness_sq: FinVec
+    theta: Rat
     ratio: Rat
     c2_lower: float
     claimed_c2_lower: float | None
     claimed_note: str
 
 
-def _tail_sum(x: FinVec) -> Rat:
-    return sum((v for j, v in x.items() if j >= 3), Fraction(0))
+def _tail(x: FinVec) -> Rat:
+    """sum_{j>=3} x_j, after checking that x >= 0 and that the sum is nonzero."""
+    for j, v in x.items():
+        if v < 0:
+            raise NegativeEntry(f"entry {j} is {v} < 0")
+    tail = sum((v for j, v in x.items() if j >= 3), Fraction(0))
+    if tail == 0:
+        raise ZeroTail("sum of entries at indices >= 3 is zero")
+    return tail
 
 
 def flatness(x: FinVec) -> Rat:
     """theta(x) = ||x||_T / sum_{j>=3} x_j for nonnegative x."""
-    for j, v in x.items():
-        if v < 0:
-            raise NegativeEntry(f"entry {j} is {v} < 0")
-    tail = _tail_sum(x)
-    if tail == 0:
-        raise ZeroTail("sum of entries at indices >= 3 is zero")
+    tail = _tail(x)
     return tsirelson_norm(x).value / tail
 
 
@@ -134,44 +127,42 @@ def search_flat(N: int, max_rounds: int = 200) -> FlatSearchResult:
         pool.append(norming_functional(nr.certificate))
 
     x_best, norm_best, cert_best = incumbent
-    theta = norm_best / _tail_sum(x_best)
-    witness = FlatWitness(x_best, N, theta, cert_best)
-    return FlatSearchResult(witness, rounds, lp_value, converged, tuple(pool))
+    theta = norm_best / _tail(x_best)
+    return FlatSearchResult(x_best, theta, cert_best, rounds, lp_value, converged, tuple(pool))
 
 
 def _claimed_bound(n: int) -> tuple[float | None, str]:
-    """2^k/k when n equals g_k(2) for some k >= 1."""
-    k = 1
-    while True:
-        g = ackermann_g(k, 2, cap=max(n, 2))
-        if g.exceeded or g.value > n:
-            return None, ""
-        if g.value == n:
-            return 2.0**k / k, "claimed by the flat-vector construction at scale k=%d; not certified here" % k
-        k += 1
+    """2^k/k when n equals g_k(2) for some k >= 1: k is then alpha(n)."""
+    k = alpha(n)
+    if k >= 1 and ackermann_g(k, 2, cap=max(n, 2)).value == n:
+        return 2.0**k / k, "claimed by the flat-vector construction at scale k=%d; not certified here" % k
+    return None, ""
 
 
-def cotype_certificate_from_witness(witness: FlatWitness) -> CotypeCertificate:
-    """Exact cotype ratio of the family {sqrt(x_j) e_j} in the 2-convexified span.
+def cotype_certificate(x: FinVec, N: int | None = None) -> CotypeCertificate:
+    """Flatness and exact cotype ratio of a witness x >= 0 in the span of
+    e_1..e_N (N defaults to the top of x's support), from one norm evaluation.
 
-    Unconditionality makes every sign pattern of the family sum have squared
-    norm ||sum_j x_j e_j||_T, so the sign average is exact:
+    Unconditionality makes every sign pattern of the family {sqrt(x_j) e_j}
+    have squared 2-convexified norm ||sum_j x_j e_j||_T, so the sign average
+    is exact:
 
         ratio = (sum_j x_j) / ||x||_T,       c2 >= sqrt(ratio).
     """
-    x = witness.x
-    for j, v in x.items():
-        if v < 0:
-            raise NegativeEntry(f"entry {j} is {v} < 0")
-    total = sum((v for _, v in x.items()), Fraction(0))
-    denom = tsirelson_norm(x).value
-    if denom == 0:
-        raise ZeroTail("zero witness has no cotype content")
-    ratio = total / denom
-    claimed, note = _claimed_bound(witness.N)
+    if not x:
+        raise DomainError("witness vector is zero")
+    top = max(x.support())
+    if N is None:
+        N = top
+    elif N < top:
+        raise DomainError(f"span bound N={N} does not contain the witness support")
+    tail = _tail(x)
+    norm = tsirelson_norm(x).value
+    ratio = sum((v for _, v in x.items()), Fraction(0)) / norm
+    claimed, note = _claimed_bound(N)
     return CotypeCertificate(
-        N=witness.N,
-        witness_sq=x,
+        N=N,
+        theta=norm / tail,
         ratio=ratio,
         c2_lower=math.sqrt(float(ratio)),
         claimed_c2_lower=claimed,

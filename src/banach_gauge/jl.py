@@ -221,9 +221,8 @@ def _scan(src: np.ndarray, tgt: np.ndarray) -> DistortionReport:
 
 
 def distortion_of_map(points: PointSet, lmap: LinearMap,
-                      source_norm: SpaceOracle | None = None,
-                      target_norm: SpaceOracle | None = None) -> DistortionReport:
-    """Exact pairwise ratio extremes || L x_i - L x_j ||_target / || x_i - x_j ||_source.
+                      source_norm: SpaceOracle | None = None) -> DistortionReport:
+    """Exact pairwise ratio extremes || L x_i - L x_j ||_2 / || x_i - x_j ||_source.
 
     Duplicate points (zero in both norms) are skipped; a pair at source
     distance 0 with positive target distance raises RatioUndefined.
@@ -231,7 +230,7 @@ def distortion_of_map(points: PointSet, lmap: LinearMap,
     pts = points.points
     if len(pts) < 2:
         raise AllPointsCoincide("need at least two points")
-    return _scan(_pair_dists(pts, source_norm), _pair_dists(lmap.apply(pts), target_norm))
+    return _scan(_pair_dists(pts, source_norm), _euclidean_dists(lmap.apply(pts)))
 
 
 def jl_embed(points: PointSet | np.ndarray, eps: float, constant: float = 8.0,
@@ -267,7 +266,9 @@ def _embed(points, eps: float, constant: float, seed: int,
         raise AllPointsCoincide("need at least two points")
     if source_dim < 1:
         raise DomainError("points need at least one coordinate")
-    d = min(max(1, math.ceil(constant * math.log(n) / eps**2)), source_dim)
+    # a quotient past the float range, or over eps**2 = 0, is at least the source dimension
+    q = constant * math.log(n) / eps**2 if eps**2 else math.inf
+    d = math.ceil(q) if q < source_dim else source_dim
     src = _euclidean_dists(pts)
     rng = seeded_rng(seed)
     best: tuple[float, LinearMap, DistortionReport] | None = None

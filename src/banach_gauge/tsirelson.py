@@ -566,8 +566,10 @@ def tsirelson_norm_batch_exact(weights, indices: Sequence[int]) -> tuple[list[in
 # Exhaustive bitmask recursions: the all-subsets oracle and the modified norm
 # --------------------------------------------------------------------------
 
-#: Support cap of ``modified_norm`` and of its batches.
+#: Support caps of ``modified_norm`` (and of its batches) and of
+#: ``tsirelson_norm_bruteforce``.
 MAX_MODIFIED_SUPPORT = 12
+MAX_BRUTE_SUPPORT = 12
 
 
 def _all_subsets(sup: tuple[int, ...], w: list[int]) -> int:
@@ -755,7 +757,7 @@ def _scaled_capped(x: FinVec, cap: int, engine: str) -> tuple[tuple[int, ...], l
     return _scaled_weights(x)
 
 
-def tsirelson_norm_bruteforce(x: FinVec, max_support: int = 12) -> Rat:
+def tsirelson_norm_bruteforce(x: FinVec) -> Rat:
     """||x||_T by exhaustive recursion over all admissible subset families.
 
     A family A_1 < ... < A_k of arbitrary finite sets is admissible for some
@@ -765,9 +767,9 @@ def tsirelson_norm_bruteforce(x: FinVec, max_support: int = 12) -> Rat:
     (``_all_subsets``).  Parts are grouped by their top element, whose tail
     alone decides what may follow; the best norm of a part with a given top
     is a max over every such subset, so nothing of the interval DP is
-    assumed.  Exponential and capped.
+    assumed.  Exponential: at most ``MAX_BRUTE_SUPPORT`` labels.
     """
-    sup, w, scale = _scaled_capped(x, max_support, "brute-force")
+    sup, w, scale = _scaled_capped(x, MAX_BRUTE_SUPPORT, "brute-force")
     return Fraction(_all_subsets(sup, w), scale) if sup else Fraction(0)
 
 

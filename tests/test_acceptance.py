@@ -21,7 +21,7 @@ from banach_gauge import (
     alpha,
     alpha_diag,
     caratheodory_reduce,
-    cotype_certificate_from_witness,
+    cotype_certificate,
     delta_bound,
     diagonal_sqrt_family,
     flm_reduce,
@@ -86,9 +86,9 @@ def test_c02_sandwich_and_unit_vectors():
 def test_c03_flat_search_smallest_scale():
     res = search_flat(4)
     assert res.converged
-    assert res.witness.theta == F(1, 2)
-    assert res.witness.x.support() == (3, 4)
-    cert = cotype_certificate_from_witness(res.witness)
+    assert res.theta == F(1, 2)
+    assert res.x.support() == (3, 4)
+    cert = cotype_certificate(res.x, 4)
     assert cert.ratio == 2
     assert cert.c2_lower == math.sqrt(2.0)
     _report("C03", "theta*(4) = 1/2 on {3,4}; ratio 2 exact; c2 >= sqrt(2)")
@@ -102,8 +102,8 @@ def test_c04_flat_search_range_and_pool_validity():
     for N in range(3, 9):
         res = search_flat(N, max_rounds=200)
         assert res.converged, f"N={N} not converged in 200 rounds"
-        assert res.lp_value == tsirelson_norm(res.witness.x).value
-        thetas.append(res.witness.theta)
+        assert res.lp_value == tsirelson_norm(res.x).value
+        thetas.append(res.theta)
         for lam in res.pool:
             for z, nz in zip(zs, z_norms):
                 pairing = sum((lam[j] * abs(z[j]) for j in z.support()), F(0))
@@ -252,9 +252,9 @@ def test_c11_delta_bound_calculator():
 def test_c12_cotype_certificate_cross_check():
     for N in range(3, 9):
         res = search_flat(N)
-        cert = cotype_certificate_from_witness(res.witness)
+        cert = cotype_certificate(res.x, N)
         space = SpaceOracle.t2_span(N)
-        fam = diagonal_sqrt_family(space, res.witness.x)
+        fam = diagonal_sqrt_family(space, res.x)
         est = rademacher_ratio(fam, "cotype")
         assert est.exact is not None, f"N={N}: sign enumeration lost exactness"
         assert est.exact == cert.ratio, f"N={N}: {est.exact} != {cert.ratio}"

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import banach_gauge
-from banach_gauge.cli import SEEDED_COMMANDS, build_parser, main, render_json
+from banach_gauge.cli import build_parser, main, render_json
 
 F = Fraction
 
@@ -293,9 +294,15 @@ _SEEDED_ARGV = {
 }
 
 
+def _seeded_commands() -> set[str]:
+    """The subcommands that take --seed, and so print a run manifest."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name for name, p in sub.choices.items() if any(a.dest == "seed" for a in p._actions)}
+
+
 @pytest.mark.parametrize("command", sorted(_SEEDED_ARGV))
 def test_output_digest_is_the_digest_of_the_printed_payload(capsys, tmp_path, command):
-    assert set(_SEEDED_ARGV) == SEEDED_COMMANDS
+    assert set(_SEEDED_ARGV) == _seeded_commands()
     if command == "compare-norms":
         path = write_vec(tmp_path, "x.json", {3: F(1, 2), 4: -1, 7: F(2, 3)})
     else:
@@ -551,6 +558,38 @@ def test_flat_search_and_cotype_cert(capsys, tmp_path):
     assert cert["paper_claimed"] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("entries,N,kind,message", [
+    ({}, None, "DomainError", "witness vector is zero"),
+    ({3: 1, 5: 1}, "4", "DomainError", "span bound N=4 does not contain the witness support"),
+    ({3: -1, 9: 1}, "4", "DomainError", "span bound N=4 does not contain the witness support"),
+    ({3: 1, 4: F(-1, 2)}, None, "NegativeEntry", "entry 4 is -1/2 < 0"),
+    ({1: -1, 2: 3}, None, "NegativeEntry", "entry 1 is -1 < 0"),
+    ({1: 1, 2: 3}, None, "ZeroTail", "sum of entries at indices >= 3 is zero"),
+])
+def test_cotype_cert_rejections(capsys, tmp_path, entries, N, kind, message):
+    path = write_vec(tmp_path, "w.json", entries)
+    code, out = run(capsys, "cotype-cert", "--witness", path, *(["--N", N] if N else []))
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": kind, "message": message}
+
+
+def test_cotype_cert_evaluates_the_norm_once(capsys, tmp_path, monkeypatch):
+    real = banach_gauge.tsirelson.tsirelson_norm
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("banach_gauge") and getattr(module, "tsirelson_norm", None) is real:
+            monkeypatch.setattr(module, "tsirelson_norm", counted)
+    path = write_vec(tmp_path, "w.json", {3: F(1, 3), 5: F(1, 3), 6: F(1, 3)})
+    code, _ = run(capsys, "cotype-cert", "--witness", path, "--N", "8")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_compare_norms(capsys):
     code, out = run(capsys, "compare-norms", "--count", "5", "--max-support", "4",
                     "--seed", "3")
@@ -562,6 +601,22 @@ def test_compare_norms(capsys):
         # base-space families are a subset of the modified ones, so the
         # squared values can only drop when switching to the modified norm
         assert Fraction(row["mod2_sq"]) >= Fraction(row["t2_sq"])
+
+
+def test_compare_norms_refuses_an_oversize_support_before_drawing_it(capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out = run(capsys, "compare-norms", "--count", "1", "--max-support", "1000000",
+                        "--seed", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "SupportTooLarge",
+                                        "message": "support 140892 exceeds interval-DP cap 200"}
+    assert peak < 4 << 20
 
 
 def test_compare_norms_csv_matches_json(capsys):

@@ -81,11 +81,15 @@ def _bad_flags(rows: str, witness: str) -> list[list[str]]:
         ["jl-embed", "--points", rows, "--eps", "0.5", "--retries", "0"],
         ["jl-embed", "--points", rows, "--eps", "0.5", "--seed", "-1"],
         ["jl-embed", "--points", rows, "--eps", "0"],
+        ["jl-embed", "--points", rows, "--eps", "1e-200"],
+        ["jl-embed", "--points", rows, "--eps", "0.5", "--constant", "1e308"],
         ["walsh", "--family", rows, "--m", "-1"],
         ["walsh", "--family", rows, "--m", "0"],
         ["walsh", "--family", rows, "--m", "40"],
         ["walsh", "--family", rows, "--seed", "-1"],
         ["jl-mechanism", "--space", "l1", "--family", rows, "--trials", "0"],
+        ["jl-mechanism", "--space", "l1", "--family", rows, "--eps", "1e-200"],
+        ["jl-mechanism", "--space", "l1", "--family", rows, "--constant", "1e308"],
         ["caratheodory", "--vecs", rows, "--dim", "0"],
         ["cotype-cert", "--witness", witness, "--N", "0"],
         ["norm", "--space", "T", "--vec", rows + ".missing"],

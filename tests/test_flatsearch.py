@@ -8,15 +8,15 @@ import pytest
 from banach_gauge import (
     BadSupportBound,
     FinVec,
-    FlatWitness,
     NegativeEntry,
     ZeroTail,
-    cotype_certificate_from_witness,
+    cotype_certificate,
     flatness,
     search_flat,
     sup_norm,
     tsirelson_norm,
 )
+from banach_gauge.flatsearch import _claimed_bound
 
 from conftest import random_finvec
 
@@ -51,17 +51,17 @@ def test_flatness_scale_invariant_and_bounded_below(rng):
 def test_search_n3_is_one():
     res = search_flat(3)
     assert res.converged
-    assert res.witness.theta == 1
+    assert res.theta == 1
     assert res.rounds <= 200
 
 
 def test_search_n4_exact_half():
     res = search_flat(4)
     assert res.converged
-    assert res.witness.theta == F(1, 2)
-    assert res.witness.x.support() == (3, 4)
+    assert res.theta == F(1, 2)
+    assert res.x.support() == (3, 4)
     # normalized tail: the witness is (0, 0, 1/2, 1/2)
-    assert res.witness.x == FinVec({3: F(1, 2), 4: F(1, 2)})
+    assert res.x == FinVec({3: F(1, 2), 4: F(1, 2)})
 
 
 def test_search_n4_agrees_with_grid():
@@ -78,7 +78,7 @@ def test_search_n4_agrees_with_grid():
         th = tsirelson_norm(x).value / tail
         best = th if best is None else min(best, th)
     assert best == F(1, 2)
-    assert search_flat(4).witness.theta == best
+    assert search_flat(4).theta == best
 
 
 def test_search_monotone_and_converges():
@@ -86,8 +86,8 @@ def test_search_monotone_and_converges():
     for N in range(3, 9):
         res = search_flat(N)
         assert res.converged, f"N={N} did not converge"
-        assert res.lp_value == res.witness.theta
-        thetas.append(res.witness.theta)
+        assert res.lp_value == res.theta
+        thetas.append(res.theta)
     assert all(a >= b for a, b in zip(thetas, thetas[1:]))
 
 
@@ -111,13 +111,14 @@ def test_pool_functionals_are_dual_certificates(rng):
 def test_lp_value_is_lower_bound_each_round():
     # with a tiny round budget the search must stop with LP value <= incumbent
     res = search_flat(6, max_rounds=1)
-    assert res.lp_value <= res.witness.theta
+    assert res.lp_value <= res.theta
 
 
 def test_cotype_certificate_from_half_half():
     res = search_flat(4)
-    cc = cotype_certificate_from_witness(res.witness)
+    cc = cotype_certificate(res.x, 4)
     assert cc.ratio == 2
+    assert cc.theta == res.theta
     assert cc.c2_lower == pytest.approx(2**0.5)
     assert cc.N == 4
     # N = 4 is the k = 1 scale, whose construction claims 2^1/1 = 2
@@ -126,26 +127,34 @@ def test_cotype_certificate_from_half_half():
 
 
 def test_cotype_certificate_trivial_witness():
-    w = FlatWitness(FinVec({3: 1}), 3, F(1), tsirelson_norm(FinVec({3: 1})).certificate)
-    cc = cotype_certificate_from_witness(w)
-    assert cc.ratio == 1
+    cc = cotype_certificate(FinVec({3: 1}))
+    assert (cc.N, cc.theta, cc.ratio) == (3, 1, 1)
     assert cc.c2_lower == 1.0
     assert cc.claimed_c2_lower is None
 
 
 def test_cotype_certificate_scale_invariant():
     x = FinVec({3: 1, 4: 1})
-    w1 = FlatWitness(x, 4, flatness(x), tsirelson_norm(x).certificate)
-    x2 = 2 * x
-    w2 = FlatWitness(x2, 4, flatness(x2), tsirelson_norm(x2).certificate)
-    c1 = cotype_certificate_from_witness(w1)
-    c2 = cotype_certificate_from_witness(w2)
-    assert c1.ratio == c2.ratio and c1.c2_lower == c2.c2_lower
+    c1 = cotype_certificate(x, 4)
+    c2 = cotype_certificate(2 * x, 4)
+    assert c1.theta == c2.theta and c1.ratio == c2.ratio and c1.c2_lower == c2.c2_lower
+
+
+def test_claimed_bound_only_at_the_scales_g_k_2():
+    # g_1(2) = 4, g_2(2) = 8, g_3(2) = 2048, and g_4(2) is past any cap here
+    scales = {4: 1, 8: 2, 2048: 3}
+    for n in [*range(1, 2100), 10**6, 2**64, 10**100]:
+        k = scales.get(n)
+        if k is None:
+            assert _claimed_bound(n) == (None, ""), n
+        else:
+            assert _claimed_bound(n) == (2.0**k / k, "claimed by the flat-vector construction "
+                                         f"at scale k={k}; not certified here")
 
 
 def test_c2_lower_respects_john_cap():
     for N in range(3, 9):
-        cc = cotype_certificate_from_witness(search_flat(N).witness)
+        cc = cotype_certificate(search_flat(N).x, N)
         assert cc.c2_lower <= N**0.5 + 1e-12
 
 
@@ -180,8 +189,8 @@ TRAJECTORIES = [
 def test_search_trajectory_pinned(N, theta, witness, rounds, pool_size, pool_digest):
     res = search_flat(N)
     assert res.converged
-    assert res.witness.theta == F(theta)
-    assert res.witness.x == FinVec({j: F(v) for j, v in witness.items()})
+    assert res.theta == F(theta)
+    assert res.x == FinVec({j: F(v) for j, v in witness.items()})
     assert res.rounds == rounds
     assert len(res.pool) == pool_size
     canon = repr([sorted((j, str(v)) for j, v in lam.items()) for lam in res.pool])

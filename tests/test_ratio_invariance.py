@@ -15,15 +15,12 @@ from hypothesis import strategies as st
 
 from banach_gauge import (
     FinVec,
-    FlatWitness,
     SpaceOracle,
     VectorFamily,
-    cotype_certificate_from_witness,
+    cotype_certificate,
     diagonal_sqrt_family,
-    flatness,
     gaussian_ratio,
     rademacher_ratio,
-    tsirelson_norm,
 )
 
 F = Fraction
@@ -99,6 +96,5 @@ def test_diagonal_family_matches_cotype_certificate(N, data):
                                  min_size=N, max_size=N))
     x = FinVec(enumerate(squares, start=1))
     assume(any(x[j] for j in range(3, N + 1)))
-    witness = FlatWitness(x, N, flatness(x), tsirelson_norm(x).certificate)
     family = diagonal_sqrt_family(SpaceOracle.t2_span(N), x)
-    assert cotype_certificate_from_witness(witness).ratio == rademacher_ratio(family, "cotype").exact
+    assert cotype_certificate(x, N).ratio == rademacher_ratio(family, "cotype").exact

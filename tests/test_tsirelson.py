@@ -77,11 +77,12 @@ def test_zero_vector():
     assert tsirelson_norm_bruteforce(FinVec()) == 0
 
 
-def test_bruteforce_cap():
+def test_bruteforce_cap(monkeypatch):
     big = FinVec({j: 1 for j in range(1, 14)})
     with pytest.raises(SupportTooLarge):
         tsirelson_norm_bruteforce(big)
-    assert tsirelson_norm_bruteforce(big, max_support=13) == tsirelson_norm(big).value
+    monkeypatch.setattr(tsirelson_module, "MAX_BRUTE_SUPPORT", 13)
+    assert tsirelson_norm_bruteforce(big) == tsirelson_norm(big).value
 
 
 def _rational_vec(s: int, start: int) -> FinVec:
