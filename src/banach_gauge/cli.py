@@ -248,6 +248,8 @@ def _float_only(handler):
 def cmd_norm(args) -> Output:
     squared = args.space.endswith("2")  # T2 and mod2 are T and mod on the squares
     exhaustive = args.space.startswith("mod")
+    if args.brute and exhaustive:
+        raise DomainError("--brute selects the T/T2 all-subsets oracle; mod and mod2 have one engine")
     if args.cert_out and (args.brute or exhaustive):
         raise DomainError("certificates are only produced by the T/T2 interval engine")
     x = _load_finvec(args.vec)
@@ -579,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="evaluate a norm on a vector file")
     p.add_argument("--space", required=True, choices=["T", "T2", "mod", "mod2"])
     p.add_argument("--vec", required=True, help='JSON file {"v": {"3": "1/2", ...}}')
-    p.add_argument("--brute", action="store_true", help="use the all-subsets oracle")
+    p.add_argument("--brute", action="store_true", help="use the all-subsets oracle (T, T2 only)")
     p.add_argument("--cert-out", help="write the certificate JSON here")
 
     p = sub.add_parser("ratio", help="type/cotype ratio of a vector family")

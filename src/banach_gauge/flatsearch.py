@@ -15,7 +15,14 @@ undershoots, adds the maximizing certificate's functional as a new cut.  The
 LP value is a lower bound and the incumbent norm an upper bound at every
 round; with finitely many functionals and every added cut violated by the
 current optimum, the loop reaches LP value == true norm in finitely many
-rounds.
+rounds.  Each round's LP is the last one plus one cut, so the solver replays
+the last round's pivot path instead of starting over (see ``simplex``).
+
+The LP value is certified on its own: the final objective row gives dual
+weights mu >= 0 summing to 1 over the pool, and every pool functional is a
+norming functional, so <lambda_k, x> <= ||x||_T for x >= 0 and hence
+min_{j>=3} (sum_k mu_k lambda_k)_j <= theta(N).  ``search_flat`` checks
+exactly that this minimum equals the LP value before it returns.
 
 The certified ratio this module reports is the exact sign-averaged cotype
 ratio sum_j x_j / ||x||_T (unconditionality makes every sign pattern equal),
@@ -33,7 +40,7 @@ from fractions import Fraction
 from .errors import BadSupportBound, DomainError, NegativeEntry, ZeroTail
 from .growth import ackermann_g, alpha
 from .seqvec import FinVec, Rat
-from .simplex import solve_lp
+from .simplex import cut_weights, solve_lp
 from .tsirelson import NormCertificate, norming_functional, tsirelson_norm
 
 __all__ = [
@@ -50,7 +57,12 @@ MAX_SUPPORT_BOUND = 16
 
 @dataclass(frozen=True)
 class FlatSearchResult:
-    """The flattest vector found, its flatness ratio and a norm certificate."""
+    """The flattest vector found, its flatness ratio and a norm certificate.
+
+    ``mu`` weighs the pool's functionals (0 on a cut the last LP did not
+    hold): min_{j>=3} (sum_k mu_k lambda_k)_j equals ``lp_value``, a lower
+    bound on theta(N) that needs no trust in the LP solver.
+    """
 
     x: FinVec
     theta: Rat
@@ -59,6 +71,7 @@ class FlatSearchResult:
     lp_value: Rat
     converged: bool
     pool: tuple[FinVec, ...]
+    mu: tuple[Rat, ...]
 
 
 @dataclass(frozen=True)
@@ -109,12 +122,13 @@ def search_flat(N: int, max_rounds: int = 200) -> FlatSearchResult:
     # seed pool: coordinate functionals <e_j, |x|> <= ||x||_T
     pool: list[FinVec] = [FinVec.basis(j) for j in range(1, N + 1)]
 
+    path: list = []  # the last LP's pivot path, replayed by the next solve
     incumbent: tuple[FinVec, Rat, NormCertificate] | None = None
     rounds = 0
     converged = False
     while rounds < max_rounds:
         rounds += 1
-        x, lp_value = solve_lp(pool, N)
+        x, lp_value = solve_lp(pool, N, path)
         xvec = FinVec({j + 1: v for j, v in enumerate(x)})
         nr = tsirelson_norm(xvec)
         if incumbent is None or nr.value < incumbent[1]:
@@ -128,7 +142,24 @@ def search_flat(N: int, max_rounds: int = 200) -> FlatSearchResult:
 
     x_best, norm_best, cert_best = incumbent
     theta = norm_best / _tail(x_best)
-    return FlatSearchResult(x_best, theta, cert_best, rounds, lp_value, converged, tuple(pool))
+    mu = _dual_certificate(pool, cut_weights(path, N), N, lp_value)
+    return FlatSearchResult(x_best, theta, cert_best, rounds, lp_value, converged, tuple(pool), mu)
+
+
+def _dual_certificate(pool, weights, N: int, lp_value: Rat) -> tuple[Rat, ...]:
+    """mu = weights / sum(weights), padded with 0 to the pool, after checking
+    in integers that mu >= 0 and min_{j>=3} (sum_k mu_k lambda_k)_j = lp_value."""
+    used = [(w, lam) for w, lam in zip(weights, pool) if w]
+    scale = math.lcm(*(v.denominator for _, lam in used for _, v in lam.items()))
+    mix = [0] * (N + 1)
+    for w, lam in used:
+        for j, v in lam.items():
+            mix[j] += w * v.numerator * (scale // v.denominator)
+    total = sum(weights)
+    if not (min(weights) >= 0 and total > 0 and
+            min(mix[3:]) * lp_value.denominator == lp_value.numerator * total * scale):
+        raise AssertionError("the LP's dual weights do not certify its value")
+    return tuple(Fraction(w, total) for w in weights) + (Fraction(0),) * (len(pool) - len(weights))
 
 
 def _claimed_bound(n: int) -> tuple[float | None, str]:

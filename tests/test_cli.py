@@ -170,6 +170,21 @@ def test_norm_cert_out_is_refused_before_any_engine_runs(capsys, tmp_path, monke
     assert not cert_path.exists()
 
 
+@pytest.mark.parametrize("space", ["mod", "mod2"])
+def test_norm_brute_on_a_modified_space_is_refused_before_loading(capsys, tmp_path, monkeypatch,
+                                                                   space):
+    # --brute names the T/T2 all-subsets oracle; the modified spaces have one
+    # engine, so the flag exits 1 before the (missing) vector file is read
+    for name in ("modified_norm", "modified_t2_norm_sq", "tsirelson_norm_bruteforce"):
+        monkeypatch.setattr(f"banach_gauge.cli.{name}",
+                            lambda *a, **k: pytest.fail("an engine ran before the refusal"))
+    code, out = run(capsys, "norm", "--space", space, "--brute", "--vec",
+                    str(tmp_path / "missing.json"))
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "DomainError" and "--brute" in err["message"]
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["norm", "--space", "T"]) == 2  # missing --vec
     assert main(["--bogus"]) == 2

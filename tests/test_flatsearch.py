@@ -16,7 +16,7 @@ from banach_gauge import (
     sup_norm,
     tsirelson_norm,
 )
-from banach_gauge.flatsearch import _claimed_bound
+from banach_gauge.flatsearch import _claimed_bound, _dual_certificate
 
 from conftest import random_finvec
 
@@ -112,6 +112,49 @@ def test_lp_value_is_lower_bound_each_round():
     # with a tiny round budget the search must stop with LP value <= incumbent
     res = search_flat(6, max_rounds=1)
     assert res.lp_value <= res.theta
+
+
+def _mixture_min(res, N):
+    """min_{j>=3} (sum_k mu_k lambda_k)_j, in Fractions, straight from the result."""
+    return min(sum((mu * lam[j] for mu, lam in zip(res.mu, res.pool)), F(0))
+               for j in range(3, N + 1))
+
+
+@pytest.mark.parametrize("N,max_rounds", [(N, 200) for N in range(3, 13)] + [(6, 1), (10, 5)])
+def test_every_round_matches_one_shot_and_mu_certifies(monkeypatch, N, max_rounds):
+    # each round replays the last round's pivot path; it must return exactly
+    # what a one-shot solve of the same pool returns
+    import banach_gauge.flatsearch as fs
+
+    replayed = fs.solve_lp
+    rounds = []
+
+    def both(cuts, n, path):
+        got = replayed(cuts, n, path)
+        assert got == replayed(list(cuts), n), f"round {len(rounds) + 1}"
+        rounds.append(got)
+        return got
+
+    monkeypatch.setattr(fs, "solve_lp", both)
+    res = search_flat(N, max_rounds=max_rounds)
+    assert len(rounds) == res.rounds
+    # mu is a probability vector over the pool whose mixture certifies the LP
+    # value: sum_k mu_k <lambda_k, x> <= ||x||_T, so the minimum is <= theta(N)
+    assert len(res.mu) == len(res.pool) and all(m >= 0 for m in res.mu) and sum(res.mu) == 1
+    assert _mixture_min(res, N) == res.lp_value <= res.theta
+    if not res.converged:
+        assert res.mu[-1] == 0  # the last cut was added after the last LP
+
+
+def test_dual_certificate_refuses_weights_that_do_not_certify():
+    # max(x_1..x_4) over x_3 + x_4 = 1 is 1/2, certified by mu = (0, 0, 1/2, 1/2)
+    pool = [FinVec.basis(j) for j in range(1, 5)]
+    assert _dual_certificate(pool, [0, 0, 3, 3], 4, F(1, 2)) == (0, 0, F(1, 2), F(1, 2))
+    # padded with 0 for a cut the last LP did not hold
+    assert _dual_certificate(pool + [FinVec({3: 1, 4: 1})], [0, 0, 1, 1], 4, F(1, 2))[-1] == 0
+    for weights in ([0, 0, 0, 0], [0, 0, 2, -1], [0, 0, 1, 2], [1, 0, 1, 1]):
+        with pytest.raises(AssertionError):
+            _dual_certificate(pool, weights, 4, F(1, 2))
 
 
 def test_cotype_certificate_from_half_half():

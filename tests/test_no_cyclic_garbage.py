@@ -112,6 +112,7 @@ COMMANDS = {
     "growth": "growth g 3 2",
     "delta-bound": "growth delta-bound 4",
     "flat-search": "flat-search --N 6",
+    "flat-search-replay": "flat-search --N 10",  # 17 rounds, each replaying the last path
     "cotype-cert": "cotype-cert --witness {witness}",
     "compare-norms": "compare-norms --count 3 --max-support 5",
     "sweep": "sweep --config {sweep}",

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banach_gauge import FinVec
-from banach_gauge.simplex import solve_lp
+from banach_gauge.simplex import cut_weights, solve_lp
 
 F = Fraction
 
@@ -127,3 +127,70 @@ def test_matches_vertex_enumeration(lp):
     x, t = solve_lp(cuts, N)
     _check_point(cuts, N, x, t)
     assert t == _vertex_oracle(cuts, N)
+
+
+# --------------------------------------------------------------------------
+# replay: a path-carrying solve returns the one-shot answer after every append
+# --------------------------------------------------------------------------
+
+def _certifies(cuts, N, path, t):
+    """The final objective row's slack entries, normalized, are a probability
+    vector mu with min_{j>=3} (sum_k mu_k lambda_k)_j = t."""
+    weights = cut_weights(path, N)
+    assert len(weights) == len(cuts) and all(w >= 0 for w in weights)
+    total = sum(weights)
+    mix = [sum((F(w, total) * lam[j] for w, lam in zip(weights, cuts)), F(0))
+           for j in range(3, N + 1)]
+    return min(mix) == t
+
+
+@st.composite
+def cut_sequences(draw):
+    """Nonnegative rational cuts on [1, N], heavy in ties: coordinate cuts,
+    tail means, zero cuts, repeats of earlier cuts and random rows."""
+    N = draw(st.integers(3, 6))
+    mean = FinVec({j: F(1, N - 2) for j in range(3, N + 1)})
+    cuts = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["coordinate", "mean", "zero", "repeat", "random"]))
+        if kind == "coordinate":
+            cut = FinVec.basis(draw(st.integers(1, N)))
+        elif kind == "mean":
+            cut = mean
+        elif kind == "zero":
+            cut = FinVec()
+        elif kind == "repeat" and cuts:
+            cut = draw(st.sampled_from(cuts))
+        else:
+            cut = FinVec(enumerate(draw(st.lists(rationals, min_size=N, max_size=N)), start=1))
+        cuts.append(cut)
+    steps = draw(st.lists(st.integers(1, 3), min_size=len(cuts), max_size=len(cuts)))
+    return cuts, N, steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut_sequences())
+def test_replay_matches_one_shot_after_every_append(case):
+    # appended one to three at a time: cuts that are not violated, or repeat a
+    # cut already held, leave the path's optimum standing
+    cuts, N, steps = case
+    path, m = [], 0
+    for step in steps:
+        m = min(m + step, len(cuts))
+        got = solve_lp(cuts[:m], N, path)
+        assert got == solve_lp(cuts[:m], N)
+        _check_point(cuts[:m], N, *got)
+        if got[1] > 0:
+            assert _certifies(cuts[:m], N, path, got[1])
+
+
+def test_replay_of_a_cut_that_is_not_violated_keeps_the_optimum():
+    cuts = _coordinate_cuts(5)
+    path = []
+    first = solve_lp(cuts, 5, path)
+    pivots = len(path)
+    # the mean of the tail is exactly t at the optimum: the new row never wins
+    cuts = cuts + [FinVec({3: F(1, 3), 4: F(1, 3), 5: F(1, 3)})]
+    again = solve_lp(cuts, 5, path)
+    assert again == first and len(path) == pivots
+    assert _certifies(cuts, 5, path, again[1])
