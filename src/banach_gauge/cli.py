@@ -54,7 +54,7 @@ from .jl import (
     walsh_pointset,
 )
 from .seeds import derive_seed
-from .seqvec import FinVec, abs_square, float_sqrt
+from .seqvec import FinVec, abs_square, as_rat, float_sqrt
 from .tsirelson import (
     MAX_DP_SUPPORT,
     MAX_MODIFIED_SUPPORT,
@@ -152,7 +152,7 @@ def _read_text(path: str) -> str:
 def _parse_json(path: str, text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, deep nesting
         raise DomainError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -172,7 +172,7 @@ def _parse_entry(v):
         raise DomainError(f"cannot use boolean {v} as a vector entry")
     if isinstance(v, (str, int)):
         try:
-            return Fraction(v)
+            return as_rat(v)
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"bad vector entry {v!r}: {exc}") from exc
     if isinstance(v, float):
@@ -670,21 +670,26 @@ def main(argv=None) -> int:
                 args.seed = int(env_seed)
             except ValueError as exc:
                 raise DomainError(f"BANACH_GAUGE_SEED={env_seed!r} is not an integer") from exc
-        out = HANDLERS[args.command](args)
+        text = _stdout(HANDLERS[args.command](args), args, argv, start)
     except BanachGaugeError as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(render_json(err))
         return 1
+    sys.stdout.write(text)
+    return 0
 
-    if out.text is not None:
-        print(out.text)
-    elif out.csv is not None:
-        sys.stdout.write(_csv_text(*out.csv))
-    else:
+
+def _stdout(out: Output, args, argv: list, start: float) -> str:
+    """What ``main`` prints for a handler's output.  A number past Python's
+    int-to-str digit limit raises DomainError instead of ValueError."""
+    try:
+        if out.text is not None:
+            return out.text + "\n"
+        if out.csv is not None:
+            return _csv_text(*out.csv)
         payload = out.payload or {}
         if not hasattr(args, "seed"):
-            print(render_json(payload))
-            return 0
+            return render_json(payload) + "\n"
         # the payload is rendered once: its items give the digest, and the
         # manifest item is spliced in at its sorted place
         keys, items = _dict_items(payload, 0)
@@ -698,8 +703,9 @@ def main(argv=None) -> int:
         }
         items.insert(bisect.bisect(keys, "manifest"),
                      f'  "manifest": {render_json(manifest, 1)}')
-        print(_braced(items))
-    return 0
+        return _braced(items) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"a result has too many digits to print: {exc}") from exc
 
 
 if __name__ == "__main__":

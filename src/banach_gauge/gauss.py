@@ -238,30 +238,32 @@ class SpaceOracle:
         (``modified_norm_batch_exact``); both raise SupportTooLarge above
         their caps before any plan runs.  l1, l2 and linf take integer sums
         and maxima, and a polytope one integer matmul against its
-        functionals over their common denominator, then max |.|.  The caller
-        picks a dtype in which the squares and their row sums stay exact
-        (``exact_dtype``); the polytope picks its own for the matmul.
+        functionals over their common denominator, then max |.|.  Each step
+        widens its own integers (``exact_dtype`` of a bound taken from the
+        largest |entry|), so any int64 or Python-int rows are exact.
         """
         if not self.has_exact_batch(weights is not None):
             raise DomainError(f"{self!r} has no exact batch on these rows")
         labels = [k + 1 for k in cols]
+        top = max(int(M.max(initial=0)), -int(M.min(initial=0)))
         if self.reads_squares():
-            sq = M * M if weights is None else M * M * np.array(weights, dtype=M.dtype)
+            X = M.astype(exact_dtype(top * top * max(weights or (1,)) * len(cols)), copy=False)
+            sq = X * X if weights is None else X * X * np.array(weights, dtype=X.dtype)
             if self.tag == "lp":
                 return sq.sum(axis=1).tolist(), 1
             batch = tsirelson_norm_batch_exact if self.tag == "t2_span" else modified_norm_batch_exact
             return batch(sq, labels)
-        A = np.abs(M)
-        if self.tag == "tsirelson_span":
-            nums, scale = tsirelson_norm_batch_exact(A, labels)
-            return [v * v for v in nums], scale * scale
         if self.tag == "polytope":
             D = math.lcm(*(v.denominator for f in self.functionals for v in f))
             F = [[f[k].numerator * (D // f[k].denominator) for k in cols]
                  for f in self.functionals]
-            dtype = exact_dtype(int(A.max(initial=0)) * max(sum(map(abs, f)) for f in F))
+            dtype = exact_dtype(top * max(sum(map(abs, f)) for f in F))
             Ft = np.array(F, dtype=dtype).reshape(len(F), len(cols)).T
             return [v * v for v in np.abs(M.astype(dtype) @ Ft).max(axis=1).tolist()], D * D
+        A = np.abs(M.astype(exact_dtype(top * len(cols)), copy=False))
+        if self.tag == "tsirelson_span":
+            nums, scale = tsirelson_norm_batch_exact(A, labels)
+            return [v * v for v in nums], scale * scale
         nums = (A.sum(axis=1) if self.p == 1.0 else A.max(axis=1, initial=0)).tolist()
         return [v * v for v in nums], 1
 
@@ -355,7 +357,7 @@ def rademacher_ratio(family: VectorFamily, kind: str) -> RatioEstimate:
     Every supported norm is even, so eps and -eps give the same squared norm:
     the average over the 2^(n-1) patterns with eps_n = +1 equals the average
     over all 2^n.  The sign sums are taken on integer numerators over the
-    family's common denominator L (``_integer_family``), and norms are
+    family's common denominator L (``_family_moments``), and norms are
     homogeneous, so the mean is the sum of the 2^(n-1) squared norms divided
     by L^2 2^(n-1) once.  Those sums form one integer matrix, evaluated with
     the vectors themselves in chunks (``_batched_moments``).  A union
@@ -387,25 +389,18 @@ def rademacher_ratio(family: VectorFamily, kind: str) -> RatioEstimate:
 
 
 def _family_moments(family: VectorFamily) -> tuple:
-    """``_batched_moments`` of the family's integer numerators."""
+    """``_batched_moments`` of the family as integer numerators: L is the
+    lcm of the entries' denominators and X[i][k] the int L x_ik
+    (``Fraction`` entries are used as they are, others read exactly);
+    ``roots`` maps each square-root scaled column k to ``col_sq[k]``."""
     try:
-        X, L, roots = _integer_family(family)
+        rows = [[e if type(e) is Fraction else Fraction(e) for e in v] for v in family.vectors]
+        L = math.lcm(*(e.denominator for row in rows for e in row))
+        X = [[e.numerator * (L // e.denominator) for e in row] for row in rows]
+        roots = {k: q for k, q in enumerate(family.col_sq or ()) if q != 1}
         return _batched_moments(family.space, X, L, roots)
     except OverflowError as exc:
         raise DomainError(f"family leaves the float range once scaled to integers: {exc}") from exc
-
-
-def _integer_family(family: VectorFamily) -> tuple:
-    """The family as integer numerators: (X, L, roots).
-
-    L is the lcm of the entries' denominators and X[i][k] the int L x_ik
-    (``Fraction`` entries are used as they are, others read exactly).
-    ``roots`` maps each square-root scaled column k to ``col_sq[k]``.
-    """
-    rows = [[e if type(e) is Fraction else Fraction(e) for e in v] for v in family.vectors]
-    L = math.lcm(*(e.denominator for row in rows for e in row))
-    X = [[e.numerator * (L // e.denominator) for e in row] for row in rows]
-    return X, L, {k: q for k, q in enumerate(family.col_sq or ()) if q != 1}
 
 
 #: Sign patterns per chunk of ``_batched_moments``, so that its arrays stay a
@@ -425,8 +420,8 @@ def _batched_moments(space: SpaceOracle, X: list, L: int, roots: dict) -> tuple:
     squared norms come from one ``SpaceOracle.norm_sq_batch`` call, with
     the int weights C_k = c_k D over D = lcm(denominators of c), and both
     moments are exact; otherwise from ``norm_array`` on the float rows
-    X sqrt(c_k) 2^-e, e per row.  The arrays' dtype is ``exact_dtype`` of a
-    bound on their row sums, taken up front.
+    X sqrt(c_k) 2^-e, e per row.  The sign sums' dtype is ``exact_dtype``
+    of the largest column sum of |X|, which bounds every entry of E X.
     """
     n = len(X)
     cols = [k for k in range(space.dim) if any(row[k] for row in X)]
@@ -435,10 +430,7 @@ def _batched_moments(space: SpaceOracle, X: list, L: int, roots: dict) -> tuple:
     c = [roots.get(k, Fraction(1)) for k in cols]
     D = math.lcm(*(q.denominator for q in c))
     C = [int(q * D) for q in c]
-    bounds = [sum(abs(row[k]) for row in X) for k in cols]
-    top = max((b * b * m for b, m in zip(bounds, C)) if space.reads_squares() else bounds,
-              default=0)
-    dtype = exact_dtype(top * max(1, len(cols)))
+    dtype = exact_dtype(max((sum(abs(row[k]) for row in X) for k in cols), default=0))
     V = np.array([[row[k] for k in cols] for row in X], dtype=dtype).reshape(n, len(cols))
     weights = C if scaled else None
     scale = np.sqrt([float(q) for q in c])

@@ -9,6 +9,8 @@ equality instead of tolerances.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -20,10 +22,24 @@ Rat = Fraction
 RatLike = Union[Rat, int, str]
 
 
+#: The decimal exponent of a string such as "3.5e-7", as ``Fraction`` reads it.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def as_rat(value: RatLike) -> Rat:
-    """Coerce ints, 'p/q' strings and Fractions to an exact rational."""
+    """Coerce ints, 'p/q' and decimal strings and Fractions to an exact rational.
+
+    A decimal exponent beyond ``sys.get_int_max_str_digits()`` raises
+    ValueError before ``Fraction`` builds the number: "1e10000000" would
+    spend seconds on a 10^7-digit integer, where ``int`` already refuses a
+    digit string past that limit.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        m, limit = _EXPONENT.search(value), sys.get_int_max_str_digits()
+        if m and limit and abs(int(m[1])) > limit:
+            raise ValueError(f"the exponent of {value[:40]!r} is past the int digit limit {limit}")
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
@@ -115,7 +131,7 @@ class FinVec:
     def from_json(cls, obj: Mapping) -> "FinVec":
         if not isinstance(obj, Mapping) or not isinstance(obj.get("v"), Mapping):
             raise ValueError('vector JSON must look like {"v": {"3": "1/2", ...}}')
-        return cls({int(j): Fraction(str(v)) for j, v in obj["v"].items()})
+        return cls({int(j): as_rat(str(v)) for j, v in obj["v"].items()})
 
 
 def sup_norm(x: FinVec) -> Rat:

@@ -265,22 +265,20 @@ def certificate_from_json(obj: dict) -> NormCertificate:
 # Shared integer scaling
 # --------------------------------------------------------------------------
 
-def _scaled_weights(x: FinVec) -> tuple[tuple[int, ...], list[int], int]:
-    """Support, |entries| scaled to ints, and the scale factor.
+def _scaled_weights(x: FinVec, cap: int, engine: str) -> tuple[tuple[int, ...], list[int], int]:
+    """Support, |entries| scaled to ints, and the scale factor: the one gate
+    of every single-vector engine, which refuses a support above ``cap``
+    with SupportTooLarge before any scaling, plan or table.
 
     Scale = lcm of entry denominators * 2^(s-1): every value of the norm
     recursion has halving depth < s, so all scaled values are integers and
     every scaled part value inside a split is even (parts are strictly
     smaller, so they carry at least one spare factor of 2).
     """
-    sup = x.support()
-    s = len(sup)
-    lcm = 1
-    for _, v in x.items():
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    scale = lcm << max(0, s - 1)
-    weights = [int(abs(x[j]) * scale) for j in sup]
-    return sup, weights, scale
+    if len(x) > cap:
+        raise SupportTooLarge(f"support {len(x)} exceeds {engine} cap {cap}")
+    scale = math.lcm(*(v.denominator for _, v in x.items())) << max(0, len(x) - 1)
+    return x.support(), [abs(v.numerator) * (scale // v.denominator) for _, v in x.items()], scale
 
 
 # --------------------------------------------------------------------------
@@ -365,9 +363,7 @@ def tsirelson_norm(x: FinVec) -> NormResult:
     stored.  Supports above ``MAX_DP_SUPPORT`` raise SupportTooLarge before
     the plan is built or any table is allocated.
     """
-    if len(x) > MAX_DP_SUPPORT:
-        raise SupportTooLarge(f"support {len(x)} exceeds interval-DP cap {MAX_DP_SUPPORT}")
-    sup, w, scale = _scaled_weights(x)
+    sup, w, scale = _scaled_weights(x, MAX_DP_SUPPORT, "interval-DP")
     s = len(sup)
     if s == 0:
         zero = Fraction(0)
@@ -514,52 +510,6 @@ def _exact_columns(w: np.ndarray, s: int) -> tuple[np.ndarray, int]:
     scale = 1 << max(0, s - 1)
     top = int(w.max()) if w.size else 0
     return w.astype(exact_dtype(scale * max(top * s, 1))) * scale, scale
-
-
-def _chunked(run, plan: tuple, w: np.ndarray, cells: int) -> np.ndarray:
-    """``run(plan, columns)`` over (rows, s) weights in chunks of rows, for a
-    plan that holds ``cells`` table cells per row."""
-    out = np.zeros(len(w), dtype=w.dtype)
-    chunk = max(1, _BATCH_CELLS // cells)
-    for lo in range(0, len(w), chunk):
-        out[lo:lo + chunk] = run(plan, np.ascontiguousarray(w[lo:lo + chunk].T))
-    return out
-
-
-def tsirelson_norm_batch(weights, indices: Sequence[int]) -> np.ndarray:
-    """Float ||x||_T of many vectors at once.
-
-    ``weights`` has shape (rows, s) and holds |x| on the index labels
-    ``indices`` (s strictly increasing positive ints, shared by all rows).
-    It runs the labels' cached ``_interval_plan`` on float64 columns of the
-    batch with max, + and halving, in chunks of rows.  Every DP value is a max over
-    sums of w * 2^-depth and halving is exact, so each result is within a
-    few ulps of the exact norm.  A zero weight is harmless: a block may hold
-    zeros, and a block starting at a zero only has a smaller threshold.
-
-    Labels above ``MAX_DP_SUPPORT`` in number raise SupportTooLarge before
-    any table is allocated.
-    """
-    w, sup = _batch_rows(weights, indices, MAX_DP_SUPPORT, "interval-DP", exact=False)
-    if not sup:
-        return np.zeros(len(w))
-    return _chunked(_run_plan, _interval_plan(sup), w, len(sup) ** 2)
-
-
-def tsirelson_norm_batch_exact(weights, indices: Sequence[int]) -> tuple[list[int], int]:
-    """Exact ||x||_T of many vectors with integer entries, as integer
-    numerators over one denominator.
-
-    Same batch layout as ``tsirelson_norm_batch``, but the weights are
-    nonnegative integers and the plan runs on ``_exact_columns``: int64 when
-    its bound allows, Python ints otherwise.  Row r's norm is
-    ``Fraction(nums[r], scale)``, equal to ``tsirelson_norm(x_r).value``.
-    """
-    w, sup = _batch_rows(weights, indices, MAX_DP_SUPPORT, "interval-DP", exact=True)
-    if not sup:
-        return [0] * len(w), 1
-    wt, scale = _exact_columns(w, len(sup))
-    return _chunked(_run_plan, _interval_plan(sup), wt, len(sup) ** 2).tolist(), scale
 
 
 # --------------------------------------------------------------------------
@@ -750,13 +700,6 @@ def _best(terms: list) -> int:
     return max(itertools.starmap(operator.add, terms))
 
 
-def _scaled_capped(x: FinVec, cap: int, engine: str) -> tuple[tuple[int, ...], list[int], int]:
-    """``_scaled_weights`` of ``x``, after checking its support against ``cap``."""
-    if len(x) > cap:
-        raise SupportTooLarge(f"support {len(x)} exceeds {engine} cap {cap}")
-    return _scaled_weights(x)
-
-
 def tsirelson_norm_bruteforce(x: FinVec) -> Rat:
     """||x||_T by exhaustive recursion over all admissible subset families.
 
@@ -769,7 +712,7 @@ def tsirelson_norm_bruteforce(x: FinVec) -> Rat:
     is a max over every such subset, so nothing of the interval DP is
     assumed.  Exponential: at most ``MAX_BRUTE_SUPPORT`` labels.
     """
-    sup, w, scale = _scaled_capped(x, MAX_BRUTE_SUPPORT, "brute-force")
+    sup, w, scale = _scaled_weights(x, MAX_BRUTE_SUPPORT, "brute-force")
     return Fraction(_all_subsets(sup, w), scale) if sup else Fraction(0)
 
 
@@ -785,7 +728,7 @@ def modified_norm(x: FinVec) -> Rat:
     partitions searched (``_modified_rules`` on the scaled weights).  At
     most ``MAX_MODIFIED_SUPPORT`` labels, checked before any table is built.
     """
-    sup, w, scale = _scaled_capped(x, MAX_MODIFIED_SUPPORT, "modified-norm")
+    sup, w, scale = _scaled_weights(x, MAX_MODIFIED_SUPPORT, "modified-norm")
     return Fraction(_modified_rules(sup, w.__getitem__, _half, _best), scale) if sup else Fraction(0)
 
 
@@ -890,15 +833,60 @@ def _run_modified_plan(plan: tuple, wt: np.ndarray) -> np.ndarray:
     return val[root]
 
 
-def _modified_batch(weights, indices: Sequence[int], exact: bool) -> tuple:
-    """(values, scale) of ``modified_norm_batch`` or ``modified_norm_batch_exact``."""
-    w, sup = _batch_rows(weights, indices, MAX_MODIFIED_SUPPORT, "modified-norm", exact)
+# --------------------------------------------------------------------------
+# The batch engines: one runner
+# --------------------------------------------------------------------------
+
+def _batch(weights, indices: Sequence[int], interval: bool, exact: bool) -> tuple:
+    """(values, scale) of a batch of the interval DP (``interval``) or of
+    the modified norm: the one runner of the four batch engines.
+
+    It checks the rows (``_batch_rows``), scales exact ones to integer
+    columns of their own width (``_exact_columns``), and runs the labels'
+    cached plan in chunks of rows (``_BATCH_CELLS``).  Float values come
+    back as a float64 array over scale 1, exact ones as Python ints.
+    """
+    cap = MAX_DP_SUPPORT if interval else MAX_MODIFIED_SUPPORT
+    engine = "interval-DP" if interval else "modified-norm"
+    w, sup = _batch_rows(weights, indices, cap, engine, exact)
     wt, scale = _exact_columns(w, len(sup)) if exact else (w, 1)
     out = np.zeros(len(w), dtype=wt.dtype)
     if sup:
-        plan = _modified_plan(sup)
-        out = _chunked(_run_modified_plan, plan, wt, plan[1])
+        plan = _interval_plan(sup) if interval else _modified_plan(sup)
+        run = _run_plan if interval else _run_modified_plan
+        chunk = max(1, _BATCH_CELLS // (len(sup) ** 2 if interval else plan[1]))
+        for lo in range(0, len(w), chunk):
+            out[lo:lo + chunk] = run(plan, np.ascontiguousarray(wt[lo:lo + chunk].T))
     return (out.tolist() if exact else out), scale
+
+
+def tsirelson_norm_batch(weights, indices: Sequence[int]) -> np.ndarray:
+    """Float ||x||_T of many vectors at once.
+
+    ``weights`` has shape (rows, s) and holds |x| on the index labels
+    ``indices`` (s strictly increasing positive ints, shared by all rows).
+    It runs the labels' cached ``_interval_plan`` on float64 columns of the
+    batch with max, + and halving, in chunks of rows.  Every DP value is a max over
+    sums of w * 2^-depth and halving is exact, so each result is within a
+    few ulps of the exact norm.  A zero weight is harmless: a block may hold
+    zeros, and a block starting at a zero only has a smaller threshold.
+
+    Labels above ``MAX_DP_SUPPORT`` in number raise SupportTooLarge before
+    any table is allocated.
+    """
+    return _batch(weights, indices, interval=True, exact=False)[0]
+
+
+def tsirelson_norm_batch_exact(weights, indices: Sequence[int]) -> tuple[list[int], int]:
+    """Exact ||x||_T of many vectors with integer entries, as integer
+    numerators over one denominator.
+
+    Same batch layout as ``tsirelson_norm_batch``, but the weights are
+    nonnegative integers and the plan runs on ``_exact_columns``: int64 when
+    its bound allows, Python ints otherwise.  Row r's norm is
+    ``Fraction(nums[r], scale)``, equal to ``tsirelson_norm(x_r).value``.
+    """
+    return _batch(weights, indices, interval=True, exact=True)
 
 
 def modified_norm_batch(weights, indices: Sequence[int]) -> np.ndarray:
@@ -910,7 +898,7 @@ def modified_norm_batch(weights, indices: Sequence[int]) -> np.ndarray:
     is within a few ulps of the exact value and does not depend on the batch
     it came in.  Zero weights are harmless, as for T.
     """
-    return _modified_batch(weights, indices, exact=False)[0]
+    return _batch(weights, indices, interval=False, exact=False)[0]
 
 
 def modified_norm_batch_exact(weights, indices: Sequence[int]) -> tuple[list[int], int]:
@@ -918,4 +906,4 @@ def modified_norm_batch_exact(weights, indices: Sequence[int]) -> tuple[list[int
     integer numerators over one denominator, like
     ``tsirelson_norm_batch_exact``: the compiled plan on ``_exact_columns``.
     """
-    return _modified_batch(weights, indices, exact=True)
+    return _batch(weights, indices, interval=False, exact=True)

@@ -202,8 +202,8 @@ def test_domain_error_exit_1(capsys, tmp_path):
 def test_norm_support_over_dp_cap_exits_1(capsys, tmp_path, monkeypatch):
     from banach_gauge.tsirelson import MAX_DP_SUPPORT
 
-    monkeypatch.setattr("banach_gauge.tsirelson._scaled_weights",
-                        lambda x: pytest.fail("the DP ran past its support cap"))
+    monkeypatch.setattr("banach_gauge.tsirelson._interval_plan",
+                        lambda sup: pytest.fail("the DP ran past its support cap"))
     vec = write_vec(tmp_path, "big.json", {j: 1 for j in range(1, MAX_DP_SUPPORT + 2)})
     for space in ("T", "T2"):
         code, out = run(capsys, "norm", "--space", space, "--vec", vec)

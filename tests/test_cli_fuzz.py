@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import signal
+import time
 import warnings
 
 import pytest
@@ -32,6 +33,14 @@ JUNK = {
     "v-10**400": ('{"v": {"3": %s, "5": 1}}' % BIG).encode(),
     "rows-1e300": b"[[1e300, 1e300], [1e300, -1e300]]",
     "rows-10**400": ("[[%s, 1], [1, 2]]" % BIG).encode(),
+    # past Python's int digit limit: an int literal, a decimal exponent (which
+    # Fraction would spend seconds expanding) and a result's denominator
+    "rows-5000-digits": ("[[%s, 2]]" % ("1" * 5000)).encode(),
+    "v-1e10000000": b'{"v": {"3": "1e10000000"}}',
+    "rows-1e10000000": b'[["1e10000000", 1], [1, 2]]',
+    "v-4500-digit-value": ('{"v": {%s}}' % ", ".join(
+        f'"{j}": "1/{10**1500 + k}"' for j, k in ((4, 1), (5, 3), (6, 7)))).encode(),
+    "nested-100000": b"[" * 100000 + b"]" * 100000,
     "sweep-grid-list": b'{"command": "flat-search", "grid": [1]}',
     "sweep-grid-scalar": b'{"command": "flat-search", "grid": {"N": 5}}',
     "sweep-fixed-list": b'{"command": "flat-search", "grid": {"N": [3]}, "fixed": [1]}',
@@ -176,6 +185,24 @@ def test_float_commands_on_huge_entries_end_cleanly(tmp_path, alarm, junk, name)
     with contextlib.redirect_stdout(out):
         assert main(argv) == 1
     assert json.loads(out.getvalue())["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("junk,argv", [
+    ("rows-5000-digits", ["ratio", "--space", "l1", "--kind", "type", "--vecs"]),
+    ("v-4500-digit-value", ["norm", "--space", "T", "--vec"]),
+    ("v-1e10000000", ["norm", "--space", "T", "--vec"]),
+    ("rows-1e10000000", ["jl-embed", "--eps", "0.5", "--points"]),
+])
+def test_inputs_past_the_int_digit_limit_exit_1_fast(tmp_path, alarm, junk, argv):
+    # exit 0 would pass the fuzz above, so the bound on time is stated here
+    path = tmp_path / "junk.json"
+    path.write_bytes(JUNK[junk])
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + [str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and json.loads(out.getvalue())["error"]["type"] == "DomainError"
 
 
 def test_sweep_usage_error_cell_keeps_stderr_empty(tmp_path, capsys):

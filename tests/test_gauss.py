@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banach_gauge import (
@@ -411,6 +411,19 @@ def test_norm_sq_batch_only_where_an_integer_evaluator_exists():
         SpaceOracle.tsirelson_span(2).norm_sq_batch(M, [0, 1], weights=[1, 2])
     nums, den = SpaceOracle.euclidean(2).norm_sq_batch(M, [0, 1], weights=[1, 2])
     assert [F(v, den) for v in nums] == [9, 18]
+
+
+@settings(max_examples=60, deadline=None)
+@example("l2", [[2**32, 0, 0, 0], [3, 4, 0, 0]])
+@given(st.sampled_from(["l1", "l2", "linf", "T", "T2", "mod2", "polytope"]),
+       st.lists(st.lists(st.integers(-2**62, 2**62), min_size=4, max_size=4),
+                min_size=1, max_size=4))
+def test_norm_sq_batch_matches_the_per_vector_engines_on_wide_int64_rows(tag, rows):
+    # the batch widens its own |x|, squares and row sums, whatever dtype the
+    # caller's int64 rows leave room for
+    space = _ONE_PATH_SPACES[tag]
+    nums, den = space.norm_sq_batch(np.array(rows, dtype=np.int64), [0, 1, 2, 3])
+    assert [F(v, den) for v in nums] == [_ref_norm_sq(space, row) for row in rows]
 
 
 _ONE_PATH_SPACES = {

@@ -639,9 +639,9 @@ def test_dp_is_not_recursive():
 
 
 def test_dp_support_cap_checked_first(monkeypatch):
-    # at cap + 1 the check must come before scaling and table allocation
-    monkeypatch.setattr("banach_gauge.tsirelson._scaled_weights",
-                        lambda x: pytest.fail("the DP ran past its support cap"))
+    # at cap + 1 the check must come before the plan and table allocation
+    monkeypatch.setattr("banach_gauge.tsirelson._interval_plan",
+                        lambda sup: pytest.fail("the DP ran past its support cap"))
     with pytest.raises(SupportTooLarge, match=str(MAX_DP_SUPPORT)):
         tsirelson_norm(FinVec({j: 1 for j in range(1, MAX_DP_SUPPORT + 2)}))
 
