@@ -23,7 +23,7 @@ RatLike = Union[Rat, int, str]
 
 
 #: The decimal exponent of a string such as "3.5e-7", as ``Fraction`` reads it.
-_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def as_rat(value: RatLike) -> Rat:
@@ -34,13 +34,15 @@ def as_rat(value: RatLike) -> Rat:
     spend seconds on a 10^7-digit integer, where ``int`` already refuses a
     digit string past that limit.
     """
+    if isinstance(value, str):  # first: a str fails the Fraction check slowly, by its ABC
+        m = _EXPONENT.search(value)
+        if m and 0 < sys.get_int_max_str_digits() < abs(int(m[1])):
+            raise ValueError(f"the exponent of {value[:40]!r} is past the int digit limit "
+                             f"{sys.get_int_max_str_digits()}")
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str):
-        m, limit = _EXPONENT.search(value), sys.get_int_max_str_digits()
-        if m and limit and abs(int(m[1])) > limit:
-            raise ValueError(f"the exponent of {value[:40]!r} is past the int digit limit {limit}")
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,17 @@ def test_json_round_trip():
     assert FinVec.from_json(obj) == x
     with pytest.raises(ValueError):
         FinVec.from_json({"w": {}})
+
+
+def test_json_exponent_bounded_by_the_int_digit_limit():
+    # an exponent up to the limit is read as Fraction reads it; past it the
+    # entry is refused before a number of that many digits is built
+    limit = sys.get_int_max_str_digits()
+    for text in ("1.5e-3", " 2E+2 ", "-3e0", f"1e{limit}", f"1e-{limit}"):
+        assert FinVec.from_json({"v": {"3": text}})[3] == Fraction(text)
+    for text in (f"1e{limit + 1}", f"-2.5E-{limit + 1}", "1e10000000"):
+        with pytest.raises(ValueError, match="digit limit"):
+            FinVec.from_json({"v": {"3": text}})
 
 
 def test_index_set_validates():
