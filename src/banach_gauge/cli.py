@@ -25,6 +25,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 import os
 import random
 import sys
@@ -32,27 +33,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .errors import BanachGaugeError, DomainError, SupportTooLarge
 from .flatsearch import cotype_certificate, search_flat
-from .gauss import (
-    SpaceOracle,
-    VectorFamily,
-    caratheodory_reduce,
-    gaussian_ratio,
-    rademacher_ratio,
-)
 from .growth import ackermann_g, alpha, alpha_diag, delta_bound, log_star
-from .jl import (
-    MechanismTrial,
-    WalshEnsemble,
-    jl_embed,
-    jl_mechanism_experiment,
-    walsh_orthogonality_check,
-    walsh_pointset,
-)
 from .seeds import derive_seed
 from .seqvec import FinVec, abs_square, as_rat, float_sqrt
 from .tsirelson import (
@@ -86,9 +70,9 @@ def render_json(obj, indent: int = 0) -> str:
         return json.dumps(str(obj))
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, numbers.Integral):  # also numpy's integers
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):  # also numpy's floats
         f = float(obj)
         if math.isnan(f) or math.isinf(f):
             return json.dumps(str(f))
@@ -119,10 +103,8 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
+    if isinstance(v, numbers.Real) and not isinstance(v, (Fraction, numbers.Integral)):
+        return f"{float(v):.17g}"  # a float, or one of numpy's
     return str(v)
 
 
@@ -195,7 +177,7 @@ def _load_vectors(path: str) -> list[list]:
     return [[_parse_entry(v) for v in r] for r in _check_rows(path, _load_json(path))]
 
 
-def _load_float_array(path: str) -> np.ndarray:
+def _load_float_array(path: str):
     """The vectors as one float64 (n, dim) array, for the float-only commands.
 
     A text with no '"' and no t, f or n (no string, true, false or null)
@@ -205,6 +187,8 @@ def _load_float_array(path: str) -> np.ndarray:
     other entries are parsed as in _load_vectors and rounded once.
     Finiteness is checked on the whole array.
     """
+    import numpy as np
+
     text = _read_text(path)
     numbers_only = not any(c in text for c in '"tfn')  # one memchr pass each
     rows = _check_rows(path, _parse_json(path, text))
@@ -237,12 +221,25 @@ def _float_only(handler):
     ends in DomainError, not in warnings and non-finite fields."""
     @functools.wraps(handler)
     def run(args) -> Output:
+        import numpy as np
+
         try:
             with np.errstate(over="raise", invalid="raise"):
                 return handler(args)
         except FloatingPointError as exc:
             raise DomainError(f"the input leaves the float range: {exc}") from exc
     return run
+
+
+def _open_out(path: str | None):
+    """``path`` opened for writing, or a null context when it is None; a path
+    that cannot be written is a DomainError."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_norm(args) -> Output:
@@ -253,34 +250,36 @@ def cmd_norm(args) -> Output:
     if args.cert_out and (args.brute or exhaustive):
         raise DomainError("certificates are only produced by the T/T2 interval engine")
     x = _load_finvec(args.vec)
-    if squared:
-        x = abs_square(x)
-    payload: dict = {"space": args.space}
-    cert = None
-    if exhaustive:
-        value, payload["engine"] = modified_norm(x), "exhaustive"
-    elif args.brute:
-        value, payload["engine"] = tsirelson_norm_bruteforce(x), "bruteforce"
-    else:
-        res = tsirelson_norm(x)
-        value, cert = res.value, res.certificate
-        if not squared:
-            payload["stats"] = {
-                "memo_entries": res.stats.memo_entries,
-                "expansions": res.stats.expansions,
-            }
-    if squared:
-        payload["value_sq"], payload["value"] = value, float_sqrt(value)
-    else:
-        payload["value"] = value
-    if args.cert_out:
-        with open(args.cert_out, "w", encoding="utf-8") as fh:
-            fh.write(render_json(certificate_to_json(cert)) + "\n")
-        payload["cert_out"] = args.cert_out
+    with _open_out(args.cert_out) as cert_file:  # before the engine runs
+        if squared:
+            x = abs_square(x)
+        payload: dict = {"space": args.space}
+        cert = None
+        if exhaustive:
+            value, payload["engine"] = modified_norm(x), "exhaustive"
+        elif args.brute:
+            value, payload["engine"] = tsirelson_norm_bruteforce(x), "bruteforce"
+        else:
+            res = tsirelson_norm(x)
+            value, cert = res.value, res.certificate
+            if not squared:
+                payload["stats"] = {
+                    "memo_entries": res.stats.memo_entries,
+                    "expansions": res.stats.expansions,
+                }
+        if squared:
+            payload["value_sq"], payload["value"] = value, float_sqrt(value)
+        else:
+            payload["value"] = value
+        if cert_file:
+            cert_file.write(render_json(certificate_to_json(cert)) + "\n")
+            payload["cert_out"] = args.cert_out
     return Output(payload=payload)
 
 
 def cmd_ratio(args) -> Output:
+    from .gauss import SpaceOracle, VectorFamily, gaussian_ratio, rademacher_ratio
+
     rows = _load_vectors(args.vecs)
     space = SpaceOracle.from_tag(args.space, len(rows[0]))
     family = VectorFamily.make(rows, space)
@@ -302,6 +301,10 @@ def cmd_ratio(args) -> Output:
 
 @_float_only
 def cmd_caratheodory(args) -> Output:
+    import numpy as np
+
+    from .gauss import caratheodory_reduce
+
     U = _load_float_array(args.vecs)
     dim = args.dim if args.dim is not None else U.shape[1]
     red = caratheodory_reduce(U, dim)
@@ -326,6 +329,8 @@ def cmd_caratheodory(args) -> Output:
 
 @_float_only
 def cmd_jl_embed(args) -> Output:
+    from .jl import jl_embed
+
     pts = _load_float_array(args.points)
     lmap, rep = jl_embed(pts, args.eps, constant=args.constant, seed=args.seed,
                          max_retries=args.retries)
@@ -343,6 +348,10 @@ def cmd_jl_embed(args) -> Output:
 
 @_float_only
 def cmd_walsh(args) -> Output:
+    import numpy as np
+
+    from .jl import WalshEnsemble, walsh_orthogonality_check, walsh_pointset
+
     ens = WalshEnsemble.from_vectors(_load_float_array(args.family), seed=args.seed, m=args.m)
     pset = walsh_pointset(ens)
     distinct = len(np.unique(pset.points, axis=0))
@@ -360,6 +369,9 @@ def cmd_walsh(args) -> Output:
 
 @_float_only
 def cmd_jl_mechanism(args) -> Output:
+    from .gauss import SpaceOracle
+    from .jl import MechanismTrial, jl_mechanism_experiment
+
     family = _load_float_array(args.family)
     space = SpaceOracle.from_tag(args.space, family.shape[1])
     rep = jl_mechanism_experiment(

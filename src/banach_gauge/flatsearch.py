@@ -79,8 +79,13 @@ class CotypeCertificate:
     """Exact cotype ratio of the diagonal family {sqrt(x_j) e_j} in the
     2-convexified span of e_1..e_N, with the witness's flatness ``theta``.
 
-    ``claimed_c2_lower`` carries the construction's asserted 2^k/k figure
-    when N = g_k(2); it is not certified by this computation.
+    ``claimed_c2_lower`` (``paper_claimed`` in ``cotype-cert``'s output) is
+    the figure 2^k/k that the flat-vector construction attaches to scale
+    k = alpha(N) when N = g_k(2), an instance of the 2^{Omega(alpha(n))}
+    growth the paper proves for the Euclidean distortion.  It is an order of
+    growth, not a certified bound on c2: at N = 4 and 8 it reads 2, above
+    the certified ``c2_lower`` (sqrt 2 and 1.949), while ``ratio`` (2 and
+    19/5), a certified lower bound on c2^2, meets it.
     """
 
     N: int
@@ -163,7 +168,10 @@ def _dual_certificate(pool, weights, N: int, lp_value: Rat) -> tuple[Rat, ...]:
 
 
 def _claimed_bound(n: int) -> tuple[float | None, str]:
-    """2^k/k when n equals g_k(2) for some k >= 1: k is then alpha(n)."""
+    """2^k/k and its note when n equals g_k(2) for some k >= 1 (k is then
+    alpha(n)), else (None, ""): the construction's order of growth at scale
+    k, printed next to the certified figures and never checked against them
+    (see ``CotypeCertificate``)."""
     k = alpha(n)
     if k >= 1 and ackermann_g(k, 2, cap=max(n, 2)).value == n:
         return 2.0**k / k, "claimed by the flat-vector construction at scale k=%d; not certified here" % k

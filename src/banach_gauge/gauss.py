@@ -41,6 +41,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .batch import (
+    exact_dtype,
+    modified_norm_batch,
+    modified_norm_batch_exact,
+    tsirelson_norm_batch,
+    tsirelson_norm_batch_exact,
+)
 from .errors import (
     DegenerateInput,
     DomainError,
@@ -49,13 +56,6 @@ from .errors import (
     ZeroFamily,
 )
 from .seeds import derive_seed, seeded_rng
-from .tsirelson import (
-    exact_dtype,
-    modified_norm_batch,
-    modified_norm_batch_exact,
-    tsirelson_norm_batch,
-    tsirelson_norm_batch_exact,
-)
 
 __all__ = [
     "SpaceOracle",

@@ -80,13 +80,23 @@ def ackermann_g(k: int, n: int, cap: int = 10**100) -> GrowthResult:
     unit steps.  Every iterate of g_i for i >= 1 at least doubles its
     argument, so each loop exits within log2(cap) steps once it is going to
     exceed the cap.
+
+    The levels are scanned upward from 1, so the recursion stays shallow
+    whatever k is.  g_k(0) = 0 and g_k(1) = 2 for every k >= 1.  For n >= 2,
+    g_level(n) grows with the level, so the scan passes the cap within a few
+    levels; evaluating g_level(n) starts with g_{level-1}(n), so a level
+    past the cap means g_k(n) is past it too.
     """
     if k < 0 or n < 0:
         raise DomainError("ackermann_g requires k, n >= 0")
     if cap < n:
         raise DomainError("cap must be >= n")
+    if n <= 1:
+        k = min(k, 1)
     try:
-        return GrowthResult.exact(_g(k, n, cap), cap)
+        for level in range(min(k, 1), k + 1):
+            value = _g(level, n, cap)
+        return GrowthResult.exact(value, cap)
     except _CapExceeded:
         return GrowthResult.exceeds(cap)
 

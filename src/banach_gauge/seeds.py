@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 from .errors import DomainError
 
 
@@ -19,8 +17,11 @@ def derive_seed(root: int, label: str, index: int = 0) -> int:
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
 
 
-def seeded_rng(seed: int) -> np.random.Generator:
-    """numpy's generator for a caller's seed, which numpy requires to be >= 0."""
+def seeded_rng(seed: int):
+    """numpy's generator for a caller's seed, which numpy requires to be >= 0.
+    numpy is imported here, so that ``derive_seed`` alone does not load it."""
+    import numpy as np
+
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)

@@ -211,6 +211,15 @@ def test_norm_support_over_dp_cap_exits_1(capsys, tmp_path, monkeypatch):
         assert json.loads(out)["error"]["type"] == "SupportTooLarge"
 
 
+def test_norm_cert_out_unwritable_exits_1_before_the_engine(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("banach_gauge.cli.tsirelson_norm", lambda x: pytest.fail("the engine ran"))
+    vec = write_vec(tmp_path, "x.json", {3: 1, 4: "1/2"})
+    for target in (tmp_path / "missing" / "c.json", tmp_path):
+        code, out = run(capsys, "norm", "--space", "T2", "--vec", vec, "--cert-out", str(target))
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "DomainError"
+
+
 def test_norm_zero_denominator_entry_exits_1(capsys, tmp_path):
     vec = write_vec(tmp_path, "x.json", {3: "1/0"})
     code, out = run(capsys, "norm", "--space", "T", "--vec", vec)
@@ -794,11 +803,59 @@ def test_env_seed_overrides_on_a_reused_parser(capsys, tmp_path, monkeypatch):
     assert (seed("--seed", "5"), seed()) == (5, 0)
 
 
-def test_cli_import_loads_no_optional_module():
-    # scipy, mpmath and hypothesis are test-side tools, not dependencies
-    probe = ("import sys, banach_gauge.cli; "
-             "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath', 'hypothesis'}))")
+def _fresh_python(code: str, *args: str) -> str:
     src = str(Path(banach_gauge.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+
+
+def test_cli_import_loads_no_optional_module():
+    # scipy, mpmath and hypothesis are test-side tools, not dependencies, and
+    # numpy loads only with the float and batched commands
+    probe = ("import sys, banach_gauge.cli; print(sorted({m.split('.')[0] for m in sys.modules}"
+             " & {'scipy', 'mpmath', 'hypothesis', 'numpy'}))")
+    assert _fresh_python(probe).strip() == "[]"
+
+
+_RUN_AND_REPORT_NUMPY = """
+import contextlib, io, json, sys
+from banach_gauge import cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    report.append((argv[0], code, "numpy" in sys.modules))
+print(json.dumps(report))
+"""
+
+
+def test_exact_commands_never_import_numpy(tmp_path):
+    vec = write_vec(tmp_path, "x.json", {3: "1/2", 4: -1, 5: 2, 7: "1/3"})
+    witness = write_vec(tmp_path, "w.json", {3: 1, 5: 1, 6: 1})
+    vecs = write_vectors(tmp_path, "fam.json", [["1", "0"], ["0", "1"]])
+    sweeps = {
+        "norm": {"grid": {"space": ["T", "T2", "mod", "mod2"]}, "fixed": {"vec": vec}},
+        "flat-search": {"grid": {"N": [3, 5]}},
+        "cotype-cert": {"grid": {"N": [6, 8]}, "fixed": {"witness": witness}},
+        "compare-norms": {"grid": {"count": [2]}},
+    }
+    configs = []
+    for command, cfg in sweeps.items():
+        path = tmp_path / f"sweep-{command}.json"
+        path.write_text(json.dumps({"command": command, **cfg}))
+        configs.append(["sweep", "--config", str(path)])
+    free = [
+        *(["norm", "--space", space, "--vec", vec] for space in ("T", "T2", "mod", "mod2")),
+        *(["norm", "--space", space, "--vec", vec, "--brute"] for space in ("T", "T2")),
+        ["norm", "--space", "T", "--vec", vec, "--cert-out", str(tmp_path / "cert.json")],
+        ["flat-search", "--N", "6"],
+        ["cotype-cert", "--witness", witness, "--N", "6"],
+        ["growth", "g", "3", "2"], ["growth", "alpha", "2049"], ["growth", "alpha-diag", "5"],
+        ["growth", "log-star", "16"], ["growth", "delta-bound", "1000"],
+        ["compare-norms", "--count", "3"], ["compare-norms", "--vec", vec, "--csv"],
+        *configs,
+    ]
+    argvs = free + [["ratio", "--space", "l2", "--kind", "type", "--vecs", vecs]]
+    report = json.loads(_fresh_python(_RUN_AND_REPORT_NUMPY, json.dumps(argvs)))
+    assert [code for _, code, _ in report] == [0] * len(argvs)
+    assert [loaded for _, _, loaded in report] == [False] * len(free) + [True]

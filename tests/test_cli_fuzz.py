@@ -9,6 +9,7 @@ stalling the suite.
 import contextlib
 import io
 import json
+import os
 import signal
 import time
 import warnings
@@ -102,6 +103,8 @@ def _bad_flags(rows: str, witness: str) -> list[list[str]]:
         ["caratheodory", "--vecs", rows, "--dim", "0"],
         ["cotype-cert", "--witness", witness, "--N", "0"],
         ["norm", "--space", "T", "--vec", rows + ".missing"],
+        ["norm", "--space", "T", "--vec", witness, "--cert-out", witness + ".missing/c.json"],
+        ["norm", "--space", "T", "--vec", witness, "--cert-out", os.path.dirname(witness)],
         ["growth", "delta-bound", "0"],
         ["growth", "delta-bound", "nan"],
         ["growth", "alpha", "0"],

@@ -1,0 +1,62 @@
+"""The package's exports: a pinned list, each name resolved on first use."""
+
+import importlib
+
+import pytest
+
+import banach_gauge
+
+EXPORTS = [
+    "AllPointsCoincide", "BadEpsilon", "BadSupportBound", "BanachGaugeError", "C2LowerBound",
+    "ConeReduction", "CotypeCertificate", "DegenerateInput", "DistortionReport", "DomainError",
+    "EmbeddingFailed", "EvalStats", "FinVec", "FlatSearchResult", "GrowthResult", "InvalidBound",
+    "Leaf", "LinearMap", "MTooLarge", "MalformedCertificate", "MechanismReport", "NegativeEntry",
+    "NormCertificate", "NormResult", "Part", "PointSet", "Rat", "RatioEstimate", "RatioUndefined",
+    "SpaceOracle", "Split", "SupportTooLarge", "TooManyVectors", "VectorFamily", "WalshEnsemble",
+    "ZeroFamily", "ZeroTail", "abs_square", "ackermann_g", "alpha", "alpha_diag",
+    "c2_lower_from_witness", "caratheodory_reduce", "certificate_from_json", "certificate_to_json",
+    "certificate_value", "cotype_certificate", "delta_bound", "diagonal_sqrt_family",
+    "distortion_of_map", "errors", "fit_tower_constant", "flatness", "flatsearch", "flm_reduce",
+    "fwht", "gauss", "gaussian_ratio", "growth", "jl", "jl_embed", "jl_mechanism_experiment",
+    "kwapien_upper", "l1_norm", "log_star", "modified_norm", "modified_norm_batch",
+    "modified_norm_batch_exact", "modified_t2_norm_sq", "norming_functional", "rademacher_ratio",
+    "search_flat", "seeds", "seqvec", "simplex", "sup_norm", "t2_norm", "t2_norm_sq", "tsirelson",
+    "tsirelson_norm", "tsirelson_norm_batch", "tsirelson_norm_batch_exact",
+    "tsirelson_norm_bruteforce", "validate_certificate", "walsh_orthogonality_check",
+    "walsh_pointset",
+]
+SUBMODULES = ["errors", "flatsearch", "gauss", "growth", "jl", "seeds", "seqvec", "simplex",
+              "tsirelson"]
+
+
+def test_all_is_pinned_and_every_name_resolves():
+    assert banach_gauge.__all__ == EXPORTS
+    for name in EXPORTS:
+        getattr(banach_gauge, name)
+
+
+def test_star_import_binds_every_export():
+    ns: dict = {}
+    exec("from banach_gauge import *", ns)
+    assert set(EXPORTS) <= set(ns)
+    assert ns["tsirelson_norm_batch"] is importlib.import_module("banach_gauge.batch").tsirelson_norm_batch
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodules_are_attributes(name):
+    assert getattr(banach_gauge, name) is importlib.import_module(f"banach_gauge.{name}")
+
+
+@pytest.mark.parametrize("name,home", [
+    ("FinVec", "seqvec"), ("ZeroTail", "errors"), ("tsirelson_norm", "tsirelson"),
+    ("modified_norm_batch_exact", "batch"), ("SpaceOracle", "gauss"), ("jl_embed", "jl"),
+    ("ackermann_g", "growth"), ("search_flat", "flatsearch"),
+])
+def test_an_export_is_its_home_module_object(name, home):
+    assert getattr(banach_gauge, name) is getattr(importlib.import_module(f"banach_gauge.{home}"), name)
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_HOME_x", "np", "exact_dtype"])
+def test_an_unknown_name_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(banach_gauge, name)

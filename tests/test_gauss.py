@@ -26,6 +26,7 @@ from banach_gauge import (
     kwapien_upper,
     rademacher_ratio,
 )
+import banach_gauge.batch as batch_module
 import banach_gauge.tsirelson as tsirelson_module
 from banach_gauge.gauss import MC_CELL_CAP
 from banach_gauge.tsirelson import (
@@ -366,8 +367,8 @@ def test_rademacher_float_entries_beyond_int64(tag, monkeypatch):
     # Python ints, and the ratio is still the exact all-patterns value
     seen = []
     for name in ("_run_plan", "_run_modified_plan"):
-        run = getattr(tsirelson_module, name)
-        monkeypatch.setattr(tsirelson_module, name,
+        run = getattr(batch_module, name)
+        monkeypatch.setattr(batch_module, name,
                             lambda plan, wt, run=run: seen.append(wt.dtype) or run(plan, wt))
     rows = [[1e-5, 0.1, 0.0, 3.0], [0.1, -2.5, 1e-5, 0.0], [0.0, 0.3, 0.7, -1e-5]]
     fam = VectorFamily.make(rows, SpaceOracle.from_tag(tag, 4))
@@ -380,8 +381,10 @@ def test_rademacher_float_entries_beyond_int64(tag, monkeypatch):
 def test_rademacher_union_support_above_the_mod2_cap(monkeypatch):
     # each vector fits the engine's cap but their union support is one label
     # over it: the ratio raises before any plan is compiled or run
+    monkeypatch.setattr(tsirelson_module, "_interval_plan",
+                        lambda *a: pytest.fail("a plan ran past the support cap"))
     for name in ("_interval_plan", "_modified_plan", "_run_plan", "_run_modified_plan"):
-        monkeypatch.setattr(tsirelson_module, name,
+        monkeypatch.setattr(batch_module, name,
                             lambda *a: pytest.fail("a plan ran past the support cap"))
     s = MAX_MODIFIED_SUPPORT + 1
     x1 = [F(1)] * (s - 1) + [F(0)]
@@ -624,7 +627,7 @@ def _row_norms(space, pts):
 
 def test_engine_reference_runs_no_batch_plan(monkeypatch):
     for name in ("_run_plan", "_run_modified_plan"):
-        monkeypatch.setattr(tsirelson_module, name,
+        monkeypatch.setattr(batch_module, name,
                             lambda *a, name=name: pytest.fail(f"{name} was run"))
     pts = np.array([[1.0, 0.0, -2.5, 0.5], [0.0, 3.0, 1.0, -1.0]])
     for tag in ("T", "T2", "mod2"):

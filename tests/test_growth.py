@@ -1,6 +1,9 @@
+import contextlib
 import inspect
+import io
 import math
 import sys
+import time
 
 import pytest
 
@@ -14,6 +17,7 @@ from banach_gauge import (
     fit_tower_constant,
     log_star,
 )
+from banach_gauge.cli import main
 
 
 def test_log_star_examples():
@@ -60,6 +64,51 @@ def test_ackermann_closed_forms_small():
         assert ackermann_g(1, n, cap=10**9).value == 2 * n
     for n in range(1, 7):
         assert ackermann_g(2, n, cap=10**9).value == n * 2**n
+
+
+def _g_by_levels(k: int, n: int, cap: int) -> str:
+    """g_k(n) by the level recursion, one call per level, as the CLI prints it."""
+    def g(level: int, v: int) -> int:
+        if level == 0:
+            r = v + 1
+        elif level == 1:
+            r = 2 * v
+        else:
+            r = v
+            for _ in range(v):
+                r = g(level - 1, r)
+        if r > cap:
+            raise OverflowError
+        return r
+
+    try:
+        return str(g(k, n))
+    except OverflowError:
+        return "EXCEEDS_CAP"
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 7, 100, 2048, 10**6, 10**100])
+def test_ackermann_matches_the_level_recursion(cap):
+    for k in range(6):
+        for n in range(min(cap, 6) + 1):  # the cap must be >= n
+            assert str(ackermann_g(k, n, cap=cap)) == _g_by_levels(k, n, cap), (k, n)
+
+
+def _growth(*argv: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["growth", *argv]) == 0
+    return out.getvalue()
+
+
+def test_ackermann_at_huge_levels():
+    start = time.perf_counter()
+    assert _growth("g", "100000", "3") == "EXCEEDS_CAP\n"
+    assert time.perf_counter() - start < 1
+    assert _growth("g", "1000", "3") == "EXCEEDS_CAP\n"
+    assert _growth("g", "1000000000000", "1") == "2\n"
+    assert _growth("g", "1000000000000", "0") == "0\n"
+    assert _growth("g", "1000000000000", "1", "--cap", "1") == "EXCEEDS_CAP\n"
 
 
 def test_growth_monotone_in_k_and_n():

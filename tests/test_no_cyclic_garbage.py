@@ -18,11 +18,10 @@ import pytest
 
 from banach_gauge import FinVec
 from banach_gauge.cli import main
+from banach_gauge.batch import _modified_plan, modified_norm_batch
 from banach_gauge.growth import ackermann_g
 from banach_gauge.tsirelson import (
-    _modified_plan,
     modified_norm,
-    modified_norm_batch,
     norming_functional,
     t2_norm_sq,
     tsirelson_norm,

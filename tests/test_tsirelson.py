@@ -40,6 +40,7 @@ from banach_gauge import (
     tsirelson_norm_bruteforce,
     validate_certificate,
 )
+import banach_gauge.batch as batch_module
 import banach_gauge.tsirelson as tsirelson_module
 from banach_gauge.errors import DomainError
 from banach_gauge.tsirelson import MAX_DP_SUPPORT
@@ -105,7 +106,7 @@ def test_t2_bruteforce_matches_dp_at_support_11():
 
 
 def _plan_digest(sup: tuple[int, ...]) -> str:
-    slots, cells, root, levels = tsirelson_module._modified_plan.__wrapped__(sup)
+    slots, cells, root, levels = batch_module._modified_plan.__wrapped__(sup)
     h = hashlib.sha256(repr((slots, cells, root)).encode())
     for lo, a, b, starts, halves in levels:
         h.update(repr((lo, a.tolist(), b.tolist(), starts.tolist(), halves.tolist())).encode())
@@ -694,16 +695,16 @@ def test_batch_in_chunks_matches_rows_one_by_one(monkeypatch):
     rows[4] = 0.0
     one_by_one = [tsirelson_norm_batch(row[None, :], indices)[0] for row in rows]
     chunks = []
-    run_plan = tsirelson_module._run_plan
-    monkeypatch.setattr(tsirelson_module, "_BATCH_CELLS", 3 * 16)  # 3 rows per chunk
-    monkeypatch.setattr(tsirelson_module, "_run_plan",
+    run_plan = batch_module._run_plan
+    monkeypatch.setattr(batch_module, "_BATCH_CELLS", 3 * 16)  # 3 rows per chunk
+    monkeypatch.setattr(batch_module, "_run_plan",
                         lambda plan, wt: chunks.append(wt.shape[1]) or run_plan(plan, wt))
     assert tsirelson_norm_batch(rows, indices).tolist() == one_by_one
     assert chunks == [3, 3, 3, 2]
 
 
 def test_batch_support_cap_checked_first(monkeypatch):
-    monkeypatch.setattr(tsirelson_module, "_interval_plan",
+    monkeypatch.setattr(batch_module, "_interval_plan",
                         lambda sup: pytest.fail("the batch ran past its support cap"))
     with pytest.raises(SupportTooLarge, match=str(MAX_DP_SUPPORT)):
         tsirelson_norm_batch(np.ones((1, MAX_DP_SUPPORT + 1)), range(1, MAX_DP_SUPPORT + 2))
@@ -770,12 +771,12 @@ def test_int64_and_object_columns_agree(batch, offset):
     s = len(indices)
     if s == 0:
         return
-    edge = tsirelson_module.INT64_BOUND // (s << (s - 1))
+    edge = batch_module.INT64_BOUND // (s << (s - 1))
     rows = rows.astype(object)
     rows[0, 0] = edge + offset
-    cols, _ = tsirelson_module._exact_columns(rows, s)
+    cols, _ = batch_module._exact_columns(rows, s)
     top = max(int(v) for v in rows.flat)
-    assert (cols.dtype == np.int64) == (top * s << (s - 1) < tsirelson_module.INT64_BOUND)
+    assert (cols.dtype == np.int64) == (top * s << (s - 1) < batch_module.INT64_BOUND)
     t_nums, t_scale = tsirelson_norm_batch_exact(rows, indices)
     m_nums, m_scale = modified_norm_batch_exact(rows, indices)
     for row, t_num, m_num in zip(rows, t_nums, m_nums):
@@ -784,10 +785,10 @@ def test_int64_and_object_columns_agree(batch, offset):
         assert Fraction(m_num, m_scale) == modified_norm(x)
     if cols.dtype == np.int64:
         plan, mod_plan = tsirelson_module._interval_plan(tuple(indices)), \
-            tsirelson_module._modified_plan(tuple(indices))
+            batch_module._modified_plan(tuple(indices))
         as_int64 = np.ascontiguousarray(cols.T)
         as_ints = as_int64.astype(object)
-        run, run_mod = tsirelson_module._run_plan, tsirelson_module._run_modified_plan
+        run, run_mod = batch_module._run_plan, batch_module._run_modified_plan
         assert run(plan, as_int64).tolist() == run(plan, as_ints).tolist()
         assert run_mod(mod_plan, as_int64).tolist() == run_mod(mod_plan, as_ints).tolist()
 
