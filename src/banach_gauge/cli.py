@@ -30,8 +30,10 @@ import os
 import random
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .errors import BanachGaugeError, DomainError, SupportTooLarge
@@ -215,22 +217,6 @@ def _load_float_array(path: str):
 # Handlers
 # --------------------------------------------------------------------------
 
-def _float_only(handler):
-    """Run a float-only command with numpy overflow and invalid operations
-    raised: an input whose squares or Gram products leave the float range
-    ends in DomainError, not in warnings and non-finite fields."""
-    @functools.wraps(handler)
-    def run(args) -> Output:
-        import numpy as np
-
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return handler(args)
-        except FloatingPointError as exc:
-            raise DomainError(f"the input leaves the float range: {exc}") from exc
-    return run
-
-
 def _open_out(path: str | None):
     """``path`` opened for writing, or a null context when it is None; a path
     that cannot be written is a DomainError."""
@@ -287,19 +273,17 @@ def cmd_ratio(args) -> Output:
         est = rademacher_ratio(family, args.kind)
     else:
         est = gaussian_ratio(family, args.kind, samples=args.samples, seed=args.seed)
-    payload = {
+    return Output(payload={
         "point": est.point,
         "ci": [est.ci_low, est.ci_high],
         "mode": est.mode,
         "kind": est.kind,
         "samples": est.samples,
-        "exact": None if est.exact is None else est.exact,
+        "exact": est.exact,
         "witness": {"n": len(family), "space": args.space, "source": args.vecs},
-    }
-    return Output(payload=payload)
+    })
 
 
-@_float_only
 def cmd_caratheodory(args) -> Output:
     import numpy as np
 
@@ -312,10 +296,9 @@ def cmd_caratheodory(args) -> Output:
     reduced = red.vectors.T @ (red.weights[:, None] * red.vectors)
     denom = float(np.linalg.norm(target)) or 1.0
     cov_residual = float(np.linalg.norm(reduced - target)) / denom
-    norm_gap = abs(
-        float(np.sum(red.v**2) + np.sum(red.w**2) - np.sum(U**2))
-    ) / max(1.0, float(np.sum(U**2)))
-    payload = {
+    norm_gap = (abs(float(np.sum(red.v**2) + np.sum(red.w**2) - np.sum(U**2)))
+                / max(1.0, float(np.sum(U**2))))
+    return Output(payload={
         "bound": dim * (dim + 1) // 2,
         "nonzero_weights": int(np.count_nonzero(red.weights)),
         "weights": [float(c) for c in red.weights],
@@ -323,18 +306,16 @@ def cmd_caratheodory(args) -> Output:
         "cov_residual": cov_residual,
         "norm_identity_residual": norm_gap,
         "c1": float(red.weights[0]),
-    }
-    return Output(payload=payload)
+    })
 
 
-@_float_only
 def cmd_jl_embed(args) -> Output:
     from .jl import jl_embed
 
     pts = _load_float_array(args.points)
     lmap, rep = jl_embed(pts, args.eps, constant=args.constant, seed=args.seed,
                          max_retries=args.retries)
-    payload = {
+    return Output(payload={
         **dataclasses.asdict(rep),
         "n": len(pts),
         "source_dim": int(pts.shape[1]),
@@ -342,11 +323,9 @@ def cmd_jl_embed(args) -> Output:
         "eps": args.eps,
         "constant": args.constant,
         "map_scale": lmap.scale,
-    }
-    return Output(payload=payload)
+    })
 
 
-@_float_only
 def cmd_walsh(args) -> Output:
     import numpy as np
 
@@ -356,45 +335,36 @@ def cmd_walsh(args) -> Output:
     pset = walsh_pointset(ens)
     distinct = len(np.unique(pset.points, axis=0))
     check = walsh_orthogonality_check(ens.m, ens.gaussians[:, None] * ens.base)
-    payload = {
+    return Output(payload={
         "m": ens.m,
         "size": len(pset),
         "distinct": distinct,
         "size_bound": (1 << (ens.m + 1)) + 1,
         "orthogonality_residual": check.residual,
         "orthogonality_ok": check.passed,
-    }
-    return Output(payload=payload)
+    })
 
 
-@_float_only
 def cmd_jl_mechanism(args) -> Output:
     from .gauss import SpaceOracle
     from .jl import MechanismTrial, jl_mechanism_experiment
 
     family = _load_float_array(args.family)
     space = SpaceOracle.from_tag(args.space, family.shape[1])
-    rep = jl_mechanism_experiment(
-        space,
-        family,
-        eps=args.eps,
-        constant=args.constant,
-        seed=args.seed,
-        trials=args.trials,
-    )
+    rep = jl_mechanism_experiment(space, family, eps=args.eps, constant=args.constant,
+                                  seed=args.seed, trials=args.trials)
     trial_rows = [dataclasses.asdict(t) for t in rep.trials]
     if args.csv:
         header = [f.name for f in dataclasses.fields(MechanismTrial)]
         return Output(csv=(header, [list(r.values()) for r in trial_rows]))
-    payload = {
+    return Output(payload={
         "space": args.space,
         "m": rep.m,
         "max_ratio": rep.max_ratio,
         "mean_lhs": rep.mean_lhs,
         "note": rep.note,
         "trials": trial_rows,
-    }
-    return Output(payload=payload)
+    })
 
 
 def _parse_intish(s: str) -> int:
@@ -411,25 +381,9 @@ def _parse_intish(s: str) -> int:
     return int(f)
 
 
-def cmd_growth(args) -> Output:
-    sub = args.growth_cmd
-    if sub == "log-star":
-        return Output(text=str(log_star(float(args.x))))
-    if sub == "g":
-        res = ackermann_g(args.k, args.n, cap=_parse_intish(args.cap))
-        return Output(text=str(res))
-    if sub == "alpha":
-        return Output(text=str(alpha(args.n)))
-    if sub == "alpha-diag":
-        return Output(text=str(alpha_diag(args.n)))
-    if sub == "delta-bound":
-        return Output(text=f"{delta_bound(float(args.n), args.K, args.D):.17g}")
-    raise DomainError(f"unknown growth subcommand {sub!r}")
-
-
 def cmd_flat_search(args) -> Output:
     res = search_flat(args.N, max_rounds=args.rounds)
-    payload = {
+    return Output(payload={
         "N": args.N,
         "witness": res.x.to_json(),
         "theta": res.theta,
@@ -438,21 +392,19 @@ def cmd_flat_search(args) -> Output:
         "converged": res.converged,
         "pool_size": len(res.pool),
         "certificate": certificate_to_json(res.certificate),
-    }
-    return Output(payload=payload)
+    })
 
 
 def cmd_cotype_cert(args) -> Output:
     cc = cotype_certificate(_load_finvec(args.witness), args.N)
-    payload = {
+    return Output(payload={
         "n": cc.N,
         "theta": cc.theta,
         "ratio": cc.ratio,
         "c2_lower": cc.c2_lower,
         "paper_claimed": cc.claimed_c2_lower,
         "note": cc.claimed_note or "certified by the exact sign-averaged ratio",
-    }
-    return Output(payload=payload)
+    })
 
 
 _COMPARE_VALUES = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
@@ -460,7 +412,6 @@ _COMPARE_VALUES = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
 
 
 def cmd_compare_norms(args) -> Output:
-    rows = []
     if args.vec:
         vecs = [_load_finvec(args.vec)]
     else:
@@ -477,21 +428,18 @@ def cmd_compare_norms(args) -> Output:
                     raise SupportTooLarge(f"support {size} exceeds {engine} cap {cap}")
             support = rng.sample(range(1, args.max_support + 1), size)
             vecs.append(FinVec({j: rng.choice(_COMPARE_VALUES) for j in support}))
+    rows = []
     for v in vecs:
-        t2 = t2_norm_sq(v).value
-        mod2 = modified_t2_norm_sq(v)
-        rows.append(
-            {
-                "vec": json.dumps(v.to_json()["v"], sort_keys=True),
-                "t2_sq": t2,
-                "mod2_sq": mod2,
-                "ratio": float(t2 / mod2) if mod2 else math.nan,
-            }
-        )
+        t2, mod2 = t2_norm_sq(v).value, modified_t2_norm_sq(v)
+        rows.append({"vec": json.dumps(v.to_json()["v"], sort_keys=True), "t2_sq": t2,
+                     "mod2_sq": mod2, "ratio": float(t2 / mod2) if mod2 else math.nan})
     if args.csv:
         header = ["vec", "t2_sq", "mod2_sq", "ratio"]
         return Output(csv=(header, [[r[h] for h in header] for r in rows]))
     return Output(payload={"count": len(rows), "rows": rows})
+
+
+SWEEP_CELL_CAP = 10_000  # cells in one sweep grid; a larger grid exits 1 before any cell runs
 
 
 def cmd_sweep(args) -> Output:
@@ -499,7 +447,7 @@ def cmd_sweep(args) -> Output:
     if not isinstance(cfg, dict):
         raise DomainError(f"{args.config}: a sweep config must be a JSON object")
     command = cfg.get("command")
-    if not isinstance(command, str) or command not in HANDLERS or command == "sweep":
+    if not isinstance(command, str) or command not in COMMANDS or command == "sweep":
         raise DomainError(f"sweep cannot run command {command!r}")
     grid = cfg.get("grid", {})
     fixed = cfg.get("fixed", {})
@@ -512,18 +460,15 @@ def cmd_sweep(args) -> Output:
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{args.config}: bad seed: {exc}") from exc
     keys = sorted(grid)
-    value_lists = [grid[k] for k in keys]
-    cells = list(itertools.product(*value_lists)) if keys else [()]
-    if any(len(v) == 0 for v in value_lists):
-        cells = []
-    results: list[tuple[dict, dict | None, str | None]] = []
-    for idx, cell in enumerate(cells):
-        params = dict(fixed)
-        params.update(dict(zip(keys, cell)))
-        argv = [command]
-        for k, v in params.items():
-            argv += [f"--{k}", str(v)]
-        cell_params = dict(zip(keys, cell))
+    count = math.prod(len(grid[k]) for k in keys)
+    if count > SWEEP_CELL_CAP:
+        raise DomainError(f"{args.config}: the grid has {count} cells, over the cap of "
+                          f"{SWEEP_CELL_CAP}")
+    cells: list[tuple[dict, str]] = []  # (the grid's values and the scalar results, error)
+    for idx, values in enumerate(itertools.product(*(grid[k] for k in keys))):
+        cell = dict(zip(keys, values))
+        params = {**fixed, **cell}
+        argv = [command, *(a for k, v in params.items() for a in (f"--{k}", str(v)))]
         try:
             # argparse writes usage errors to stderr, and a --help key's text to stdout
             sink = io.StringIO()
@@ -531,140 +476,158 @@ def cmd_sweep(args) -> Output:
                 ns = build_parser().parse_args(argv)
             if hasattr(ns, "seed") and "seed" not in params:
                 ns.seed = derive_seed(root_seed, command, idx)
-            out = HANDLERS[command](ns)
-            flat: dict = {}
-            if out.payload is not None:
-                for k, v in out.payload.items():
-                    if isinstance(v, (str, int, float, bool, Fraction)) or v is None:
-                        flat[k] = v
-            elif out.text is not None:
-                flat["value"] = out.text
-            results.append((cell_params, flat, None))
+            out = _run(ns)
+            if out.text is not None:
+                found = {"value": out.text}
+            else:
+                found = {k: v for k, v in (out.payload or {}).items()
+                         if isinstance(v, (str, int, float, bool, Fraction)) or v is None}
+            cells.append(({**found, **cell}, ""))
         except SystemExit:
-            results.append((cell_params, None, "usage error"))
+            cells.append((cell, "usage error"))
         except BanachGaugeError as exc:
-            results.append((cell_params, None, f"{type(exc).__name__}: {exc}"))
-    field_set: set[str] = set()
-    for _, flat, _err in results:
-        if flat:
-            field_set.update(flat)
-    field_set -= set(keys)  # grid columns already lead every row
-    header = keys + sorted(field_set) + ["error"]
-    rows = []
-    for cell_params, flat, err in results:
-        row = [cell_params.get(k) for k in keys]
-        row += [(flat or {}).get(f) for f in sorted(field_set)]
-        row.append(err or "")
-        rows.append(row)
-    return Output(csv=(header, rows))
+            cells.append((cell, f"{type(exc).__name__}: {exc}"))
+    columns = keys + sorted({f for found, _ in cells for f in found} - set(keys))
+    rows = [[found.get(c) for c in columns] + [err] for found, err in cells]
+    return Output(csv=(columns + ["error"], rows))
 
 
-HANDLERS = {
-    "norm": cmd_norm,
-    "ratio": cmd_ratio,
-    "caratheodory": cmd_caratheodory,
-    "jl-embed": cmd_jl_embed,
-    "jl-mechanism": cmd_jl_mechanism,
-    "walsh": cmd_walsh,
-    "growth": cmd_growth,
-    "flat-search": cmd_flat_search,
-    "cotype-cert": cmd_cotype_cert,
-    "compare-norms": cmd_compare_norms,
-    "sweep": cmd_sweep,
+# --------------------------------------------------------------------------
+# Command table, parser and dispatch
+# --------------------------------------------------------------------------
+
+class Command(NamedTuple):
+    """One subcommand: its handler, its help line, its arguments in order
+    (each flag or positional name with its add_argument keywords), and
+    whether it runs on float arrays.  A command with ``subcommands`` runs the
+    one named by its first word."""
+
+    run: Callable[[argparse.Namespace], Output] | None
+    help: str | None
+    args: dict[str, dict]
+    float_only: bool = False
+    subcommands: dict[str, Command] | None = None
+
+
+_SEED = {"type": int, "default": 0}
+_CSV = {"action": "store_true"}
+
+GROWTH = {
+    "log-star": Command(lambda a: Output(text=str(log_star(float(a.x)))), None,
+                        {"x": {"type": float}}),
+    "g": Command(lambda a: Output(text=str(ackermann_g(a.k, a.n, cap=_parse_intish(a.cap)))),
+                 None, {"k": {"type": int}, "n": {"type": int},
+                        "--cap": {"default": str(10**100)}}),
+    "alpha": Command(lambda a: Output(text=str(alpha(a.n))), None, {"n": {"type": int}}),
+    "alpha-diag": Command(lambda a: Output(text=str(alpha_diag(a.n))), None, {"n": {"type": int}}),
+    "delta-bound": Command(lambda a: Output(text=f"{delta_bound(float(a.n), a.K, a.D):.17g}"),
+                           "recursive distortion bound",
+                           {"n": {"type": float}, "--K": {"type": float, "default": 1.0},
+                            "--D": {"type": float, "default": 1.0}}),
+}
+
+COMMANDS = {
+    "norm": Command(cmd_norm, "evaluate a norm on a vector file", {
+        "--space": {"required": True, "choices": ["T", "T2", "mod", "mod2"]},
+        "--vec": {"required": True, "help": 'JSON file {"v": {"3": "1/2", ...}}'},
+        "--brute": {"action": "store_true", "help": "use the all-subsets oracle (T, T2 only)"},
+        "--cert-out": {"help": "write the certificate JSON here"},
+    }),
+    "ratio": Command(cmd_ratio, "type/cotype ratio of a vector family", {
+        "--space": {"required": True, "help": "l1|l2|linf|lp<p>|T|T2|mod2"},
+        "--kind": {"required": True, "choices": ["type", "cotype"]},
+        "--mode": {"default": "exact", "choices": ["exact", "mc"]},
+        "--vecs": {"required": True, "help": "JSON list of vectors"},
+        "--samples": {"type": int, "default": 100_000},
+        "--seed": _SEED,
+    }),
+    "caratheodory": Command(cmd_caratheodory, "cone-weight reduction of outer products", {
+        "--vecs": {"required": True},
+        "--dim": {"type": int, "default": None},
+    }, float_only=True),
+    "jl-embed": Command(cmd_jl_embed, "random projection with distortion report", {
+        "--points": {"required": True, "help": "JSON list of vectors"},
+        "--eps": {"required": True, "type": float},
+        "--constant": {"type": float, "default": 8.0},
+        "--seed": _SEED,
+        "--retries": {"type": int, "default": 100},
+    }, float_only=True),
+    "walsh": Command(cmd_walsh, "Walsh point set and orthogonality check", {
+        "--m": {"type": int, "default": None},
+        "--family": {"required": True},
+        "--seed": _SEED,
+    }, float_only=True),
+    "jl-mechanism": Command(cmd_jl_mechanism, "embeddability-vs-type/cotype experiment", {
+        "--space": {"required": True},
+        "--family": {"required": True},
+        "--trials": {"type": int, "default": 10},
+        "--eps": {"type": float, "default": 0.5},
+        "--constant": {"type": float, "default": 8.0},
+        "--seed": _SEED,
+        "--csv": _CSV,
+    }, float_only=True),
+    "growth": Command(None, "growth-hierarchy calculators", {}, subcommands=GROWTH),
+    "flat-search": Command(cmd_flat_search, "cutting-plane search for flat vectors", {
+        "--N": {"required": True, "type": int},
+        "--rounds": {"type": int, "default": 200},
+    }),
+    "cotype-cert": Command(cmd_cotype_cert, "cotype certificate from a flat witness", {
+        "--witness": {"required": True, "help": "FinVec JSON file"},
+        "--N": {"type": int, "default": None},
+    }),
+    "compare-norms": Command(cmd_compare_norms, "empirical T2-vs-mod2 comparison sweep", {
+        "--vec": {"default": None},
+        "--count": {"type": int, "default": 20},
+        "--max-support": {"type": int, "default": 6},
+        "--seed": _SEED,
+        "--csv": _CSV,
+    }),
+    "sweep": Command(cmd_sweep, "run a parameter grid, one CSV row per cell", {
+        "--config": {"required": True},
+    }),
 }
 
 
-# --------------------------------------------------------------------------
-# Parser
-# --------------------------------------------------------------------------
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process and shared:
-    parsing leaves it unchanged, so ``main`` and each ``sweep`` cell reuse
-    it.  Callers must not add to it."""
+    """The parser of every subcommand in ``COMMANDS``, built once per process
+    and shared: parsing leaves it unchanged, so ``main`` and each ``sweep``
+    cell reuse it.  Callers must not add to it."""
     parser = argparse.ArgumentParser(
         prog="banach-gauge",
         description="Desk-scale Banach geometry: exact norms, type/cotype ratios, "
         "random projections, growth calculators.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("norm", help="evaluate a norm on a vector file")
-    p.add_argument("--space", required=True, choices=["T", "T2", "mod", "mod2"])
-    p.add_argument("--vec", required=True, help='JSON file {"v": {"3": "1/2", ...}}')
-    p.add_argument("--brute", action="store_true", help="use the all-subsets oracle (T, T2 only)")
-    p.add_argument("--cert-out", help="write the certificate JSON here")
-
-    p = sub.add_parser("ratio", help="type/cotype ratio of a vector family")
-    p.add_argument("--space", required=True, help="l1|l2|linf|lp<p>|T|T2|mod2")
-    p.add_argument("--kind", required=True, choices=["type", "cotype"])
-    p.add_argument("--mode", default="exact", choices=["exact", "mc"])
-    p.add_argument("--vecs", required=True, help="JSON list of vectors")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("caratheodory", help="cone-weight reduction of outer products")
-    p.add_argument("--vecs", required=True)
-    p.add_argument("--dim", type=int, default=None)
-
-    p = sub.add_parser("jl-embed", help="random projection with distortion report")
-    p.add_argument("--points", required=True, help="JSON list of vectors")
-    p.add_argument("--eps", required=True, type=float)
-    p.add_argument("--constant", type=float, default=8.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--retries", type=int, default=100)
-
-    p = sub.add_parser("walsh", help="Walsh point set and orthogonality check")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--family", required=True)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("jl-mechanism", help="embeddability-vs-type/cotype experiment")
-    p.add_argument("--space", required=True)
-    p.add_argument("--family", required=True)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--constant", type=float, default=8.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv", action="store_true")
-
-    p = sub.add_parser("growth", help="growth-hierarchy calculators")
-    gsub = p.add_subparsers(dest="growth_cmd", required=True)
-    g = gsub.add_parser("log-star")
-    g.add_argument("x", type=float)
-    g = gsub.add_parser("g")
-    g.add_argument("k", type=int)
-    g.add_argument("n", type=int)
-    g.add_argument("--cap", default=str(10**100))
-    g = gsub.add_parser("alpha")
-    g.add_argument("n", type=int)
-    g = gsub.add_parser("alpha-diag")
-    g.add_argument("n", type=int)
-    g = gsub.add_parser("delta-bound", help="recursive distortion bound")
-    g.add_argument("n", type=float)
-    g.add_argument("--K", type=float, default=1.0)
-    g.add_argument("--D", type=float, default=1.0)
-
-    p = sub.add_parser("flat-search", help="cutting-plane search for flat vectors")
-    p.add_argument("--N", required=True, type=int)
-    p.add_argument("--rounds", type=int, default=200)
-
-    p = sub.add_parser("cotype-cert", help="cotype certificate from a flat witness")
-    p.add_argument("--witness", required=True, help="FinVec JSON file")
-    p.add_argument("--N", type=int, default=None)
-
-    p = sub.add_parser("compare-norms", help="empirical T2-vs-mod2 comparison sweep")
-    p.add_argument("--vec", default=None)
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--max-support", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv", action="store_true")
-
-    p = sub.add_parser("sweep", help="run a parameter grid, one CSV row per cell")
-    p.add_argument("--config", required=True)
-
+    _add_commands(parser.add_subparsers(dest="command", required=True), COMMANDS)
     return parser
+
+
+def _add_commands(sub, table: dict[str, Command]) -> None:
+    for name, row in table.items():
+        # help=None would still give the name a line of its own in the help
+        p = sub.add_parser(name, **({"help": row.help} if row.help else {}))
+        p.set_defaults(row=row)  # a subcommand's row replaces its command's
+        for flag, kw in row.args.items():
+            p.add_argument(flag, **kw)
+        if row.subcommands:
+            _add_commands(p.add_subparsers(dest=f"{name}_cmd", required=True), row.subcommands)
+
+
+def _run(args) -> Output:
+    """The one call site of every handler, for ``main`` and each sweep cell.
+    A float-only command runs with numpy's overflow and invalid operations
+    raised: an input whose squares or Gram products leave the float range
+    ends in DomainError, not in warnings and non-finite fields."""
+    row = args.row
+    if not row.float_only:
+        return row.run(args)
+    import numpy as np
+
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return row.run(args)
+    except FloatingPointError as exc:
+        raise DomainError(f"the input leaves the float range: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -682,7 +645,7 @@ def main(argv=None) -> int:
                 args.seed = int(env_seed)
             except ValueError as exc:
                 raise DomainError(f"BANACH_GAUGE_SEED={env_seed!r} is not an integer") from exc
-        text = _stdout(HANDLERS[args.command](args), args, argv, start)
+        text = _stdout(_run(args), args, argv, start)
     except BanachGaugeError as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(render_json(err))

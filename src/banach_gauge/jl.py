@@ -344,7 +344,8 @@ class WalshEnsemble:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise DomainError("m must be >= 1")
-        if self.base.shape[0] != 1 << self.m or self.gaussians.shape != (1 << self.m,):
+        rows = self.base.shape[0]  # 2^m is never built: m may be huge
+        if rows & (rows - 1) or rows.bit_length() != self.m + 1 or self.gaussians.shape != (rows,):
             raise DomainError("need exactly 2^m base vectors and 2^m gaussians")
 
     @classmethod
@@ -358,7 +359,7 @@ class WalshEnsemble:
             m = max(1, math.ceil(math.log2(len(V))))
         if m < 1:
             raise DomainError("m must be >= 1")
-        if len(V) > 1 << m:
+        if (len(V) - 1).bit_length() > m:  # len(V) > 2^m, without building 2^m
             raise DomainError(f"{len(V)} vectors do not fit in 2^{m}")
         if m > WALSH_M_CAP:
             raise MTooLarge(f"m={m} exceeds cap {WALSH_M_CAP}")

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .errors import DomainError, MalformedCertificate, SupportTooLarge
+from .errors import MalformedCertificate, SupportTooLarge
 from .seqvec import FinVec, Rat, abs_square, float_sqrt
 
 __all__ = [

@@ -716,6 +716,17 @@ def test_sweep_derives_cell_seeds(capsys, tmp_path, monkeypatch):
     assert points == alone
 
 
+def test_sweep_cells_keep_the_float_range_check(capsys, tmp_path):
+    # a sweep cell reaches a float-only command through the same call as main
+    vecs = write_vectors(tmp_path, "huge.json", [[1e300, 1e300], [1e300, -1e300]])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "walsh", "grid": {"family": [vecs]}}))
+    code, out = run(capsys, "sweep", "--config", str(cfg))
+    assert code == 0
+    assert out.strip().split("\n")[1].endswith("DomainError: the input leaves the float range: "
+                                                "overflow encountered in multiply")
+
+
 def test_sweep_growth_plain_text(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "growth", "grid": {}}))

@@ -96,6 +96,8 @@ def _bad_flags(rows: str, witness: str) -> list[list[str]]:
         ["walsh", "--family", rows, "--m", "-1"],
         ["walsh", "--family", rows, "--m", "0"],
         ["walsh", "--family", rows, "--m", "40"],
+        ["walsh", "--family", rows, "--m", str(2**62)],
+        ["walsh", "--family", rows, "--m", str(2**70)],
         ["walsh", "--family", rows, "--seed", "-1"],
         ["jl-mechanism", "--space", "l1", "--family", rows, "--trials", "0"],
         ["jl-mechanism", "--space", "l1", "--family", rows, "--eps", "1e-200"],
@@ -204,6 +206,35 @@ def test_inputs_past_the_int_digit_limit_exit_1_fast(tmp_path, alarm, junk, argv
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):
         code = main(argv + [str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and json.loads(out.getvalue())["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize("m", [2**62, 2**70])
+def test_walsh_huge_m_exits_1_fast(tmp_path, alarm, m):
+    # 2^m used to be built before the cap was checked
+    rows = tmp_path / "rows.json"
+    rows.write_text("[[1, 2], [3, -1]]")
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(["walsh", "--family", str(rows), "--m", str(m)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and json.loads(out.getvalue())["error"]["type"] == "MTooLarge"
+
+
+def test_sweep_over_the_cell_cap_exits_1_before_any_cell(tmp_path, alarm):
+    from banach_gauge.cli import SWEEP_CELL_CAP
+
+    # every cell would be a usage error (no --bogus option), so only the cap
+    # keeps this grid from running SWEEP_CELL_CAP + 1 parses
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"command": "flat-search",
+                                  "grid": {"bogus": list(range(SWEEP_CELL_CAP + 1))}}))
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(["sweep", "--config", str(config)])
     assert time.perf_counter() - start < 1.0
     assert code == 1 and json.loads(out.getvalue())["error"]["type"] == "DomainError"
 

@@ -1,6 +1,9 @@
-"""The package's exports: a pinned list, each name resolved on first use."""
+"""The package's exports: a pinned list, each name resolved on first use,
+and no module-level import left unused."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -60,3 +63,29 @@ def test_an_export_is_its_home_module_object(name, home):
 def test_an_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(banach_gauge, name)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Module-level imports of ``path`` that its code never reads; names in a
+    literal ``__all__`` and ``from __future__`` imports are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound: dict[str, int] = {}
+    exported: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items()
+            if name not in read and name not in exported]
+
+
+@pytest.mark.parametrize("path", sorted(Path(banach_gauge.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_level_import_is_unused(path):
+    assert _unused_imports(path) == []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from banach_gauge import (
     AllPointsCoincide,
     BadEpsilon,
+    DomainError,
     EmbeddingFailed,
     LinearMap,
     MTooLarge,
@@ -378,6 +379,28 @@ def test_walsh_cap_checked_before_allocation():
     # 2^(cap+1) x 2 floats would be allocated if the cap were checked later
     with pytest.raises(MTooLarge):
         WalshEnsemble.from_vectors([[1.0, 2.0]], m=WALSH_M_CAP + 1)
+
+
+def test_walsh_huge_m_ends_in_a_library_error():
+    # 2^m is compared by bit length, never built: a huge m used to end in a
+    # MemoryError or OverflowError
+    for m in (2**62, 2**70):
+        with pytest.raises(DomainError):
+            WalshEnsemble(m, np.zeros((4, 2)), np.ones(4))
+        with pytest.raises(MTooLarge):
+            WalshEnsemble.from_vectors([[1.0, 2.0]], m=m)
+
+
+def test_walsh_family_size_against_2_to_the_m():
+    for rows, m, fits in ((4, 2, True), (5, 2, False), (1, 1, True), (3, 2, True)):
+        if fits:
+            assert WalshEnsemble.from_vectors(np.ones((rows, 2)), m=m).m == m
+        else:
+            with pytest.raises(DomainError):
+                WalshEnsemble.from_vectors(np.ones((rows, 2)), m=m)
+    for rows, m in ((3, 2), (8, 2), (2, 2), (0, 1)):
+        with pytest.raises(DomainError):  # exactly 2^m rows, or refused
+            WalshEnsemble(m, np.zeros((rows, 2)), np.ones(rows))
 
 
 def test_orthogonality_check_examples():
