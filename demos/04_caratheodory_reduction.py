@@ -22,7 +22,7 @@ rng = np.random.default_rng(42)
 
 print("=== weight reduction in d = 2: bound d(d+1)/2 = 3 ===")
 U = rng.standard_normal((10, 2))
-red = caratheodory_reduce(U, 2)
+red = caratheodory_reduce(U)
 print("  input family size:", len(U))
 print("  nonzero weights:  ", int(np.count_nonzero(red.weights)))
 print("  weights:          ", np.round(red.weights, 4))

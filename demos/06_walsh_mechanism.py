@@ -22,7 +22,7 @@ from banach_gauge import (
 
 print("=== the point set at m = 2 ===")
 base = np.eye(4)
-ens = WalshEnsemble(2, base, np.ones(4))
+ens = WalshEnsemble(base, np.ones(4))
 pset = walsh_pointset(ens)
 print(f"  size {len(pset)} (bound 2^3 + 1 = 9); rows:")
 for p in pset.points:
@@ -32,7 +32,7 @@ print()
 print("=== the orthogonality identity, to machine precision ===")
 rng = np.random.default_rng(5)
 z = rng.standard_normal((8, 3))
-res = walsh_orthogonality_check(3, z)
+res = walsh_orthogonality_check(z)
 print(f"  mean-over-signs energy {res.lhs:.12f}")
 print(f"  sum of energies        {res.rhs:.12f}")
 print(f"  relative residual      {res.residual:.2e}")

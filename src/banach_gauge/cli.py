@@ -290,8 +290,7 @@ def cmd_caratheodory(args) -> Output:
     from .gauss import caratheodory_reduce
 
     U = _load_float_array(args.vecs)
-    dim = args.dim if args.dim is not None else U.shape[1]
-    red = caratheodory_reduce(U, dim)
+    red = caratheodory_reduce(U)
     target = U.T @ U  # = sum of outer products
     reduced = red.vectors.T @ (red.weights[:, None] * red.vectors)
     denom = float(np.linalg.norm(target)) or 1.0
@@ -299,7 +298,7 @@ def cmd_caratheodory(args) -> Output:
     norm_gap = (abs(float(np.sum(red.v**2) + np.sum(red.w**2) - np.sum(U**2)))
                 / max(1.0, float(np.sum(U**2))))
     return Output(payload={
-        "bound": dim * (dim + 1) // 2,
+        "bound": U.shape[1] * (U.shape[1] + 1) // 2,
         "nonzero_weights": int(np.count_nonzero(red.weights)),
         "weights": [float(c) for c in red.weights],
         "permutation": list(red.permutation),
@@ -334,7 +333,7 @@ def cmd_walsh(args) -> Output:
     ens = WalshEnsemble.from_vectors(_load_float_array(args.family), seed=args.seed, m=args.m)
     pset = walsh_pointset(ens)
     distinct = len(np.unique(pset.points, axis=0))
-    check = walsh_orthogonality_check(ens.m, ens.gaussians[:, None] * ens.base)
+    check = walsh_orthogonality_check(ens.gaussians[:, None] * ens.base)
     return Output(payload={
         "m": ens.m,
         "size": len(pset),
@@ -365,20 +364,6 @@ def cmd_jl_mechanism(args) -> Output:
         "note": rep.note,
         "trials": trial_rows,
     })
-
-
-def _parse_intish(s: str) -> int:
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        f = float(s)
-    except ValueError:
-        f = math.nan
-    if not math.isfinite(f):
-        raise DomainError(f"{s!r} is not a finite number")
-    return int(f)
 
 
 def cmd_flat_search(args) -> Output:
@@ -447,7 +432,9 @@ def cmd_sweep(args) -> Output:
     if not isinstance(cfg, dict):
         raise DomainError(f"{args.config}: a sweep config must be a JSON object")
     command = cfg.get("command")
-    if not isinstance(command, str) or command not in COMMANDS or command == "sweep":
+    # sweep itself, and a command with subcommands, whose cells would all be usage errors
+    if (not isinstance(command, str) or command not in COMMANDS or command == "sweep"
+            or COMMANDS[command].subcommands):
         raise DomainError(f"sweep cannot run command {command!r}")
     grid = cfg.get("grid", {})
     fixed = cfg.get("fixed", {})
@@ -477,11 +464,8 @@ def cmd_sweep(args) -> Output:
             if hasattr(ns, "seed") and "seed" not in params:
                 ns.seed = derive_seed(root_seed, command, idx)
             out = _run(ns)
-            if out.text is not None:
-                found = {"value": out.text}
-            else:
-                found = {k: v for k, v in (out.payload or {}).items()
-                         if isinstance(v, (str, int, float, bool, Fraction)) or v is None}
+            found = {k: v for k, v in (out.payload or {}).items()
+                     if isinstance(v, (str, int, float, bool, Fraction)) or v is None}
             cells.append(({**found, **cell}, ""))
         except SystemExit:
             cells.append((cell, "usage error"))
@@ -509,15 +493,22 @@ class Command(NamedTuple):
     subcommands: dict[str, Command] | None = None
 
 
+def _growth_g(args) -> Output:
+    try:
+        cap = int(as_rat(args.cap))  # exact: a float would round a cap past 2^53
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"bad --cap {args.cap!r}: {exc}") from exc
+    return Output(text=str(ackermann_g(args.k, args.n, cap=cap)))
+
+
 _SEED = {"type": int, "default": 0}
 _CSV = {"action": "store_true"}
 
 GROWTH = {
     "log-star": Command(lambda a: Output(text=str(log_star(float(a.x)))), None,
                         {"x": {"type": float}}),
-    "g": Command(lambda a: Output(text=str(ackermann_g(a.k, a.n, cap=_parse_intish(a.cap)))),
-                 None, {"k": {"type": int}, "n": {"type": int},
-                        "--cap": {"default": str(10**100)}}),
+    "g": Command(_growth_g, None, {"k": {"type": int}, "n": {"type": int},
+                                   "--cap": {"default": str(10**100)}}),
     "alpha": Command(lambda a: Output(text=str(alpha(a.n))), None, {"n": {"type": int}}),
     "alpha-diag": Command(lambda a: Output(text=str(alpha_diag(a.n))), None, {"n": {"type": int}}),
     "delta-bound": Command(lambda a: Output(text=f"{delta_bound(float(a.n), a.K, a.D):.17g}"),
@@ -543,7 +534,6 @@ COMMANDS = {
     }),
     "caratheodory": Command(cmd_caratheodory, "cone-weight reduction of outer products", {
         "--vecs": {"required": True},
-        "--dim": {"type": int, "default": None},
     }, float_only=True),
     "jl-embed": Command(cmd_jl_embed, "random projection with distortion report", {
         "--points": {"required": True, "help": "JSON list of vectors"},

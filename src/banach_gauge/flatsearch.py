@@ -40,7 +40,7 @@ from fractions import Fraction
 from .errors import BadSupportBound, DomainError, NegativeEntry, ZeroTail
 from .growth import ackermann_g, alpha
 from .seqvec import FinVec, Rat
-from .simplex import cut_weights, solve_lp
+from .simplex import solve_lp
 from .tsirelson import NormCertificate, norming_functional, tsirelson_norm
 
 __all__ = [
@@ -133,7 +133,7 @@ def search_flat(N: int, max_rounds: int = 200) -> FlatSearchResult:
     converged = False
     while rounds < max_rounds:
         rounds += 1
-        x, lp_value = solve_lp(pool, N, path)
+        x, lp_value, weights = solve_lp(pool, N, path)
         xvec = FinVec({j + 1: v for j, v in enumerate(x)})
         nr = tsirelson_norm(xvec)
         if incumbent is None or nr.value < incumbent[1]:
@@ -147,7 +147,7 @@ def search_flat(N: int, max_rounds: int = 200) -> FlatSearchResult:
 
     x_best, norm_best, cert_best = incumbent
     theta = norm_best / _tail(x_best)
-    mu = _dual_certificate(pool, cut_weights(path, N), N, lp_value)
+    mu = _dual_certificate(pool, weights, N, lp_value)
     return FlatSearchResult(x_best, theta, cert_best, rounds, lp_value, converged, tuple(pool), mu)
 
 

@@ -560,7 +560,10 @@ def _sym_vec(u: np.ndarray) -> np.ndarray:
     return np.concatenate([np.diag(outer), math.sqrt(2.0) * outer[iu]])
 
 
-def _null_vector(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+NULL_PIVOT_TOL = 1e-10  # relative to the largest entry: a smaller pivot ends the elimination
+
+
+def _null_vector(A: np.ndarray) -> np.ndarray:
     """A nonzero z with A z = 0, by full-pivot Gaussian elimination.
 
     Requires more columns than the numerical rank, which the caller
@@ -574,7 +577,7 @@ def _null_vector(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     for step in range(min(D, k)):
         sub = np.abs(A[step:, step:])
         i_rel, j_rel = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        if sub[i_rel, j_rel] <= tol * scale:
+        if sub[i_rel, j_rel] <= NULL_PIVOT_TOL * scale:
             break
         i_piv, j_piv = step + i_rel, step + j_rel
         A[[step, i_piv], :] = A[[i_piv, step], :]
@@ -595,17 +598,16 @@ def _null_vector(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return z
 
 
-def caratheodory_reduce(vectors, dim: int | None = None) -> ConeReduction:
+def caratheodory_reduce(vectors) -> ConeReduction:
     """Reduce weights on u_1..u_m to at most d(d+1)/2 nonzero entries while
-    preserving sum c_i u_i (x) u_i = sum u_i (x) u_i exactly (up to floats).
+    preserving sum c_i u_i (x) u_i = sum u_i (x) u_i exactly (up to floats);
+    d is the length of the vectors.
 
     The trace identity sum c_i ||u_i||^2 = sum ||u_i||^2 forces max c_i >= 1,
     so after the nonincreasing reordering c_1 >= 1 and the v/w split is real.
     """
     U = np.array([[float(e) for e in v] for v in vectors], dtype=float)
     m, d = U.shape
-    if dim is not None and dim != d:
-        raise DomainError(f"dim {dim} does not match vector length {d}")
     if m < 2:
         raise DomainError("need at least two vectors")
     if not np.any(U):
@@ -665,7 +667,7 @@ def flm_reduce(family: VectorFamily, kind: str, mc_samples: int = 20_000,
     vecs = family.as_array()
     it = 0
     while len(vecs) > bound:
-        red = caratheodory_reduce(vecs, space.dim)
+        red = caratheodory_reduce(vecs)
         rng = np.random.default_rng(derive_seed(seed, "flm-branch", it))
         G = rng.standard_normal((mc_samples, len(red.vectors)))
         rv = _mc_ratio(red.v, G, space, kind)

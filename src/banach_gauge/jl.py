@@ -56,6 +56,7 @@ __all__ = [
 
 WALSH_M_CAP = 16
 MECHANISM_M_CAP = 12
+ORTHOGONALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -328,25 +329,36 @@ def fwht(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _walsh_m(rows: int) -> int:
+    """m for 2^m rows, after checking that 1 <= m <= WALSH_M_CAP."""
+    m = rows.bit_length() - 1
+    if m < 1 or rows != 1 << m:
+        raise DomainError(f"need 2^m rows with m >= 1, got {rows}")
+    if m > WALSH_M_CAP:
+        raise MTooLarge(f"m={m} exceeds cap {WALSH_M_CAP}")
+    return m
+
+
 @dataclass(frozen=True)
 class WalshEnsemble:
-    """Base vectors indexed by subsets of {1..m} plus Gaussian weights.
+    """Base vectors indexed by subsets of {1..m} plus Gaussian weights; m is
+    read off the 2^m rows of ``base``.
 
     Subset A <-> bitmask a; sign vector eps <-> bitmask e of its -1 entries,
     so W_A(eps) = (-1)^{popcount(a & e)}.
     """
 
-    m: int
     base: np.ndarray       # (2^m, dim)
     gaussians: np.ndarray  # (2^m,)
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise DomainError("m must be >= 1")
-        rows = self.base.shape[0]  # 2^m is never built: m may be huge
-        if rows & (rows - 1) or rows.bit_length() != self.m + 1 or self.gaussians.shape != (rows,):
+        _walsh_m(self.base.shape[0])
+        if self.gaussians.shape != self.base.shape[:1]:
             raise DomainError("need exactly 2^m base vectors and 2^m gaussians")
+
+    @property
+    def m(self) -> int:
+        return _walsh_m(self.base.shape[0])
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[Sequence[float]], seed: int = 0,
@@ -361,18 +373,15 @@ class WalshEnsemble:
             raise DomainError("m must be >= 1")
         if (len(V) - 1).bit_length() > m:  # len(V) > 2^m, without building 2^m
             raise DomainError(f"{len(V)} vectors do not fit in 2^{m}")
-        if m > WALSH_M_CAP:
+        if m > WALSH_M_CAP:  # before 2^m rows are allocated
             raise MTooLarge(f"m={m} exceeds cap {WALSH_M_CAP}")
         base = np.zeros((1 << m, V.shape[1]))
         base[: len(V)] = V
-        g = seeded_rng(seed).standard_normal(1 << m)
-        return cls(m, base, g, seed)
+        return cls(base, seeded_rng(seed).standard_normal(1 << m))
 
 
 def walsh_pointset(ensemble: WalshEnsemble) -> PointSet:
     """All 2^m values of Phi_g, the 2^m base vectors, and the origin."""
-    if ensemble.m > WALSH_M_CAP:
-        raise MTooLarge(f"m={ensemble.m} exceeds cap {WALSH_M_CAP}")
     weighted = ensemble.gaussians[:, None] * ensemble.base
     phi = fwht(weighted)
     zero = np.zeros((1, ensemble.base.shape[1]))
@@ -387,22 +396,20 @@ class WalshOrthogonality:
     rhs: float
 
 
-def walsh_orthogonality_check(m: int, z: np.ndarray, tol: float = 1e-10) -> WalshOrthogonality:
-    """Verify mean_eps || sum_A W_A(eps) z_A ||_2^2 == sum_A || z_A ||_2^2.
+def walsh_orthogonality_check(z: np.ndarray) -> WalshOrthogonality:
+    """Verify mean_eps || sum_A W_A(eps) z_A ||_2^2 == sum_A || z_A ||_2^2
+    over the 2^m rows z_A of ``z``.
 
     The identity is exact for real inputs; the reported relative residual is
-    pure float roundoff.
+    pure float roundoff, and passes up to ORTHOGONALITY_TOL.
     """
-    if m > WALSH_M_CAP:
-        raise MTooLarge(f"m={m} exceeds cap {WALSH_M_CAP}")
     z = np.asarray(z, dtype=float)
-    if z.shape[0] != 1 << m:
-        raise DomainError(f"need 2^{m} rows, got {z.shape[0]}")
+    _walsh_m(z.shape[0])
     sums = fwht(z)
     lhs = float(np.mean(np.sum(sums * sums, axis=1)))
     rhs = float(np.sum(z * z))
     residual = abs(lhs - rhs) / max(1.0, abs(rhs))
-    return WalshOrthogonality(residual <= tol, residual, lhs, rhs)
+    return WalshOrthogonality(residual <= ORTHOGONALITY_TOL, residual, lhs, rhs)
 
 
 # --------------------------------------------------------------------------
@@ -461,7 +468,7 @@ def jl_mechanism_experiment(space: SpaceOracle, vectors: Sequence[Sequence[float
         raise MTooLarge(f"padded family needs m={m} > cap {MECHANISM_M_CAP}")
     rows: list[MechanismTrial] = []
     for t in range(trials):
-        ens = WalshEnsemble.from_vectors(V, seed=derive_seed(seed, "walsh-g", t), m=m)
+        ens = WalshEnsemble.from_vectors(V, seed=derive_seed(seed, "walsh-g", t))
         pset = walsh_pointset(ens)
         pts = pset.points
         lmap, rep, euclid = _embed(pts, eps, constant, derive_seed(seed, "jl", t), 100)
@@ -470,8 +477,7 @@ def jl_mechanism_experiment(space: SpaceOracle, vectors: Sequence[Sequence[float
         d_comp = _scan(src, _euclidean_dists(lmap.apply(pts))).distortion
         # proxy spread: how non-Euclidean the space norm is on these pairs
         proxy = _scan(src, euclid).distortion
-        two_m = 1 << ens.m
-        norms = space.norm_array(pts[:two_m])  # Phi values are the first 2^m rows
+        norms = space.norm_array(pts[:len(ens.base)])  # Phi values are the first 2^m rows
         lhs = float(np.mean(norms**2))
         base_norms = space.norm_array(ens.base)
         rhs = d_comp**2 * float(np.sum(ens.gaussians**2 * base_norms**2))

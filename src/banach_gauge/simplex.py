@@ -107,15 +107,16 @@ def _pivot(rows, basis, leave, enter):
 def _bland(rows, basis, art, path):
     """Bland-rule pivots from a feasible tableau to the phase-2 optimum,
     appending (rows, basis, enter, leave) before each pivot and
-    (rows, basis, 0, 0) at the optimum.  Phase 1 minimizes the artificial
-    while it is basic (in row 0), phase 2 minimizes t; both columns are
-    >= 0, so every entering column has a leaving row."""
+    (rows, basis, 0, 0) at the optimum, which it returns with its objective
+    row.  Phase 1 minimizes the artificial while it is basic (in row 0),
+    phase 2 minimizes t; both columns are >= 0, so every entering column has
+    a leaving row, and phase 1 ends with the artificial nonbasic."""
     while True:
         zrow = _objective(rows, basis, art if basis[0] == art else art - 1)
         enter = next((j for j in range(1, len(zrow)) if zrow[j] < 0 and j != art), 0)
         if not enter:
             path.append((rows, basis, 0, 0))
-            return rows, basis
+            return rows, basis, zrow
         leave = _leaving_row(rows, basis, enter)
         assert leave >= 0, "the master LP is bounded: t >= 0"
         path.append((rows, basis, enter, leave))
@@ -132,8 +133,12 @@ def _cut_row(lam, N, slack):
     return _reduce(row)
 
 
-def solve_lp(cuts, N: int, path: list | None = None) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Optimal (x_1..x_N, t) of the master LP over the ``FinVec`` list ``cuts``.
+def solve_lp(cuts, N: int,
+             path: list | None = None) -> tuple[tuple[Fraction, ...], Fraction, list[int]]:
+    """Optimal (x_1..x_N, t) of the master LP over the ``FinVec`` list
+    ``cuts``, with the entries of the final objective row in the slack
+    columns, one per cut: they are >= 0, and normalized to sum 1 they are
+    the optimal dual weights mu_k of the cuts.
 
     ``path`` is empty, or the path a call left there whose cuts were a
     prefix of ``cuts``: it is replayed for the cuts added since, and
@@ -158,20 +163,12 @@ def solve_lp(cuts, N: int, path: list | None = None) -> tuple[tuple[Fraction, ..
         prow = rows[leave]
         new = [_eliminate(row, prow, enter, _sparse(prow)) if row[enter] else row for row in new]
     width = art + len(cuts) + 1
-    rows, basis = _bland([row + [0] * (width - len(row)) for row in rows + new], basis + new_basis,
-                         art, replayed)
+    rows, basis, zrow = _bland([row + [0] * (width - len(row)) for row in rows + new],
+                               basis + new_basis, art, replayed)
     if path is not None:
         path[:] = replayed
     x_full = [Fraction(0)] * (art - 1)
     for row, b in zip(rows, basis):
         if b < art:
             x_full[b - 1] = Fraction(row[0], row[b])
-    return tuple(x_full[:N]), x_full[N]
-
-
-def cut_weights(path: list, N: int) -> list[int]:
-    """The entries of the final objective row of ``path`` in the slack
-    columns, one per cut: at the optimum they are >= 0, and normalized to sum
-    1 they are the optimal dual weights mu_k of the cuts."""
-    rows, basis, _, _ = path[-1]
-    return _objective(rows, basis, N + 1)[N + 3:]
+    return tuple(x_full[:N]), x_full[N], zrow[art + 1:]

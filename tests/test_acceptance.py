@@ -120,7 +120,7 @@ def test_c05_caratheodory_reduction_invariants():
         bound = d * (d + 1) // 2
         m = int(rng.integers(bound + 1, 31))
         U = rng.standard_normal((m, d))
-        red = caratheodory_reduce(U, d)
+        red = caratheodory_reduce(U)
         assert int(np.count_nonzero(red.weights)) <= bound
         assert red.weights[0] >= 1 - 1e-12
         target = U.T @ U
@@ -166,10 +166,10 @@ def test_c07_walsh_orthogonality_and_sizes():
         dim = int(rng.integers(1, 7))
         base = rng.standard_normal((1 << m, dim))
         g = rng.standard_normal(1 << m)
-        res = walsh_orthogonality_check(m, g[:, None] * base)
+        res = walsh_orthogonality_check(g[:, None] * base)
         assert res.residual <= 1e-10
         worst = max(worst, res.residual)
-        pset = walsh_pointset(WalshEnsemble(m, base, g))
+        pset = walsh_pointset(WalshEnsemble(base, g))
         assert len(pset) == (1 << (m + 1)) + 1
         assert len(np.unique(pset.points, axis=0)) == (1 << (m + 1)) + 1
     _report("C07", f"100/100 ensembles: residual <= 1e-10 (worst {worst:.2e}); sizes 2^(m+1)+1")

@@ -83,17 +83,24 @@ def test_growth_log_star_non_finite_exits_1(capsys, x):
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
-@pytest.mark.parametrize("cap", ["1e400", "inf", "nan", "lots"])
+@pytest.mark.parametrize("cap", ["inf", "nan", "lots", "1e5000"])
 def test_growth_g_bad_cap_exits_1(capsys, cap):
     code, out = run(capsys, "growth", "g", "3", "5", "--cap", cap)
     assert code == 1
     assert json.loads(out)["error"]["type"] == "DomainError"
 
 
+@pytest.mark.parametrize("cap", ["9007199254740993", "9.007199254740993e15", "1e400"])
+def test_growth_g_cap_is_parsed_exactly(capsys, cap):
+    # g_0(n) = n + 1; as a float the second cap rounds down to 2^53 = n
+    assert run(capsys, "growth", "g", "0", "9007199254740992", "--cap", cap) == (
+        0, "9007199254740993\n")
+
+
 @pytest.mark.parametrize("command", [["growth", "delta-bound"]])
 @pytest.mark.parametrize("args", [["nan"], ["inf"], ["1e400"], ["10", "--K", "nan"],
                                   ["10", "--K", "1e400"], ["10", "--D", "nan"],
-                                  ["10", "--D", "inf"]])
+                                  ["10", "--D", "inf"], ["4", "--K", "0"], ["4", "--D", "0.5"]])
 def test_delta_bound_non_finite_exits_1(capsys, command, args):
     code, out = run(capsys, *command, *args)
     assert code == 1
@@ -189,6 +196,7 @@ def test_usage_error_exit_2(capsys):
     assert main(["norm", "--space", "T"]) == 2  # missing --vec
     assert main(["--bogus"]) == 2
     assert main(["norm", "--space", "XX", "--vec", "nope.json"]) == 2
+    assert main(["caratheodory", "--vecs", "nope.json", "--dim", "3"]) == 2  # d is read off the rows
 
 
 def test_domain_error_exit_1(capsys, tmp_path):
@@ -265,6 +273,14 @@ def test_ratio_exact_bad_entry_exits_1(capsys, tmp_path, entry):
                     "--mode", "exact", "--vecs", str(path))
     assert code == 1
     assert json.loads(out)["error"]["type"] == "DomainError"
+
+
+def test_ratio_on_rows_of_mixed_lengths_exits_1(capsys, tmp_path):
+    path = write_vectors(tmp_path, "fam.json", [[1, 2], [3]])
+    code, out = run(capsys, "ratio", "--space", "l1", "--kind", "type", "--vecs", path)
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "DomainError",
+                                        "message": f"{path}: vectors have mixed lengths"}
 
 
 def test_unreadable_and_malformed_inputs_exit_1(capsys, tmp_path):
@@ -387,7 +403,7 @@ def test_env_seed_override(capsys, tmp_path, monkeypatch):
 
 def test_caratheodory_command(capsys, tmp_path):
     vecs = write_vectors(tmp_path, "u.json", [[1.0], [1.0], [1.0]])
-    code, out = run(capsys, "caratheodory", "--vecs", vecs, "--dim", "1")
+    code, out = run(capsys, "caratheodory", "--vecs", vecs)
     assert code == 0
     data = json.loads(out)
     assert data["nonzero_weights"] == 1
@@ -627,6 +643,13 @@ def test_compare_norms(capsys):
         assert Fraction(row["mod2_sq"]) >= Fraction(row["t2_sq"])
 
 
+def test_compare_norms_on_the_zero_vector_prints_a_nan_ratio(capsys, tmp_path):
+    code, out = run(capsys, "compare-norms", "--vec", write_vec(tmp_path, "zero.json", {}))
+    assert code == 0
+    row, = json.loads(out)["rows"]
+    assert (row["t2_sq"], row["mod2_sq"], row["ratio"]) == ("0", "0", "nan")
+
+
 def test_compare_norms_refuses_an_oversize_support_before_drawing_it(capsys):
     import tracemalloc
 
@@ -727,15 +750,16 @@ def test_sweep_cells_keep_the_float_range_check(capsys, tmp_path):
                                                 "overflow encountered in multiply")
 
 
-def test_sweep_growth_plain_text(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["growth", "sweep"])
+def test_sweep_refuses_a_command_it_cannot_run(capsys, tmp_path, command):
+    # growth takes its calculator as a subcommand, so every cell would be a
+    # usage error: it is refused before any cell runs, as sweep itself is
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"command": "growth", "grid": {}}))
-    # growth takes a positional subcommand, so grid-less sweep cannot drive it;
-    # the cell records a usage error instead of crashing the sweep
+    cfg.write_text(json.dumps({"command": command, "grid": {"n": [1, 2]}}))
     code, out = run(capsys, "sweep", "--config", str(cfg))
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[1].endswith("usage error")
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "DomainError",
+                                        "message": f"sweep cannot run command {command!r}"}
 
 
 # --------------------------------------------------------------------------

@@ -102,7 +102,6 @@ def _bad_flags(rows: str, witness: str) -> list[list[str]]:
         ["jl-mechanism", "--space", "l1", "--family", rows, "--trials", "0"],
         ["jl-mechanism", "--space", "l1", "--family", rows, "--eps", "1e-200"],
         ["jl-mechanism", "--space", "l1", "--family", rows, "--constant", "1e308"],
-        ["caratheodory", "--vecs", rows, "--dim", "0"],
         ["cotype-cert", "--witness", witness, "--N", "0"],
         ["norm", "--space", "T", "--vec", rows + ".missing"],
         ["norm", "--space", "T", "--vec", witness, "--cert-out", witness + ".missing/c.json"],
@@ -240,9 +239,9 @@ def test_sweep_over_the_cell_cap_exits_1_before_any_cell(tmp_path, alarm):
 
 
 def test_sweep_usage_error_cell_keeps_stderr_empty(tmp_path, capsys):
-    # a missing positional, and a "help" key, whose --help text argparse
-    # prints to stdout
-    for text in ['{"command": "growth", "grid": {}}',
+    # a missing required option, and a "help" key, whose --help text
+    # argparse prints to stdout
+    for text in ['{"command": "flat-search", "grid": {}}',
                  '{"command": "flat-search", "fixed": {"help": "x"}}']:
         config = tmp_path / "sweep.json"
         config.write_text(text)

@@ -1,8 +1,10 @@
 """The package's exports: a pinned list, each name resolved on first use,
-and no module-level import left unused."""
+no module-level import left unused and no private module-level name left
+unread."""
 
 import ast
 import importlib
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,36 @@ def _unused_imports(path: Path) -> list[str]:
                          ids=lambda p: p.name)
 def test_no_module_level_import_is_unused(path):
     assert _unused_imports(path) == []
+
+
+def _unread_private_names(paths: list[Path]) -> list[str]:
+    """Private module-level names (one leading underscore) bound by a def,
+    class or assignment that no other top-level statement of ``paths`` reads,
+    as a name, an attribute or an imported name."""
+    defined: dict[tuple[str, str], tuple[int, int]] = {}
+    readers: dict[str, set[tuple[str, int]]] = defaultdict(set)
+    for path in paths:
+        for i, node in enumerate(ast.parse(path.read_text(encoding="utf-8")).body):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[path.name, name] = (i, node.lineno)
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    readers[n.id].add((path.name, i))
+                elif isinstance(n, (ast.Attribute, ast.alias)):
+                    readers[n.attr if isinstance(n, ast.Attribute) else n.name].add((path.name, i))
+    return [f"{module}:{line} {name}" for (module, name), (i, line) in defined.items()
+            if not readers[name] - {(module, i)}]
+
+
+def test_no_private_module_level_name_is_unread():
+    # a helper whose last caller is deleted (a recursive one too) shows here
+    paths = sorted(Path(banach_gauge.__file__).parent.glob("*.py"))
+    assert _unread_private_names(paths) == []

@@ -530,7 +530,7 @@ def test_gaussian_sample_floor():
 # --------------------------------------------------------------------------
 
 def test_caratheodory_one_dimensional_forced():
-    red = caratheodory_reduce([[1.0], [1.0], [1.0]], 1)
+    red = caratheodory_reduce([[1.0], [1.0], [1.0]])
     assert np.allclose(red.weights, [3.0, 0.0, 0.0])
     assert np.allclose(red.v[:, 0], [1.0, 0.0, 0.0])
     assert np.allclose(red.w[:, 0], [0.0, 1.0, 1.0])
@@ -542,7 +542,7 @@ def test_caratheodory_invariants_random():
         d = int(rng.integers(1, 6))
         m = int(rng.integers(d * (d + 1) // 2 + 1, 31))
         U = rng.standard_normal((m, d))
-        red = caratheodory_reduce(U, d)
+        red = caratheodory_reduce(U)
         bound = d * (d + 1) // 2
         assert int(np.count_nonzero(red.weights)) <= bound
         assert red.weights[0] >= 1 - 1e-12
@@ -557,7 +557,7 @@ def test_caratheodory_invariants_random():
 def test_caratheodory_branch_covariances():
     rng = np.random.default_rng(7)
     U = rng.standard_normal((10, 2))
-    red = caratheodory_reduce(U, 2)
+    red = caratheodory_reduce(U)
     A = U.T @ U
     c1 = red.weights[0]
     cov_v = red.v.T @ red.v
@@ -568,7 +568,7 @@ def test_caratheodory_branch_covariances():
 
 def test_caratheodory_degenerate():
     with pytest.raises(DegenerateInput):
-        caratheodory_reduce([[0.0, 0.0], [0.0, 0.0]], 2)
+        caratheodory_reduce([[0.0, 0.0], [0.0, 0.0]])
 
 
 def test_caratheodory_rejects_outer_products_out_of_float_range():
@@ -576,7 +576,7 @@ def test_caratheodory_rejects_outer_products_out_of_float_range():
     # reduction would not keep the covariance
     U = np.random.default_rng(0).standard_normal((8, 2)) * 1e160
     with pytest.raises(DomainError, match="float range"):
-        caratheodory_reduce(U, 2)
+        caratheodory_reduce(U)
 
 
 def test_gaussian_cell_cap_checked_before_drawing(monkeypatch):

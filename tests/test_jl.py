@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -343,7 +344,7 @@ def test_embedding_failed_carries_best_attempt():
 def test_walsh_m1_hand_example():
     u = np.array([1.0, 0.0, 2.0])
     v = np.array([0.0, 1.0, -1.0])
-    ens = WalshEnsemble(1, np.array([u, v]), np.array([1.0, 1.0]))
+    ens = WalshEnsemble(np.array([u, v]), np.array([1.0, 1.0]))
     pset = walsh_pointset(ens)
     expected = {tuple(u + v), tuple(u - v), tuple(u), tuple(v), (0.0, 0.0, 0.0)}
     assert {tuple(p) for p in pset.points} == expected
@@ -351,7 +352,7 @@ def test_walsh_m1_hand_example():
 
 def test_walsh_m2_parseval_with_unit_weights():
     base = np.eye(4)
-    ens = WalshEnsemble(2, base, np.ones(4))
+    ens = WalshEnsemble(base, np.ones(4))
     pset = walsh_pointset(ens)
     phi = pset.points[:4]
     assert np.allclose(np.sum(phi**2, axis=1), 4.0)
@@ -385,8 +386,6 @@ def test_walsh_huge_m_ends_in_a_library_error():
     # 2^m is compared by bit length, never built: a huge m used to end in a
     # MemoryError or OverflowError
     for m in (2**62, 2**70):
-        with pytest.raises(DomainError):
-            WalshEnsemble(m, np.zeros((4, 2)), np.ones(4))
         with pytest.raises(MTooLarge):
             WalshEnsemble.from_vectors([[1.0, 2.0]], m=m)
 
@@ -398,19 +397,35 @@ def test_walsh_family_size_against_2_to_the_m():
         else:
             with pytest.raises(DomainError):
                 WalshEnsemble.from_vectors(np.ones((rows, 2)), m=m)
-    for rows, m in ((3, 2), (8, 2), (2, 2), (0, 1)):
-        with pytest.raises(DomainError):  # exactly 2^m rows, or refused
-            WalshEnsemble(m, np.zeros((rows, 2)), np.ones(rows))
+    for rows in (3, 5, 1, 0):
+        with pytest.raises(DomainError):  # 2^m rows with m >= 1, or refused
+            WalshEnsemble(np.zeros((rows, 2)), np.ones(rows))
+
+
+def test_walsh_m_is_read_off_the_rows():
+    assert [f.name for f in dataclasses.fields(WalshEnsemble)] == ["base", "gaussians"]
+    for m in (1, 3):
+        assert WalshEnsemble(np.zeros((1 << m, 2)), np.ones(1 << m)).m == m
+    over = 1 << (WALSH_M_CAP + 1)
+    with pytest.raises(MTooLarge):  # the cap holds for a directly built ensemble too
+        WalshEnsemble(np.zeros((over, 1)), np.ones(over))
+    with pytest.raises(MTooLarge):
+        walsh_orthogonality_check(np.zeros((over, 1)))
+    with pytest.raises(DomainError):
+        WalshEnsemble(np.zeros((4, 2)), np.ones(8))
+    for rows in (3, 1):
+        with pytest.raises(DomainError):
+            walsh_orthogonality_check(np.zeros((rows, 2)))
 
 
 def test_orthogonality_check_examples():
     rng = np.random.default_rng(12)
     z = rng.standard_normal((8, 4))
-    res = walsh_orthogonality_check(3, z)
+    res = walsh_orthogonality_check(z)
     assert res.passed and res.residual <= 1e-10
-    zero = walsh_orthogonality_check(2, np.zeros((4, 3)))
+    zero = walsh_orthogonality_check(np.zeros((4, 3)))
     assert zero.lhs == zero.rhs == 0.0
-    hand = walsh_orthogonality_check(1, np.array([[1.0, 0.0], [0.0, 1.0]]))
+    hand = walsh_orthogonality_check(np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert hand.lhs == pytest.approx(2.0) and hand.rhs == pytest.approx(2.0)
 
 
@@ -420,10 +435,10 @@ def test_sign_flipped_weights_permute_the_point_set():
     rng = np.random.default_rng(21)
     base = rng.standard_normal((8, 3))
     g = rng.standard_normal(8)
-    p0 = walsh_pointset(WalshEnsemble(3, base, g)).points
+    p0 = walsh_pointset(WalshEnsemble(base, g)).points
     for e0 in (1, 5, 7):
         signs = np.array([(-1.0) ** bin(a & e0).count("1") for a in range(8)])
-        p1 = walsh_pointset(WalshEnsemble(3, base, signs * g)).points
+        p1 = walsh_pointset(WalshEnsemble(base, signs * g)).points
         d0 = np.sort(np.linalg.norm(p0[:, None, :] - p0[None, :, :], axis=2), axis=None)
         d1 = np.sort(np.linalg.norm(p1[:, None, :] - p1[None, :, :], axis=2), axis=None)
         assert np.array_equal(d0, d1)

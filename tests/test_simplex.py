@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banach_gauge import FinVec
-from banach_gauge.simplex import cut_weights, solve_lp
+from banach_gauge.simplex import solve_lp
 
 F = Fraction
 
@@ -25,7 +25,7 @@ def test_simple_bounded():
     # coordinate cuts only: min max_j x_j over the tail simplex is 1/(N - 2)
     for N in range(3, 8):
         cuts = _coordinate_cuts(N)
-        x, t = solve_lp(cuts, N)
+        x, t, _ = solve_lp(cuts, N)
         assert t == F(1, N - 2)
         assert x[2:] == (F(1, N - 2),) * (N - 2)
         _check_point(cuts, N, x, t)
@@ -35,7 +35,7 @@ def test_equality_and_inequality():
     # the tail equality holds exactly and the binding cut is the head-heavy one:
     # max(x_1, .., x_4, x_1 + x_3) under x_3 + x_4 = 1 is 1/2 at x_1 = 0
     cuts = _coordinate_cuts(4) + [FinVec({1: 1, 3: 1})]
-    x, t = solve_lp(cuts, 4)
+    x, t, _ = solve_lp(cuts, 4)
     assert t == F(1, 2)
     assert x == (0, 0, F(1, 2), F(1, 2))
     _check_point(cuts, 4, x, t)
@@ -44,7 +44,7 @@ def test_equality_and_inequality():
 def test_exact_fractions():
     # max(x_3, x_4, x_3 + x_4/2) under x_3 + x_4 = 1 is 2/3 at x_3 = 1/3
     cuts = _coordinate_cuts(4) + [FinVec({3: 1, 4: F(1, 2)})]
-    x, t = solve_lp(cuts, 4)
+    x, t, _ = solve_lp(cuts, 4)
     assert t == F(2, 3)
     assert x[2:] == (F(1, 3), F(2, 3))
     _check_point(cuts, 4, x, t)
@@ -53,14 +53,14 @@ def test_exact_fractions():
 def test_trivial_optimum_at_origin():
     # N = 3: the tail is x_3 alone, and the head coordinates stay at 0
     cuts = _coordinate_cuts(3)
-    assert solve_lp(cuts, 3) == ((0, 0, 1), 1)
+    assert solve_lp(cuts, 3) == ((0, 0, 1), 1, [0, 0, 1])
 
 
 def test_degenerate_does_not_cycle():
     # repeated cuts that are all tight at the unique optimum x_3 = x_4 = x_5 = 1/3
     mean = FinVec({3: F(1, 3), 4: F(1, 3), 5: F(1, 3)})
     cuts = _coordinate_cuts(5) + [mean, FinVec.basis(3), mean, FinVec.basis(5), mean]
-    x, t = solve_lp(cuts, 5)
+    x, t, _ = solve_lp(cuts, 5)
     assert t == F(1, 3)
     assert x == (0, 0, F(1, 3), F(1, 3), F(1, 3))
     _check_point(cuts, 5, x, t)
@@ -124,7 +124,7 @@ def master_lps(draw):
 @given(master_lps())
 def test_matches_vertex_enumeration(lp):
     cuts, N = lp
-    x, t = solve_lp(cuts, N)
+    x, t, _ = solve_lp(cuts, N)
     _check_point(cuts, N, x, t)
     assert t == _vertex_oracle(cuts, N)
 
@@ -133,10 +133,9 @@ def test_matches_vertex_enumeration(lp):
 # replay: a path-carrying solve returns the one-shot answer after every append
 # --------------------------------------------------------------------------
 
-def _certifies(cuts, N, path, t):
+def _certifies(cuts, N, weights, t):
     """The final objective row's slack entries, normalized, are a probability
     vector mu with min_{j>=3} (sum_k mu_k lambda_k)_j = t."""
-    weights = cut_weights(path, N)
     assert len(weights) == len(cuts) and all(w >= 0 for w in weights)
     total = sum(weights)
     mix = [sum((F(w, total) * lam[j] for w, lam in zip(weights, cuts)), F(0))
@@ -179,9 +178,10 @@ def test_replay_matches_one_shot_after_every_append(case):
         m = min(m + step, len(cuts))
         got = solve_lp(cuts[:m], N, path)
         assert got == solve_lp(cuts[:m], N)
-        _check_point(cuts[:m], N, *got)
-        if got[1] > 0:
-            assert _certifies(cuts[:m], N, path, got[1])
+        x, t, weights = got
+        _check_point(cuts[:m], N, x, t)
+        if t > 0:
+            assert _certifies(cuts[:m], N, weights, t)
 
 
 def test_replay_of_a_cut_that_is_not_violated_keeps_the_optimum():
@@ -191,6 +191,7 @@ def test_replay_of_a_cut_that_is_not_violated_keeps_the_optimum():
     pivots = len(path)
     # the mean of the tail is exactly t at the optimum: the new row never wins
     cuts = cuts + [FinVec({3: F(1, 3), 4: F(1, 3), 5: F(1, 3)})]
-    again = solve_lp(cuts, 5, path)
-    assert again == first and len(path) == pivots
-    assert _certifies(cuts, 5, path, again[1])
+    x, t, weights = solve_lp(cuts, 5, path)
+    # the new cut's slack stays basic, so its weight is 0
+    assert (x, t, weights) == (*first[:2], first[2] + [0]) and len(path) == pivots
+    assert _certifies(cuts, 5, weights, t)
