@@ -400,8 +400,9 @@ def cmd_compare_norms(args) -> Output:
     if args.vec:
         vecs = [_load_finvec(args.vec)]
     else:
-        if args.max_support < 1:
-            raise DomainError(f"--max-support must be >= 1, got {args.max_support}")
+        for flag, value, low in (("--max-support", args.max_support, 1), ("--count", args.count, 0)):
+            if value < low:
+                raise DomainError(f"{flag} must be >= {low}, got {value}")
         rng = random.Random(args.seed)
         vecs = []
         for _ in range(args.count):

@@ -534,7 +534,7 @@ def gaussian_ratio(family: VectorFamily, kind: str, samples: int = 100_000,
 # Cone reduction
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: == is identity
 class ConeReduction:
     """Result of the covariance-preserving weight reduction.
 

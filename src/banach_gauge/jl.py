@@ -22,7 +22,7 @@ on the sign-averaged functional - the mechanism probed by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -59,7 +59,7 @@ MECHANISM_M_CAP = 12
 ORTHOGONALITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: == is identity
 class PointSet:
     """Finite list of coordinate vectors."""
 
@@ -74,7 +74,7 @@ class PointSet:
         return len(self.points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: == is identity
 class LinearMap:
     """Dense matrix with a separate positive scale: x -> scale * (matrix @ x)."""
 
@@ -277,19 +277,12 @@ def _embed(points, eps: float, constant: float, seed: int,
         G = rng.standard_normal((source_dim, d))
         Q, _ = np.linalg.qr(G)
         M = math.sqrt(source_dim / d) * Q.T
-        raw = LinearMap(M, 1.0)
-        rep = _scan(src, _euclidean_dists(raw.apply(pts)))
+        rep = _scan(src, _euclidean_dists(pts @ M.T))
         if rep.min_ratio <= 0:
             continue  # degenerate draw; cannot normalize
         scale = 1.0 / rep.min_ratio
         normalized = LinearMap(M, scale)
-        report = DistortionReport(
-            min_ratio=1.0,
-            max_ratio=rep.distortion,
-            distortion=rep.distortion,
-            argmin=rep.argmin,
-            argmax=rep.argmax,
-        )
+        report = replace(rep, min_ratio=1.0, max_ratio=rep.distortion)
         if best is None or report.distortion < best[0]:
             best = (report.distortion, normalized, report)
         if report.distortion <= 1.0 + eps:
@@ -339,7 +332,7 @@ def _walsh_m(rows: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: == is identity
 class WalshEnsemble:
     """Base vectors indexed by subsets of {1..m} plus Gaussian weights; m is
     read off the 2^m rows of ``base``.
@@ -466,6 +459,8 @@ def jl_mechanism_experiment(space: SpaceOracle, vectors: Sequence[Sequence[float
     m = max(1, math.ceil(math.log2(len(V))))
     if m > MECHANISM_M_CAP:
         raise MTooLarge(f"padded family needs m={m} > cap {MECHANISM_M_CAP}")
+    if trials < 0:
+        raise DomainError(f"trials must be >= 0, got {trials}")
     rows: list[MechanismTrial] = []
     for t in range(trials):
         ens = WalshEnsemble.from_vectors(V, seed=derive_seed(seed, "walsh-g", t))

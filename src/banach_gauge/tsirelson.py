@@ -27,11 +27,12 @@ oracle, and the modified recursion.
 * ``_all_subsets`` -- ``tsirelson_norm_bruteforce``, a memoized recursion
   on support bitmasks over successive parts of arbitrary finite sets,
   deliberately independent of the interval argument.  What may follow a
-  part depends only on its top element m, so the oracle groups the parts
-  by m: one term per m reads the best norm over every part with top m
-  (memoized per segment of the mask), instead of one term per part.  That
-  regroups the same max; every subset is still evaluated as a part, and
-  neither monotonicity nor intervals are assumed.
+  part depends only on its top element m, so one term per m reads the best
+  norm over every part with top m (memoized per segment of the mask).
+  That regroups the same max over every subset; neither monotonicity nor
+  intervals are assumed.  Norms and bests are lists indexed by mask, and
+  family states int keys of one dict: at 12 labels a call takes 10-14 ms
+  and 0.47 MiB (Python 3.11 on one core of a shared 2-core Xeon).
 * ``_modified_rules`` -- the modified norm, with up to (n+1)^n disjoint
   blocks inside [n, oo), left endpoint included, where disjoint arbitrary
   sets defeat the interval DP.  The norm is 1-unconditional, so splitting
@@ -430,43 +431,45 @@ def _all_subsets(sup: tuple[int, ...], w: list[int]) -> int:
     are grouped by m: one term per m reads ``best`` of mask ∩ (-oo, m], the
     largest norm of a part of it that holds m, over every such part (plus
     the empty family when need is 0).  This is the max over all parts
-    regrouped, not a bound.  Callers of ``family`` cap t at the labels of
-    the mask and look up the memo themselves.
+    regrouped, not a bound.  Norms and bests are lists by mask, families a
+    dict by the int (t << s | mask) << 2 | need; callers of ``family`` cap t
+    at the labels of the mask and look up the memo themselves.
     """
     s = len(sup)
-    norm_of = {1 << p: w[p] for p in range(s)}
-    best_of = dict(norm_of)  # a single element is its segment's only part
+    norm_of: list = [None] * (1 << s)
+    best_of: list = [None] * (1 << s)
     family_of: dict = {}
 
     def norm(mask: int) -> int:
         ps = [p for p in range(s) if mask >> p & 1]
-        v = max(w[p] for p in ps)
+        v = max([w[p] for p in ps])
         for p in ps:
             tail = mask >> p << p  # positions >= p
-            t = min(sup[p] - 1, tail.bit_count())
+            c = tail.bit_count()
+            t = c if c < sup[p] else sup[p] - 1
             if t >= 2:
-                key = (tail, t, 2)
-                f = family_of.get(key)
-                v = max(v, _half(family(key) if f is None else f))
+                f = family_of.get((t << s | tail) << 2 | 2)
+                f = _half(family(tail, t, 2) if f is None else f)
+                v = f if f > v else v
         norm_of[mask] = v
         return v
 
     def best(seg: int) -> int:
         # a part of seg holding its top element is seg itself, or such a
         # part of seg without one of the other elements
-        a = norm_of.get(seg)
+        a = norm_of[seg]
         v = norm(seg) if a is None else a
         rest = seg ^ (1 << seg.bit_length() - 1)
         while rest:
             e = rest & -rest
             rest ^= e
-            a = best_of.get(seg ^ e)
-            v = max(v, best(seg ^ e) if a is None else a)
+            a = best_of[seg ^ e]
+            a = best(seg ^ e) if a is None else a
+            v = a if a > v else v
         best_of[seg] = v
         return v
 
-    def family(key: tuple[int, int, int]) -> int:
-        mask, t, need = key
+    def family(mask: int, t: int, need: int) -> int:
         need2 = need - 1 if need else 0
         v, seg, tail = 0, 0, mask  # values are >= 0, so 0 stands in for the empty family
         while tail:
@@ -474,22 +477,21 @@ def _all_subsets(sup: tuple[int, ...], w: list[int]) -> int:
             seg |= top  # mask ∩ (-oo, top]
             tail ^= top  # mask ∩ (top, oo)
             if tail and t > 1:  # the memo lookup inline: most terms need no call
-                k = (tail, min(t - 1, tail.bit_count()), need2)
-                b = family_of.get(k)
-                if b is None:
-                    b = family(k)
+                c = tail.bit_count()
+                c = c if c < t else t - 1
+                b = family_of.get((c << s | tail) << 2 | need2)
+                b = family(tail, c, need2) if b is None else b
             elif need2:  # no room for the part still needed
                 continue
             else:
                 b = 0
-            a = best_of.get(seg)
-            v = max(v, (best(seg) if a is None else a) + b)
-        family_of[key] = v
+            a = best_of[seg]
+            a = (best(seg) if a is None else a) + b
+            v = a if a > v else v
+        family_of[(t << s | mask) << 2 | need] = v
         return v
 
-    root = norm_of.get((1 << s) - 1)
-    if root is None:
-        root = norm((1 << s) - 1)
+    root = norm((1 << s) - 1)
     del norm, best, family  # empty the closures' cells: the memo tables go by refcount
     return root
 

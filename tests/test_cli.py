@@ -580,6 +580,23 @@ def test_jl_mechanism_on_t2(capsys, tmp_path):
     assert all(t["ratio"] <= 1.0 + 1e-9 for t in trials)
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["compare-norms", "--count"], "rows"),
+    (["jl-mechanism", "--space", "l1", "--family", "FAMILY", "--trials"], "trials"),
+])
+def test_a_negative_count_exits_1_and_zero_gives_an_empty_result(capsys, tmp_path, argv, key):
+    fam = write_vectors(tmp_path, "fam.json", [[0, 0], [1, 0], [0, 1], [1, 1]])
+    argv = [fam if a == "FAMILY" else a for a in argv]
+    code, out = run(capsys, *argv, "-1")
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["type"] == "DomainError"
+    assert err["message"].endswith("must be >= 0, got -1")
+    code, out = run(capsys, *argv, "0")
+    assert code == 0
+    assert json.loads(out)[key] == []
+
+
 def test_flat_search_and_cotype_cert(capsys, tmp_path):
     code, out = run(capsys, "flat-search", "--N", "4")
     assert code == 0

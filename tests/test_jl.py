@@ -18,6 +18,7 @@ from banach_gauge import (
     RatioUndefined,
     SpaceOracle,
     WalshEnsemble,
+    caratheodory_reduce,
     distortion_of_map,
     fwht,
     jl_embed,
@@ -472,6 +473,23 @@ def test_mechanism_l1_inequality_never_violated():
 def test_mechanism_trials_zero():
     rep = jl_mechanism_experiment(SpaceOracle.euclidean(2), np.eye(2), trials=0)
     assert rep.trials == () and rep.max_ratio is None and rep.mean_lhs is None
+
+
+def test_mechanism_negative_trials_is_a_domain_error():
+    with pytest.raises(DomainError, match="trials must be >= 0, got -1"):
+        jl_mechanism_experiment(SpaceOracle.euclidean(2), np.eye(2), trials=-1)
+
+
+def test_array_dataclasses_compare_by_identity_and_hash():
+    # generated __eq__ would compare arrays (ValueError) and __hash__ hash them (TypeError)
+    for make in (lambda: PointSet([[1.0, 2.0], [3.0, 4.0]]),
+                 lambda: LinearMap(np.eye(2), 2.0),
+                 lambda: WalshEnsemble.from_vectors([[1.0, 2.0], [3.0, 4.0]]),
+                 lambda: caratheodory_reduce([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
 
 
 def test_mechanism_on_convexified_span_oracle():

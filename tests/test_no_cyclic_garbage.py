@@ -34,6 +34,8 @@ X = FinVec({3: Fraction(1, 2), 4: Fraction(-1), 5: Fraction(2), 7: Fraction(1, 3
 # from label 1 every subset is evaluated; ten labels from 2 make threshold 2 bind
 X1 = FinVec({1: Fraction(1, 2), 2: Fraction(-1), 3: Fraction(2), 5: Fraction(1, 3), 6: Fraction(1)})
 BINDING = FinVec({j: Fraction(j % 4 + 1, 2) for j in range(2, 12)})
+# the brute-force oracle at its cap, on the labels of the benchmark's T vector
+BRUTE12 = FinVec({j: Fraction(j % 5 + 1, 3) for j in range(2, 14)})
 
 
 def compile_and_run_modified_plan():
@@ -61,6 +63,7 @@ def cyclic_garbage(call) -> int:
     lambda: tsirelson_norm(X),
     lambda: t2_norm_sq(X),
     lambda: tsirelson_norm_bruteforce(X),
+    lambda: tsirelson_norm_bruteforce(BRUTE12),
     lambda: modified_norm(X),
     lambda: modified_norm(X1),
     lambda: modified_norm(BINDING),
@@ -70,9 +73,9 @@ def cyclic_garbage(call) -> int:
     lambda: norming_functional(tsirelson_norm(X).certificate),
     lambda: ackermann_g(3, 2),
     lambda: ackermann_g(4, 2),  # exceeds the cap: leaves by an exception
-], ids=["tsirelson_norm", "t2_norm_sq", "bruteforce", "modified_norm", "modified_norm-from-1",
-        "modified_norm-binding", "modified_plan", "modified_plan-from-1", "modified_plan-binding",
-        "norming_functional", "ackermann_g", "ackermann_g-exceeds-cap"])
+], ids=["tsirelson_norm", "t2_norm_sq", "bruteforce", "bruteforce-12", "modified_norm",
+        "modified_norm-from-1", "modified_norm-binding", "modified_plan", "modified_plan-from-1",
+        "modified_plan-binding", "norming_functional", "ackermann_g", "ackermann_g-exceeds-cap"])
 def test_engines_leave_no_cycles(call):
     assert cyclic_garbage(call) == 0
 

@@ -86,6 +86,23 @@ def test_bruteforce_cap(monkeypatch):
     assert tsirelson_norm_bruteforce(big) == tsirelson_norm(big).value
 
 
+@pytest.mark.parametrize("labels, limit", [(12, 1 << 20), (13, 2 << 20)])
+@pytest.mark.parametrize("start", [2, 8])
+def test_bruteforce_tables_are_small(monkeypatch, labels, limit, start):
+    # a list per mask for norms and bests and an int key per family state;
+    # from 8 the traced peak is within 1% of its largest over all starts
+    monkeypatch.setattr(tsirelson_module, "MAX_BRUTE_SUPPORT", 13)
+    x = FinVec({j: Fraction(j % 5 + 1, 3) for j in range(start, start + labels)})
+    tsirelson_norm_bruteforce(x)  # a warm-up, so only the call's own tables are traced
+    tracemalloc.start()
+    try:
+        tsirelson_norm_bruteforce(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+
+
 def _rational_vec(s: int, start: int) -> FinVec:
     rng = random.Random(f"{s}-{start}")
     return FinVec({j: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
