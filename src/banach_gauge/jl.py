@@ -113,55 +113,51 @@ class DistortionReport:
 _BLOCK_CELLS = 1 << 16
 
 
-def _row_blocks(n: int, cells: int = _BLOCK_CELLS):
-    """Row ranges [a, b) covering the pairs i < j, each about ``cells``
+def _row_blocks(n: int):
+    """Row ranges [a, b) covering the pairs i < j, each about _BLOCK_CELLS
     cells of the band [a, b) x [a + 1, n)."""
-    rows = max(1, cells // n)
+    rows = max(1, _BLOCK_CELLS // n)
     for a in range(0, n - 1, rows):
         yield a, min(n - 1, a + rows)
 
 
-def _euclidean_dists(pts: np.ndarray) -> np.ndarray:
-    """(n, n) Euclidean distances from the Gram identity.
+def _euclidean_band(pts: np.ndarray, sq: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Euclidean distances of rows [a, b) to rows [a + 1, n), from the Gram
+    identity; only the entries with j > i are meaningful.
 
-    Only the entries above the diagonal are meaningful.  Exactly equal rows
-    are put at distance 0, so duplicate points never yield roundoff ratios.
+    Exactly equal rows are put at distance 0, so duplicate points never
+    yield roundoff ratios.
     """
-    n = len(pts)
-    sq = np.sum(pts * pts, axis=1)
-    # two equal rows leave at most ~dim * eps * tot of roundoff in d2
-    slack = 4 * (pts.shape[1] + 1) * np.finfo(float).eps
-    d2 = pts @ pts.T
-    for a, b in _row_blocks(n):
-        band = d2[a:b, a + 1:]
-        tot = sq[a:b, None] + sq[None, a + 1:]
-        # tot + (-2 G) rounds exactly as tot - 2 G
-        band *= -2.0
-        band += tot
-        np.clip(band, 0.0, None, out=band)
-        # only pairs under the slack (or NaN after an overflow) are compared
-        tot *= slack
-        r, c = np.divmod(np.flatnonzero(~(band > tot)), n - a - 1)
-        upper = c >= r
-        i, j = a + r[upper], a + 1 + c[upper]
-        same = np.all(pts[i] == pts[j], axis=1)
-        d2[i[same], j[same]] = 0.0
-        np.sqrt(band, out=band)
-    return d2
+    width = len(pts) - a - 1
+    band = pts[a:b] @ pts[a + 1:].T
+    tot = sq[a:b, None] + sq[None, a + 1:]
+    # tot + (-2 G) rounds exactly as tot - 2 G
+    band *= -2.0
+    band += tot
+    np.clip(band, 0.0, None, out=band)
+    # two equal rows leave at most ~dim * eps * tot of roundoff; only pairs
+    # j > i under that slack (or NaN after an overflow) are compared
+    tot *= 4 * (pts.shape[1] + 1) * np.finfo(float).eps
+    near = ~(band > tot)
+    near[:, :b - a] &= ~np.tri(b - a, k=-1, dtype=bool)
+    if near.any():
+        r, c = np.divmod(np.flatnonzero(near), width)
+        same = np.all(pts[a + r] == pts[a + 1 + c], axis=1)
+        band[r[same], c[same]] = 0.0
+    return np.sqrt(band, out=band)
 
 
-def _pair_dists(pts: np.ndarray, oracle: SpaceOracle | None) -> np.ndarray:
-    """(n, n) distances ||x_i - x_j|| in the oracle's norm (Euclidean for
-    None); only the entries above the diagonal are meaningful."""
-    if oracle is None:
-        return _euclidean_dists(pts)
+def _norm_band(pts: np.ndarray, oracle: SpaceOracle, a: int, b: int) -> np.ndarray:
+    """Oracle distances of rows [a, b) to rows [a + 1, n); only the entries
+    with j > i are meaningful."""
     n, dim = pts.shape
-    out = np.zeros((n, n))
-    # a band of differences holds about _BLOCK_CELLS floats, so it stays in cache
-    for a, b in _row_blocks(n, _BLOCK_CELLS // max(1, dim)):
-        width = n - a - 1
-        diffs = (pts[a:b, None, :] - pts[None, a + 1:, :]).reshape((b - a) * width, dim)
-        out[a:b, a + 1:] = oracle.norm_array(diffs).reshape(b - a, width)
+    out = np.zeros((b - a, n - a - 1))
+    # a block of differences holds about _BLOCK_CELLS floats, so it stays in cache
+    rows = max(1, _BLOCK_CELLS // dim // n)
+    for r in range(a, b, rows):
+        e = min(b, r + rows)
+        diffs = (pts[r:e, None, :] - pts[None, r + 1:, :]).reshape(-1, dim)
+        out[r - a:e - a, r - a:] = oracle.norm_array(diffs).reshape(e - r, n - r - 1)
     return out
 
 
@@ -173,52 +169,54 @@ def _replaces(value: float, best: float, lower: bool) -> bool:
     return value < best if lower else value > best
 
 
-def _scan(src: np.ndarray, tgt: np.ndarray) -> DistortionReport:
-    """Extremes of tgt[i, j] / src[i, j] over the pairs i < j.
+def _scan(pts: np.ndarray, oracle: SpaceOracle | None,
+          images: Sequence[np.ndarray]) -> list[DistortionReport]:
+    """Extremes of ||y_i - y_j||_2 / ||x_i - x_j|| over the pairs i < j, one
+    report per image y in ``images``, with the rows x of ``pts`` measured in
+    the oracle's norm (Euclidean for None).
 
-    Rows are read in blocks, and ties go to the first pair in row-major
-    (condensed) order.  Pairs at distance 0 in both matrices are duplicate
-    points and skipped; a pair at source distance 0 with a positive target
-    distance raises RatioUndefined.
+    Distances exist one band of rows at a time, and each source band serves
+    every image.  Ties go to the first pair in row-major (condensed) order.
+    Pairs at distance 0 on both sides are duplicate points and skipped; a
+    pair at source distance 0 with a positive image distance raises
+    RatioUndefined.
     """
-    n = len(src)
-    lo = hi = None
+    n = len(pts)
+    src_sq, *sqs = (np.sum(y * y, axis=1) for y in (pts, *images))
+    ext: list[list] = [[None, None] for _ in images]  # per image: (ratio, pair) of min, max
     for a, b in _row_blocks(n):
         width = n - a - 1
-        s, t = src[a:b, a + 1:], tgt[a:b, a + 1:]
-        drop = np.tri(b - a, width, -1, dtype=bool)  # column c < row r: j <= i
-        zero = (s == 0) & ~drop
-        if zero.any():
-            bad = zero & (t > 0)
-            if bad.any():
-                r, c = divmod(int(np.argmax(bad)), width)
-                raise RatioUndefined(
-                    f"points {a + r} and {a + 1 + c} coincide in the source norm "
-                    "but not in the target"
-                )
-            drop |= zero & (t == 0)
-            if drop.all():
-                continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = t / s
-        np.copyto(ratio, np.inf, where=drop)
-        k = int(np.argmin(ratio))
-        if lo is None or _replaces(ratio.flat[k], lo[0], True):
-            lo = (float(ratio.flat[k]), (a + k // width, a + 1 + k % width))
-        np.copyto(ratio, -np.inf, where=drop)
-        k = int(np.argmax(ratio))
-        if hi is None or _replaces(ratio.flat[k], hi[0], False):
-            hi = (float(ratio.flat[k]), (a + k // width, a + 1 + k % width))
-    if lo is None:
+        s = _euclidean_band(pts, src_sq, a, b) if oracle is None else _norm_band(pts, oracle, a, b)
+        below = np.zeros((b - a, width), dtype=bool)
+        below[:, :b - a] = np.tri(b - a, k=-1, dtype=bool)  # column c < row r: j <= i
+        zero = (s == 0) & ~below
+        for y, sq, lo_hi in zip(images, sqs, ext):
+            t = _euclidean_band(y, sq, a, b)
+            drop = below
+            if zero.any():
+                bad = zero & (t > 0)
+                if bad.any():
+                    r, c = divmod(int(np.argmax(bad)), width)
+                    raise RatioUndefined(
+                        f"points {a + r} and {a + 1 + c} coincide in the source norm "
+                        "but not in the target"
+                    )
+                drop = below | (zero & (t == 0))
+                if drop.all():
+                    continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = t / s
+            for side, fill, pick in ((0, np.inf, np.argmin), (1, -np.inf, np.argmax)):
+                np.copyto(ratio, fill, where=drop)
+                k = int(pick(ratio))
+                best = lo_hi[side]
+                if best is None or _replaces(ratio.flat[k], best[0], side == 0):
+                    lo_hi[side] = (float(ratio.flat[k]), (a + k // width, a + 1 + k % width))
+    if any(lo is None for lo, _ in ext):
         raise AllPointsCoincide("no distinct pair of points")
-    min_r, max_r = lo[0], hi[0]
-    return DistortionReport(
-        min_ratio=min_r,
-        max_ratio=max_r,
-        distortion=max_r / min_r if min_r > 0 else math.inf,
-        argmin=lo[1],
-        argmax=hi[1],
-    )
+    return [DistortionReport(min_ratio=lo[0], max_ratio=hi[0],
+                             distortion=hi[0] / lo[0] if lo[0] > 0 else math.inf,
+                             argmin=lo[1], argmax=hi[1]) for lo, hi in ext]
 
 
 def distortion_of_map(points: PointSet, lmap: LinearMap,
@@ -231,7 +229,11 @@ def distortion_of_map(points: PointSet, lmap: LinearMap,
     pts = points.points
     if len(pts) < 2:
         raise AllPointsCoincide("need at least two points")
-    return _scan(_pair_dists(pts, source_norm), _euclidean_dists(lmap.apply(pts)))
+    if lmap.source_dim != pts.shape[1]:
+        raise DomainError(f"map source_dim {lmap.source_dim} != point dim {pts.shape[1]}")
+    if source_norm is not None and source_norm.dim != pts.shape[1]:
+        raise DomainError(f"source norm dim {source_norm.dim} != point dim {pts.shape[1]}")
+    return _scan(pts, source_norm, [lmap.apply(pts)])[0]
 
 
 def jl_embed(points: PointSet | np.ndarray, eps: float, constant: float = 8.0,
@@ -248,36 +250,30 @@ def jl_embed(points: PointSet | np.ndarray, eps: float, constant: float = 8.0,
     accepted when the distortion is at most 1 + eps.  Raises EmbeddingFailed
     (carrying the best attempt) when the retry budget runs out.
     """
-    lmap, report, _ = _embed(points, eps, constant, seed, max_retries)
-    return lmap, report
-
-
-def _embed(points, eps: float, constant: float, seed: int,
-           max_retries: int) -> tuple[LinearMap, DistortionReport, np.ndarray]:
-    """``jl_embed``, also returning the points' Euclidean distance matrix."""
     if not 0 < eps <= 1:
         raise BadEpsilon(f"eps must lie in (0, 1], got {eps}")
     if not (0 < constant < math.inf):
         raise DomainError(f"constant must be positive and finite, got {constant}")
     if max_retries < 1:
         raise DomainError(f"max_retries must be >= 1, got {max_retries}")
-    pts = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
+    pts = (points if isinstance(points, PointSet) else PointSet(points)).points
     n, source_dim = pts.shape
     if n < 2:
         raise AllPointsCoincide("need at least two points")
     if source_dim < 1:
         raise DomainError("points need at least one coordinate")
+    if not np.isfinite(pts).all():
+        raise DomainError("points must be finite")
     # a quotient past the float range, or over eps**2 = 0, is at least the source dimension
     q = constant * math.log(n) / eps**2 if eps**2 else math.inf
     d = math.ceil(q) if q < source_dim else source_dim
-    src = _euclidean_dists(pts)
     rng = seeded_rng(seed)
     best: tuple[float, LinearMap, DistortionReport] | None = None
     for _ in range(max_retries):
         G = rng.standard_normal((source_dim, d))
         Q, _ = np.linalg.qr(G)
         M = math.sqrt(source_dim / d) * Q.T
-        rep = _scan(src, _euclidean_dists(pts @ M.T))
+        rep = _scan(pts, None, [pts @ M.T])[0]
         if rep.min_ratio <= 0:
             continue  # degenerate draw; cannot normalize
         scale = 1.0 / rep.min_ratio
@@ -286,7 +282,7 @@ def _embed(points, eps: float, constant: float, seed: int,
         if best is None or report.distortion < best[0]:
             best = (report.distortion, normalized, report)
         if report.distortion <= 1.0 + eps:
-            return normalized, report, src
+            return normalized, report
     assert best is not None
     raise EmbeddingFailed(
         f"no draw met distortion {1 + eps:g} within {max_retries} retries "
@@ -454,6 +450,8 @@ def jl_mechanism_experiment(space: SpaceOracle, vectors: Sequence[Sequence[float
     recursive bound; both factors are also reported separately.
     """
     V = np.asarray(vectors, dtype=float)
+    if V.ndim != 2 or len(V) < 1:
+        raise DomainError("need a nonempty family of vectors")
     if V.shape[1] != space.dim:
         raise DomainError("family vectors do not match the space dimension")
     m = max(1, math.ceil(math.log2(len(V))))
@@ -466,12 +464,11 @@ def jl_mechanism_experiment(space: SpaceOracle, vectors: Sequence[Sequence[float
         ens = WalshEnsemble.from_vectors(V, seed=derive_seed(seed, "walsh-g", t))
         pset = walsh_pointset(ens)
         pts = pset.points
-        lmap, rep, euclid = _embed(pts, eps, constant, derive_seed(seed, "jl", t), 100)
-        # composite: space norm on the source, Euclidean on the image
-        src = _pair_dists(pts, space)
-        d_comp = _scan(src, _euclidean_dists(lmap.apply(pts))).distortion
-        # proxy spread: how non-Euclidean the space norm is on these pairs
-        proxy = _scan(src, euclid).distortion
+        lmap, rep = jl_embed(pts, eps, constant, derive_seed(seed, "jl", t))
+        # composite: space norm on the source, Euclidean on the image; proxy
+        # spread: how non-Euclidean the space norm is on these pairs
+        comp, proxy = _scan(pts, space, [lmap.apply(pts), pts])
+        d_comp = comp.distortion
         norms = space.norm_array(pts[:len(ens.base)])  # Phi values are the first 2^m rows
         lhs = float(np.mean(norms**2))
         base_norms = space.norm_array(ens.base)
@@ -484,7 +481,7 @@ def jl_mechanism_experiment(space: SpaceOracle, vectors: Sequence[Sequence[float
                 ratio=lhs / rhs if rhs > 0 else math.inf,
                 d_composite=d_comp,
                 d_jl=rep.distortion,
-                delta_proxy=proxy,
+                delta_proxy=proxy.distortion,
                 target_dim=lmap.target_dim,
                 point_count=len(pts),
             )

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from banach_gauge import (
     walsh_pointset,
 )
 from banach_gauge.jl import WALSH_M_CAP
+from banach_gauge.seeds import derive_seed
 
 
 # --------------------------------------------------------------------------
@@ -338,6 +341,52 @@ def test_embedding_failed_carries_best_attempt():
     assert exc.value.best_report.distortion > 1.2
 
 
+def test_jl_embed_one_dimensional_points_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"\(n, dim\) array"):
+        jl_embed(np.zeros(5), 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_jl_embed_non_finite_points_is_a_domain_error(bad):
+    pts = np.arange(12.0).reshape(4, 3)
+    pts[2, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any distance is computed
+        with pytest.raises(DomainError, match="points must be finite"):
+            jl_embed(pts, 0.5)
+
+
+def test_distortion_of_map_dimension_mismatch_is_a_domain_error():
+    with pytest.raises(DomainError, match="source_dim 3 != point dim 2"):
+        distortion_of_map(_corner_points(), LinearMap(np.eye(3)))
+    with pytest.raises(DomainError, match="source norm dim 3 != point dim 2"):
+        distortion_of_map(_corner_points(), LinearMap(np.eye(2)), SpaceOracle.lp(3, 1.0))
+
+
+def _traced_peak_mib(call):
+    call()  # warm-up: first-call caches are not the distance layer
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_jl_embed_holds_no_pair_matrix():
+    # one n x n float64 matrix at n = 2000 is 30.5 MiB; the bands are ~0.5 MiB
+    pts = np.random.default_rng(24).standard_normal((2000, 100))
+    assert _traced_peak_mib(lambda: jl_embed(pts, 0.5, seed=1)) < 8
+
+
+def test_oracle_distortion_holds_no_pair_matrix():
+    rng = np.random.default_rng(25)
+    pts = PointSet(rng.standard_normal((1000, 8)))
+    lmap = LinearMap(rng.standard_normal((4, 8)))
+    l1 = SpaceOracle.lp(8, 1.0)
+    assert _traced_peak_mib(lambda: distortion_of_map(pts, lmap, l1)) < 6
+
+
 # --------------------------------------------------------------------------
 # Walsh point sets
 # --------------------------------------------------------------------------
@@ -468,6 +517,42 @@ def test_mechanism_l1_inequality_never_violated():
     assert len(rep.trials) == 25
     assert all(t.ratio <= 1.0 + 1e-9 for t in rep.trials)
     assert all(t.d_composite <= t.d_jl * t.delta_proxy + 1e-9 for t in rep.trials)
+
+
+_MECHANISM_SPACES = {"l1": lambda d: SpaceOracle.lp(d, 1.0),
+                     "linf": lambda d: SpaceOracle.lp(d, math.inf),
+                     "T": SpaceOracle.tsirelson_span}
+
+
+@st.composite
+def _families(draw):
+    d = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-2, 2).map(float), min_size=d, max_size=d)
+    return draw(st.lists(row, min_size=1, max_size=8).filter(lambda V: np.any(V)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_families(), st.sampled_from(sorted(_MECHANISM_SPACES)), st.integers(0, 2**32 - 1))
+def test_mechanism_shared_source_scan_equals_condensed_reference(family, tag, seed):
+    # the Walsh point set holds the origin and zero-padded base rows, so
+    # duplicate points are common
+    space = _MECHANISM_SPACES[tag](len(family[0]))
+    rep = jl_mechanism_experiment(space, family, eps=0.9, seed=seed, trials=2)
+    for t in rep.trials:
+        ens = WalshEnsemble.from_vectors(family, seed=derive_seed(seed, "walsh-g", t.trial))
+        pts = walsh_pointset(ens).points
+        lmap, _ = jl_embed(pts, 0.9, seed=derive_seed(seed, "jl", t.trial))
+        src = _ref_pair_norms(pts, space)
+        composite = _ref_ratio_report(src, _ref_euclidean_pdists(lmap.apply(pts)), len(pts))
+        proxy = _ref_ratio_report(src, _ref_euclidean_pdists(pts), len(pts))
+        assert _same((t.d_composite, t.delta_proxy), (composite[2], proxy[2]))
+
+
+@pytest.mark.parametrize("family", [[], [[]], [1.0, 2.0], np.zeros((0, 2))],
+                         ids=["empty", "empty-row", "one-dimensional", "no-rows"])
+def test_mechanism_malformed_family_is_a_domain_error(family):
+    with pytest.raises(DomainError):
+        jl_mechanism_experiment(SpaceOracle.euclidean(2), family, trials=1)
 
 
 def test_mechanism_trials_zero():
