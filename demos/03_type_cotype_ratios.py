@@ -33,13 +33,13 @@ def basis_family(space, k):
 print("=== exact sign averages (2^(n-1) patterns: eps and -eps pair up) ===")
 for tag, dim, kind in [("l1", 2, "type"), ("l2", 4, "type"), ("l2", 4, "cotype"),
                        ("linf", 2, "cotype")]:
-    space = SpaceOracle.from_tag(tag, dim)
+    space = SpaceOracle(tag, dim)
     est = rademacher_ratio(basis_family(space, dim), kind)
     print(f"  {tag:4s} basis family, {kind:6s} ratio = {est.exact}")
 
 print()
 print("=== the same ratios by Gaussian Monte Carlo, with 95% intervals ===")
-space = SpaceOracle.lp(2, 1.0)
+space = SpaceOracle("l1", 2)
 fam = basis_family(space, 2)
 est = gaussian_ratio(fam, "type", samples=200_000, seed=1)
 closed_form = (2 + 4 / math.pi) / 2
@@ -48,7 +48,7 @@ print(f"  closed form (2 + 4/pi)/2 = {closed_form:.4f}")
 
 print()
 print("=== a cotype witness inside the 2-convexified span ===")
-space = SpaceOracle.t2_span(4)
+space = SpaceOracle("T2", 4)
 fam = VectorFamily.make(
     [[F(0), F(0), F(1), F(0)], [F(0), F(0), F(0), F(1)]], space
 )

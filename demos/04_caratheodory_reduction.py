@@ -40,7 +40,7 @@ print("  w-branch covariance == (1-1/c1)A: residual",
 
 print()
 print("=== iterated reduction keeps the type ratio (statistically) ===")
-space = SpaceOracle.lp(2, 1.0)
+space = SpaceOracle("l1", 2)
 fam = VectorFamily.make(rng.standard_normal((10, 2)).tolist(), space)
 before = gaussian_ratio(fam, "type", samples=100_000, seed=7)
 out = flm_reduce(fam, "type", mc_samples=20_000, seed=11)

@@ -37,7 +37,7 @@ print()
 print("=== measuring a fixed map between different norms ===")
 corners = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
 identity = LinearMap(np.eye(2))
-rep = distortion_of_map(corners, identity, source_norm=SpaceOracle.lp(2, 1.0))
+rep = distortion_of_map(corners, identity, source_norm=SpaceOracle("l1", 2))
 print("  the 4-cube corners, taxicab -> Euclidean via the identity:")
 print(f"  min ratio {rep.min_ratio:.6f} at pair {rep.argmin}")
 print(f"  max ratio {rep.max_ratio:.6f} at pair {rep.argmax}")

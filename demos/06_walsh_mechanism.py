@@ -39,7 +39,7 @@ print(f"  relative residual      {res.residual:.2e}")
 
 print()
 print("=== the mechanism on a taxicab family ===")
-space = SpaceOracle.lp(2, 1.0)
+space = SpaceOracle("l1", 2)
 family = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
 rep = jl_mechanism_experiment(space, family, eps=0.5, seed=2, trials=10)
 print("  trial   lhs      rhs      ratio   D_comp  D_jl   proxy")

@@ -42,7 +42,7 @@ print()
 print("=== cross-check: the generic sign enumeration gives the same ratio ===")
 for N in (4, 8):
     x = witnesses[N]
-    fam = diagonal_sqrt_family(SpaceOracle.t2_span(N), x)
+    fam = diagonal_sqrt_family(SpaceOracle("T2", N), x)
     est = rademacher_ratio(fam, "cotype")
     cert = cotype_certificate(x, N)
     print(f"  N={N}: flat-search ratio {cert.ratio}  == sign-enumeration {est.exact}")

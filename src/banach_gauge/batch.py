@@ -32,13 +32,6 @@ from .tsirelson import (
     _modified_rules,
 )
 
-__all__ = [
-    "tsirelson_norm_batch",
-    "tsirelson_norm_batch_exact",
-    "modified_norm_batch",
-    "modified_norm_batch_exact",
-]
-
 
 # --------------------------------------------------------------------------
 # Batched evaluation: float64 columns, or exact integer columns

@@ -267,7 +267,7 @@ def cmd_ratio(args) -> Output:
     from .gauss import SpaceOracle, VectorFamily, gaussian_ratio, rademacher_ratio
 
     rows = _load_vectors(args.vecs)
-    space = SpaceOracle.from_tag(args.space, len(rows[0]))
+    space = SpaceOracle(args.space, len(rows[0]))
     family = VectorFamily.make(rows, space)
     if args.mode == "exact":
         est = rademacher_ratio(family, args.kind)
@@ -349,7 +349,7 @@ def cmd_jl_mechanism(args) -> Output:
     from .jl import MechanismTrial, jl_mechanism_experiment
 
     family = _load_float_array(args.family)
-    space = SpaceOracle.from_tag(args.space, family.shape[1])
+    space = SpaceOracle(args.space, family.shape[1])
     rep = jl_mechanism_experiment(space, family, eps=args.eps, constant=args.constant,
                                   seed=args.seed, trials=args.trials)
     trial_rows = [dataclasses.asdict(t) for t in rep.trials]

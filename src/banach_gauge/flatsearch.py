@@ -43,14 +43,6 @@ from .seqvec import FinVec, Rat
 from .simplex import solve_lp
 from .tsirelson import NormCertificate, norming_functional, tsirelson_norm
 
-__all__ = [
-    "CotypeCertificate",
-    "FlatSearchResult",
-    "flatness",
-    "search_flat",
-    "cotype_certificate",
-]
-
 MIN_SUPPORT_BOUND = 3
 MAX_SUPPORT_BOUND = 16
 

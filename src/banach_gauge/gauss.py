@@ -57,21 +57,6 @@ from .errors import (
 )
 from .seeds import derive_seed, seeded_rng
 
-__all__ = [
-    "SpaceOracle",
-    "VectorFamily",
-    "RatioEstimate",
-    "ConeReduction",
-    "C2LowerBound",
-    "rademacher_ratio",
-    "gaussian_ratio",
-    "caratheodory_reduce",
-    "flm_reduce",
-    "kwapien_upper",
-    "c2_lower_from_witness",
-    "diagonal_sqrt_family",
-]
-
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 RADEMACHER_CAP = 20
@@ -89,95 +74,48 @@ def _fraction_sqrt(q: Fraction) -> Fraction | None:
 
 
 class SpaceOracle:
-    """A coordinate span together with a norm evaluator.
+    """A coordinate span of dimension ``dim`` together with a norm evaluator.
 
-    Tags: ``lp`` (with parameter p, math.inf allowed), ``tsirelson_span``,
-    ``t2_span``, ``mod2_span``, ``polytope`` (norm = max |<f_i, x>| over a
-    spanning list of functionals).  Each space has two evaluators:
-    ``norm_sq_batch``, the exact squared norms of integer rows, on every tag
-    but l_p with p not in {1, 2, inf}, and ``norm_array``, the float64 norms
-    of rows, on every tag.  ``norm_sq`` runs the exact one on a single
-    vector of rational entries (floats read as the binary rationals they
-    are) and returns a ``Fraction``.
+    Tags, in any case: ``l1``, ``l2``, ``linf`` and ``lp<p>`` (l_p, p >= 1,
+    as in ``lp3`` or ``lpinf``); ``T`` (Tsirelson's space); ``T2`` and
+    ``mod2`` (T and the modified norm on the squares); ``polytope``, only
+    with ``functionals`` (norm = max |<f_i, x>| over a spanning list of
+    functionals).  ``tag`` keeps the tag in lower case but for ``T`` and
+    ``T2``, and ``p`` the exponent (None off l_p).  Each space has two
+    evaluators: ``norm_sq_batch``, the exact squared norms of integer rows,
+    on every tag but l_p with p not in {1, 2, inf}, and ``norm_array``, the
+    float64 norms of rows, on every tag.  ``norm_sq`` runs the exact one on
+    a single vector of rational entries (floats read as the binary
+    rationals they are) and returns a ``Fraction``.
     """
 
-    def __init__(self, dim: int, tag: str, p: float | None = None,
-                 functionals: Sequence[Sequence] | None = None):
+    def __init__(self, tag: str, dim: int, functionals: Sequence[Sequence] | None = None):
+        t = tag.lower()
+        p = {"l1": 1.0, "l2": 2.0, "linf": math.inf}.get(t)
+        if p is None and t.startswith("lp"):
+            try:
+                p = float(t[2:])
+            except ValueError:
+                pass
+        if p is None and t not in ("t", "t2", "mod2") and (t != "polytope" or functionals is None):
+            raise DomainError(f"unknown space tag {tag!r}")
         if dim < 1:
             raise DomainError("dimension must be >= 1")
+        if p is not None and not p >= 1:  # NaN fails every comparison
+            raise DomainError("lp oracle needs p >= 1")
+        self.tag = {"t": "T", "t2": "T2"}.get(t, t)
         self.dim = dim
-        self.tag = tag
         self.p = p
-        self.functionals = (
-            tuple(tuple(Fraction(v) for v in f) for f in functionals)
-            if functionals is not None
-            else None
-        )
-        if tag == "lp":
-            if p is None or not p >= 1:  # NaN fails every comparison
-                raise DomainError("lp oracle needs p >= 1")
-        elif tag == "polytope":
+        self.functionals = None
+        if t == "polytope":
+            self.functionals = tuple(tuple(Fraction(v) for v in f) for f in functionals)
             if not self.functionals:
                 raise DomainError("polytope oracle needs at least one functional")
             if any(len(f) != dim for f in self.functionals):
                 raise DomainError("functional length must equal dim")
-        elif tag not in ("tsirelson_span", "t2_span", "mod2_span"):
-            raise DomainError(f"unknown space tag {tag!r}")
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def lp(cls, dim: int, p: float) -> "SpaceOracle":
-        return cls(dim, "lp", p=p)
-
-    @classmethod
-    def euclidean(cls, dim: int) -> "SpaceOracle":
-        return cls(dim, "lp", p=2.0)
-
-    @classmethod
-    def tsirelson_span(cls, dim: int) -> "SpaceOracle":
-        return cls(dim, "tsirelson_span")
-
-    @classmethod
-    def t2_span(cls, dim: int) -> "SpaceOracle":
-        return cls(dim, "t2_span")
-
-    @classmethod
-    def mod2_span(cls, dim: int) -> "SpaceOracle":
-        return cls(dim, "mod2_span")
-
-    @classmethod
-    def polytope(cls, dim: int, functionals: Sequence[Sequence]) -> "SpaceOracle":
-        return cls(dim, "polytope", functionals=functionals)
-
-    @classmethod
-    def from_tag(cls, tag: str, dim: int) -> "SpaceOracle":
-        """Parse CLI-style tags: l1, l2, linf, lp<value>, T, T2, mod2."""
-        t = tag.lower()
-        if t == "l1":
-            return cls.lp(dim, 1.0)
-        if t == "l2":
-            return cls.lp(dim, 2.0)
-        if t == "linf":
-            return cls.lp(dim, math.inf)
-        if t.startswith("lp"):
-            try:
-                return cls.lp(dim, float(t[2:]))
-            except ValueError as exc:
-                raise DomainError(f"unknown space tag {tag!r}") from exc
-        if t == "t":
-            return cls.tsirelson_span(dim)
-        if t == "t2":
-            return cls.t2_span(dim)
-        if t == "mod2":
-            return cls.mod2_span(dim)
-        raise DomainError(f"unknown space tag {tag!r}")
 
     def __repr__(self) -> str:
-        extra = f", p={self.p}" if self.tag == "lp" else ""
-        return f"SpaceOracle(dim={self.dim}, tag={self.tag!r}{extra})"
-
-    # -- evaluation ---------------------------------------------------------
+        return f"SpaceOracle({self.tag!r}, {self.dim})"
 
     def norm_sq(self, vec) -> Fraction:
         """Exact squared norm of one vector, by the exact ratios' integer path
@@ -202,19 +140,19 @@ class SpaceOracle:
             pts = pts[None, :]
         if pts.shape[1] != self.dim:
             raise DomainError(f"vector length {pts.shape[1]} != dim {self.dim}")
-        if self.tag == "lp":
+        if self.p is not None:
             return np.linalg.norm(pts, ord=self.p, axis=1)
         if self.tag == "polytope":
             return np.abs(pts @ np.array(self.functionals, dtype=float).T).max(axis=1)
         cols = np.flatnonzero(pts.any(axis=0))
-        if self.tag == "tsirelson_span":
+        if self.tag == "T":
             return tsirelson_norm_batch(np.abs(pts[:, cols]), (cols + 1).tolist())
-        batch = tsirelson_norm_batch if self.tag == "t2_span" else modified_norm_batch
+        batch = tsirelson_norm_batch if self.tag == "T2" else modified_norm_batch
         return np.sqrt(batch(pts[:, cols] ** 2, (cols + 1).tolist()))
 
     def reads_squares(self) -> bool:
         """Whether the norm reads only the squares of the coordinates."""
-        return self.tag in ("t2_span", "mod2_span") or (self.tag == "lp" and self.p == 2.0)
+        return self.tag in ("T2", "mod2") or self.p == 2.0
 
     def has_exact_batch(self, scaled: bool = False) -> bool:
         """Whether ``norm_sq_batch`` has an integer evaluator: on every tag
@@ -222,7 +160,7 @@ class SpaceOracle:
         scaled columns (``scaled``) only on a norm that reads squares."""
         if scaled and not self.reads_squares():
             return False
-        return self.tag != "lp" or self.p in (1.0, 2.0, math.inf)
+        return self.p in (None, 1.0, 2.0, math.inf)
 
     def norm_sq_batch(self, M: np.ndarray, cols: Sequence[int],
                       weights: Sequence[int] | None = None) -> tuple[list[int], int]:
@@ -249,9 +187,9 @@ class SpaceOracle:
         if self.reads_squares():
             X = M.astype(exact_dtype(top * top * max(weights or (1,)) * len(cols)), copy=False)
             sq = X * X if weights is None else X * X * np.array(weights, dtype=X.dtype)
-            if self.tag == "lp":
+            if self.p is not None:
                 return sq.sum(axis=1).tolist(), 1
-            batch = tsirelson_norm_batch_exact if self.tag == "t2_span" else modified_norm_batch_exact
+            batch = tsirelson_norm_batch_exact if self.tag == "T2" else modified_norm_batch_exact
             return batch(sq, labels)
         if self.tag == "polytope":
             D = math.lcm(*(v.denominator for f in self.functionals for v in f))
@@ -261,7 +199,7 @@ class SpaceOracle:
             Ft = np.array(F, dtype=dtype).reshape(len(F), len(cols)).T
             return [v * v for v in np.abs(M.astype(dtype) @ Ft).max(axis=1).tolist()], D * D
         A = np.abs(M.astype(exact_dtype(top * len(cols)), copy=False))
-        if self.tag == "tsirelson_span":
+        if self.tag == "T":
             nums, scale = tsirelson_norm_batch_exact(A, labels)
             return [v * v for v in nums], scale * scale
         nums = (A.sum(axis=1) if self.p == 1.0 else A.max(axis=1, initial=0)).tolist()

@@ -14,16 +14,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = [
-    "GrowthResult",
-    "log_star",
-    "ackermann_g",
-    "alpha",
-    "alpha_diag",
-    "delta_bound",
-    "fit_tower_constant",
-]
-
 
 @dataclass(frozen=True)
 class GrowthResult:

@@ -38,37 +38,33 @@ from .errors import (
 from .gauss import SpaceOracle
 from .seeds import derive_seed, seeded_rng
 
-__all__ = [
-    "PointSet",
-    "LinearMap",
-    "DistortionReport",
-    "WalshEnsemble",
-    "WalshOrthogonality",
-    "MechanismTrial",
-    "MechanismReport",
-    "fwht",
-    "jl_embed",
-    "distortion_of_map",
-    "walsh_pointset",
-    "walsh_orthogonality_check",
-    "jl_mechanism_experiment",
-]
-
 WALSH_M_CAP = 16
 MECHANISM_M_CAP = 12
 ORTHOGONALITY_TOL = 1e-10
 
 
+def _finite_rows(rows, what: str) -> np.ndarray:
+    """``rows`` as a finite float (n, dim) array; DomainError naming ``what``
+    on ragged, non-numeric, non-2-D or non-finite input."""
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must form an (n, dim) array") from exc
+    if arr.ndim != 2:
+        raise DomainError(f"{what} must form an (n, dim) array")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what} must be finite")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)  # arrays have no truth value: == is identity
 class PointSet:
-    """Finite list of coordinate vectors."""
+    """Finite list of finite coordinate vectors."""
 
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        if self.points.ndim != 2:
-            raise DomainError("points must form an (n, dim) array")
+        object.__setattr__(self, "points", _finite_rows(self.points, "points"))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -76,17 +72,17 @@ class PointSet:
 
 @dataclass(frozen=True, eq=False)  # arrays have no truth value: == is identity
 class LinearMap:
-    """Dense matrix with a separate positive scale: x -> scale * (matrix @ x)."""
+    """Dense finite matrix with a positive finite scale: x -> scale * (matrix @ x)."""
 
     matrix: np.ndarray
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
-        if self.matrix.ndim != 2 or self.matrix.shape[0] < 1:
-            raise DomainError("matrix must be (target_dim, source_dim) with target_dim >= 1")
-        if not self.scale > 0:
-            raise DomainError("scale must be > 0")
+        object.__setattr__(self, "matrix", _finite_rows(self.matrix, "matrix"))
+        if self.matrix.shape[0] < 1:
+            raise DomainError("matrix must have target_dim >= 1")
+        if not 0 < self.scale < math.inf:
+            raise DomainError("scale must be positive and finite")
 
     @property
     def target_dim(self) -> int:
@@ -262,8 +258,6 @@ def jl_embed(points: PointSet | np.ndarray, eps: float, constant: float = 8.0,
         raise AllPointsCoincide("need at least two points")
     if source_dim < 1:
         raise DomainError("points need at least one coordinate")
-    if not np.isfinite(pts).all():
-        raise DomainError("points must be finite")
     # a quotient past the float range, or over eps**2 = 0, is at least the source dimension
     q = constant * math.log(n) / eps**2 if eps**2 else math.inf
     d = math.ceil(q) if q < source_dim else source_dim
@@ -353,8 +347,8 @@ class WalshEnsemble:
     def from_vectors(cls, vectors: Sequence[Sequence[float]], seed: int = 0,
                      m: int | None = None) -> "WalshEnsemble":
         """Pad a finite family with zero vectors up to the next power of two."""
-        V = np.asarray(vectors, dtype=float)
-        if V.ndim != 2 or len(V) < 1:
+        V = _finite_rows(vectors, "vectors")
+        if len(V) < 1:
             raise DomainError("need at least one vector")
         if m is None:
             m = max(1, math.ceil(math.log2(len(V))))
@@ -392,7 +386,7 @@ def walsh_orthogonality_check(z: np.ndarray) -> WalshOrthogonality:
     The identity is exact for real inputs; the reported relative residual is
     pure float roundoff, and passes up to ORTHOGONALITY_TOL.
     """
-    z = np.asarray(z, dtype=float)
+    z = _finite_rows(z, "z")
     _walsh_m(z.shape[0])
     sums = fwht(z)
     lhs = float(np.mean(np.sum(sums * sums, axis=1)))
@@ -449,8 +443,8 @@ def jl_mechanism_experiment(space: SpaceOracle, vectors: Sequence[Sequence[float
     of the embedding distortion and the target's Euclidean distortion in the
     recursive bound; both factors are also reported separately.
     """
-    V = np.asarray(vectors, dtype=float)
-    if V.ndim != 2 or len(V) < 1:
+    V = _finite_rows(vectors, "family")
+    if len(V) < 1:
         raise DomainError("need a nonempty family of vectors")
     if V.shape[1] != space.dim:
         raise DomainError("family vectors do not match the space dimension")
@@ -462,8 +456,7 @@ def jl_mechanism_experiment(space: SpaceOracle, vectors: Sequence[Sequence[float
     rows: list[MechanismTrial] = []
     for t in range(trials):
         ens = WalshEnsemble.from_vectors(V, seed=derive_seed(seed, "walsh-g", t))
-        pset = walsh_pointset(ens)
-        pts = pset.points
+        pts = walsh_pointset(ens).points
         lmap, rep = jl_embed(pts, eps, constant, derive_seed(seed, "jl", t))
         # composite: space norm on the source, Euclidean on the image; proxy
         # spread: how non-Euclidean the space norm is on these pairs

@@ -72,26 +72,6 @@ from typing import Iterator, Union
 from .errors import MalformedCertificate, SupportTooLarge
 from .seqvec import FinVec, Rat, abs_square, float_sqrt
 
-__all__ = [
-    "Leaf",
-    "Part",
-    "Split",
-    "NormCertificate",
-    "EvalStats",
-    "NormResult",
-    "tsirelson_norm",
-    "tsirelson_norm_bruteforce",
-    "t2_norm_sq",
-    "t2_norm",
-    "modified_norm",
-    "modified_t2_norm_sq",
-    "certificate_value",
-    "validate_certificate",
-    "norming_functional",
-    "certificate_to_json",
-    "certificate_from_json",
-]
-
 
 # --------------------------------------------------------------------------
 # Certificates

@@ -138,7 +138,7 @@ def test_c06_flm_reduce_preserves_ratio():
     trials = []
     for t in range(20):
         p = 1.0 if t < 10 else 3.0
-        space = SpaceOracle.lp(2, p)
+        space = SpaceOracle(f"lp{p}", 2)
         rng = np.random.default_rng(derive_seed(606, "family", t))
         fam = VectorFamily.make(rng.standard_normal((10, 2)).tolist(), space)
         shared_seed = derive_seed(606, "mc", t)
@@ -198,7 +198,7 @@ def test_c08_jl_embedding_operating_point():
 
 
 def test_c09_mechanism_inequality_always_holds():
-    space = SpaceOracle.lp(2, 1.0)
+    space = SpaceOracle("l1", 2)
     family = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
     rep = jl_mechanism_experiment(space, family, eps=0.5, constant=8.0,
                                   seed=909, trials=100)
@@ -253,7 +253,7 @@ def test_c12_cotype_certificate_cross_check():
     for N in range(3, 9):
         res = search_flat(N)
         cert = cotype_certificate(res.x, N)
-        space = SpaceOracle.t2_span(N)
+        space = SpaceOracle("T2", N)
         fam = diagonal_sqrt_family(space, res.x)
         est = rademacher_ratio(fam, "cotype")
         assert est.exact is not None, f"N={N}: sign enumeration lost exactness"

@@ -361,10 +361,24 @@ def test_output_digest_is_the_digest_of_the_printed_payload(capsys, tmp_path, co
     ["ratio", "--kind", "cotype", "--mode", "mc", "--samples", "100", "--vecs"],
 ])
 def test_lp_nan_space_exits_1(capsys, tmp_path, command):
-    path = write_vectors(tmp_path, "fam.json", [[1, 2], [3, 4]])
-    code, out = run(capsys, command[0], "--space", "lpnan", *command[1:], path)
-    assert code == 1
-    assert json.loads(out)["error"] == {"message": "lp oracle needs p >= 1", "type": "DomainError"}
+    # (tag, rows, message): the tag is read first, then the dimension, then p;
+    # a message of None means the tag is accepted
+    two, empty = [[1, 2], [3, 4]], [[]]
+    table = [
+        ("lpnan", two, "lp oracle needs p >= 1"),
+        *((tag, rows, f"unknown space tag {tag!r}")
+          for tag in ("foo", "lpx", "polytope") for rows in (empty, two)),
+        ("lp0.5", empty, "dimension must be >= 1"),
+        ("LINF", two, None), ("Mod2", two, None), ("lpinf", two, None),
+    ]
+    for tag, rows, message in table:
+        path = write_vectors(tmp_path, "fam.json", rows)
+        code, out = run(capsys, command[0], "--space", tag, *command[1:], path)
+        if message is None:
+            assert code == 0, (tag, out)
+        else:
+            assert code == 1, tag
+            assert json.loads(out)["error"] == {"message": message, "type": "DomainError"}
 
 
 def test_ratio_mc_sample_cap_exits_1(capsys, tmp_path):

@@ -75,19 +75,19 @@ def _spot_check(oracle, seed, trials=25):
 
 def test_oracle_tags_and_checks():
     for tag, dim in [("l1", 3), ("l2", 4), ("linf", 2), ("lp3", 3), ("T", 4), ("T2", 4)]:
-        oracle = SpaceOracle.from_tag(tag, dim)
+        oracle = SpaceOracle(tag, dim)
         assert _spot_check(oracle, seed=7)
 
 
 def test_polytope_oracle_is_linf_like():
     # functionals +-e_i* give the sup norm
-    oracle = SpaceOracle.polytope(2, [[1, 0], [0, 1]])
+    oracle = SpaceOracle("polytope", 2, [[1, 0], [0, 1]])
     assert oracle.norm_sq([F(3), F(-4)]) == 16
     assert _spot_check(oracle, seed=3)
 
 
 def test_t2_span_oracle_exact():
-    oracle = SpaceOracle.t2_span(4)
+    oracle = SpaceOracle("T2", 4)
     assert oracle.norm_sq([F(0), F(0), F(1), F(1)]) == 1
     assert oracle.norm_array([0.0, 0.0, 1.0, 1.0]).tolist() == [1.0]
 
@@ -99,9 +99,9 @@ def _ref_norm_sq(space, vec):
     paths, so it serves as their reference."""
     x = [Fraction(e) for e in vec]
     if space.reads_squares():
-        tag = {"t2_span": "T2", "mod2_span": "mod2"}.get(space.tag, "l2")
+        tag = space.tag if space.tag in ("T2", "mod2") else "l2"
         return _squares_norm(tag, [e * e for e in x])
-    if space.tag == "tsirelson_span":
+    if space.tag == "T":
         n = tsirelson_norm(FinVec(dict(enumerate(map(abs, x), start=1)))).value
     elif space.tag == "polytope":
         n = max(abs(sum((fk * e for fk, e in zip(f, x)), Fraction(0))) for f in space.functionals)
@@ -119,20 +119,20 @@ def _ref_norm_sq(space, vec):
 # --------------------------------------------------------------------------
 
 def test_l1_type_ratio_exactly_two():
-    est = rademacher_ratio(_basis_family(SpaceOracle.lp(2, 1.0), 2), "type")
+    est = rademacher_ratio(_basis_family(SpaceOracle("l1", 2), 2), "type")
     assert est.exact == 2
     assert est.mode == "rademacher-exact"
     assert est.ci_low == est.ci_high == est.point == 2.0
 
 
 def test_hilbert_orthonormal_ratios_are_one():
-    fam = _basis_family(SpaceOracle.euclidean(4), 4)
+    fam = _basis_family(SpaceOracle("l2", 4), 4)
     assert rademacher_ratio(fam, "type").exact == 1
     assert rademacher_ratio(fam, "cotype").exact == 1
 
 
 def test_t2_span_cotype_ratio_two():
-    space = SpaceOracle.t2_span(4)
+    space = SpaceOracle("T2", 4)
     fam = VectorFamily.make(
         [[F(0), F(0), F(1), F(0)], [F(0), F(0), F(0), F(1)]], space
     )
@@ -143,14 +143,14 @@ def test_t2_span_cotype_ratio_two():
 def test_diagonal_sqrt_family_keeps_exactness():
     # squared weights 1/2, 1/2 at indices 3, 4: the ratio must match the
     # flat-witness pipeline value 2 exactly even though sqrt(1/2) is irrational
-    space = SpaceOracle.t2_span(4)
+    space = SpaceOracle("T2", 4)
     fam = diagonal_sqrt_family(space, FinVec({3: F(1, 2), 4: F(1, 2)}))
     est = rademacher_ratio(fam, "cotype")
     assert est.exact == 2
 
 
 def test_rademacher_invariances():
-    space = SpaceOracle.lp(3, 1.0)
+    space = SpaceOracle("l1", 3)
     vecs = [[F(1), F(0), F(2)], [F(0), F(-1), F(1)], [F(1), F(1), F(0)]]
     base = rademacher_ratio(VectorFamily.make(vecs, space), "type").exact
     perm = rademacher_ratio(VectorFamily.make(vecs[::-1], space), "type").exact
@@ -161,7 +161,7 @@ def test_rademacher_invariances():
 
 
 def test_rademacher_caps_and_errors():
-    space = SpaceOracle.euclidean(2)
+    space = SpaceOracle("l2", 2)
     big = VectorFamily.make([[F(1), F(0)]] * 21, space)
     with pytest.raises(TooManyVectors):
         rademacher_ratio(big, "type")
@@ -214,9 +214,9 @@ def _rational_families(draw):
     n, dim = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     if tag == "polytope":
         functional = st.lists(_rationals, min_size=dim, max_size=dim)
-        space = SpaceOracle.polytope(dim, [draw(functional), draw(functional)])
+        space = SpaceOracle("polytope", dim, [draw(functional), draw(functional)])
     else:
-        space = SpaceOracle.from_tag(tag, dim)
+        space = SpaceOracle(tag, dim)
     vecs = draw(st.lists(st.lists(_entries, min_size=dim, max_size=dim), min_size=n, max_size=n))
     return VectorFamily.make(vecs, space)
 
@@ -250,7 +250,7 @@ def _squares_norm(tag, squares):
        st.sampled_from(["type", "cotype"]))
 def test_rademacher_diagonal_sqrt_equals_reference(tag, squares, kind):
     # every sign sum of { sqrt(q_j) e_j } has the squares q, so the mean is N(q)
-    family = diagonal_sqrt_family(SpaceOracle.from_tag(tag, len(squares)), squares)
+    family = diagonal_sqrt_family(SpaceOracle(tag, len(squares)), squares)
     if len(family) == 0:
         return
     S, mean = sum(squares, Fraction(0)), _squares_norm(tag, squares)
@@ -278,7 +278,7 @@ def _sqrt_column_families(draw):
 def test_rademacher_sqrt_columns_equal_squares_reference(tag, vecs_col_sq, kind):
     vecs, col_sq = vecs_col_sq
     dim = len(col_sq)
-    family = VectorFamily(tuple(map(tuple, vecs)), SpaceOracle.from_tag(tag, dim), col_sq)
+    family = VectorFamily(tuple(map(tuple, vecs)), SpaceOracle(tag, dim), col_sq)
     total = Fraction(0)
     for signs in itertools.product((1, -1), repeat=len(vecs)):
         acc = [sum((e * v[k] for e, v in zip(signs, vecs)), Fraction(0)) for k in range(dim)]
@@ -296,7 +296,7 @@ def test_rademacher_sqrt_columns_equal_squares_reference(tag, vecs_col_sq, kind)
 
 
 def test_rademacher_single_vector_and_zero_vector():
-    space = SpaceOracle.t2_span(3)
+    space = SpaceOracle("T2", 3)
     one = VectorFamily.make([[F(1, 3), F(0), F(-2)]], space)
     for kind in ("type", "cotype"):
         est = rademacher_ratio(one, kind)
@@ -310,7 +310,7 @@ def test_rademacher_single_vector_and_zero_vector():
 
 
 def test_rademacher_float_valued_norm_matches_reference():
-    space = SpaceOracle.lp(3, 3.0)
+    space = SpaceOracle("lp3", 3)
     fam = VectorFamily.make([[F(1), F(-1, 2), F(2)], [F(0), F(3), F(1, 3)],
                              [F(-2, 5), F(1), F(0)], [F(1), F(1), F(1)]], space)
     for kind in ("type", "cotype"):
@@ -325,7 +325,7 @@ def test_rademacher_exact_equals_float64_evaluation(p):
     rng = np.random.default_rng(7)
     nums, dens = rng.integers(-9, 10, size=(8, 5)), rng.integers(1, 8, size=(8, 5))
     fam = VectorFamily.make([[F(int(a), int(b)) for a, b in zip(*row)] for row in zip(nums, dens)],
-                            SpaceOracle.lp(5, p))
+                            SpaceOracle(f"lp{p}", 5))
     X = np.array([[float(e) for e in v] for v in fam.vectors])
     signs = np.array(list(itertools.product([1.0, -1.0], repeat=len(X))))
     mean = float(np.mean(np.linalg.norm(signs @ X, ord=p, axis=1) ** 2))
@@ -338,9 +338,9 @@ def test_rademacher_exact_equals_float64_evaluation(p):
 def test_rademacher_float_entries_are_exact_binary_rationals():
     rows = [[0.1, 0.2], [0.3, 0.7], [0.5, -0.25]]
     # the parallelogram law makes every l2 type ratio exactly 1
-    assert rademacher_ratio(VectorFamily.make(rows, SpaceOracle.euclidean(2)), "type").exact == 1
+    assert rademacher_ratio(VectorFamily.make(rows, SpaceOracle("l2", 2)), "type").exact == 1
     for tag in ("T", "T2"):
-        space = SpaceOracle.from_tag(tag, 2)
+        space = SpaceOracle(tag, 2)
         as_floats = VectorFamily.make(rows, space)
         as_fractions = VectorFamily.make([[F(e) for e in r] for r in rows], space)
         for kind in ("type", "cotype"):
@@ -355,7 +355,7 @@ def test_rademacher_sign_sums_cancel_to_exact_zeros(tag):
     # batch meets zero rows and zero entries on labels of the union support
     x1 = [F(1), F(-2), F(0), F(1, 2), F(0)]
     x3 = [F(-1), F(2), F(3), F(0), F(0)]
-    fam = VectorFamily.make([x1, x1, x3], SpaceOracle.from_tag(tag, 5))
+    fam = VectorFamily.make([x1, x1, x3], SpaceOracle(tag, 5))
     for kind in ("type", "cotype"):
         _check_against_reference(fam, kind)
 
@@ -371,7 +371,7 @@ def test_rademacher_float_entries_beyond_int64(tag, monkeypatch):
         monkeypatch.setattr(batch_module, name,
                             lambda plan, wt, run=run: seen.append(wt.dtype) or run(plan, wt))
     rows = [[1e-5, 0.1, 0.0, 3.0], [0.1, -2.5, 1e-5, 0.0], [0.0, 0.3, 0.7, -1e-5]]
-    fam = VectorFamily.make(rows, SpaceOracle.from_tag(tag, 4))
+    fam = VectorFamily.make(rows, SpaceOracle(tag, 4))
     for kind in ("type", "cotype"):
         _check_against_reference(fam, kind)
     if tag in ("T", "T2", "mod2"):
@@ -390,29 +390,29 @@ def test_rademacher_union_support_above_the_mod2_cap(monkeypatch):
     x1 = [F(1)] * (s - 1) + [F(0)]
     x2 = [F(1), F(-1)] + [F(0)] * (s - 3) + [F(1)]
     with pytest.raises(SupportTooLarge):
-        rademacher_ratio(VectorFamily.make([x1, x2], SpaceOracle.mod2_span(s)), "cotype")
+        rademacher_ratio(VectorFamily.make([x1, x2], SpaceOracle("mod2", s)), "cotype")
     s = MAX_DP_SUPPORT + 1
     y1 = [F(1)] * (s - 1) + [F(0)]
     y2 = [F(0)] * (s - 1) + [F(1)]
     with pytest.raises(SupportTooLarge):
-        rademacher_ratio(VectorFamily.make([y1, y2], SpaceOracle.t2_span(s)), "type")
+        rademacher_ratio(VectorFamily.make([y1, y2], SpaceOracle("T2", s)), "type")
 
 
 def test_norm_sq_batch_only_where_an_integer_evaluator_exists():
     M = np.array([[1, -2], [0, 3]], dtype=np.int64)
-    poly = SpaceOracle.polytope(2, [[F(1, 2), F(1, 3)], [F(0), F(-1, 4)]])
+    poly = SpaceOracle("polytope", 2, [[F(1, 2), F(1, 3)], [F(0), F(-1, 4)]])
     assert poly.has_exact_batch() and not poly.has_exact_batch(scaled=True)
     nums, den = poly.norm_sq_batch(M, [0, 1])
     assert [F(v, den) for v in nums] == [F(1, 4), 1]
-    lp3 = SpaceOracle.from_tag("lp3", 2)
+    lp3 = SpaceOracle("lp3", 2)
     assert not lp3.has_exact_batch()
     with pytest.raises(DomainError):
         lp3.norm_sq_batch(M, [0, 1])
     with pytest.raises(DomainError, match="norm_array"):  # nor one vector's
         lp3.norm_sq([F(3), F(-4)])
     with pytest.raises(DomainError):  # T reads |x|, not squares
-        SpaceOracle.tsirelson_span(2).norm_sq_batch(M, [0, 1], weights=[1, 2])
-    nums, den = SpaceOracle.euclidean(2).norm_sq_batch(M, [0, 1], weights=[1, 2])
+        SpaceOracle("T", 2).norm_sq_batch(M, [0, 1], weights=[1, 2])
+    nums, den = SpaceOracle("l2", 2).norm_sq_batch(M, [0, 1], weights=[1, 2])
     assert [F(v, den) for v in nums] == [9, 18]
 
 
@@ -430,11 +430,11 @@ def test_norm_sq_batch_matches_the_per_vector_engines_on_wide_int64_rows(tag, ro
 
 
 _ONE_PATH_SPACES = {
-    "l1": SpaceOracle.from_tag("l1", 4), "l2": SpaceOracle.from_tag("l2", 4),
-    "linf": SpaceOracle.from_tag("linf", 4), "lp3": SpaceOracle.from_tag("lp3", 4),
-    "T": SpaceOracle.from_tag("T", 4), "T2": SpaceOracle.from_tag("T2", 4),
-    "mod2": SpaceOracle.from_tag("mod2", 4),
-    "polytope": SpaceOracle.polytope(4, [[F(1), F(-1, 2), 0, F(2)], [0, F(1, 3), F(1), 0]]),
+    "l1": SpaceOracle("l1", 4), "l2": SpaceOracle("l2", 4),
+    "linf": SpaceOracle("linf", 4), "lp3": SpaceOracle("lp3", 4),
+    "T": SpaceOracle("T", 4), "T2": SpaceOracle("T2", 4),
+    "mod2": SpaceOracle("mod2", 4),
+    "polytope": SpaceOracle("polytope", 4, [[F(1), F(-1, 2), 0, F(2)], [0, F(1, 3), F(1), 0]]),
 }
 
 
@@ -443,7 +443,7 @@ def test_rademacher_never_calls_the_per_vector_oracle(name, monkeypatch):
     monkeypatch.setattr(SpaceOracle, "norm_sq",
                         lambda self, vec: pytest.fail("per-vector norm_sq was called"))
     if name.startswith("sqrt-diagonal-"):
-        space = SpaceOracle.from_tag(name.removeprefix("sqrt-diagonal-"), 4)
+        space = SpaceOracle(name.removeprefix("sqrt-diagonal-"), 4)
         family = diagonal_sqrt_family(space, {1: 2, 2: F(1, 3), 4: 5})
     else:
         rows = [[F(1), F(-2, 3), F(0), F(1, 2)], [F(0), F(1), F(3), F(-1)], [F(2), F(0), F(1, 5), F(1)]]
@@ -460,7 +460,7 @@ def test_rademacher_lp_with_tiny_entries_matches_mpmath(kind):
     # sums leave the float range unless each row is shrunk by a power of two
     mpmath = pytest.importorskip("mpmath")
     rows = [[1e-300, 1.0], [1.0, 2.0]]
-    est = rademacher_ratio(VectorFamily.make(rows, SpaceOracle.from_tag("lp3", 2)), kind)
+    est = rademacher_ratio(VectorFamily.make(rows, SpaceOracle("lp3", 2)), kind)
     with mpmath.workdps(50):
         def norm_sq(v):
             return mpmath.power(sum(abs(mpmath.mpf(c)) ** 3 for c in v), mpmath.mpf(2) / 3)
@@ -478,7 +478,7 @@ def test_rademacher_patterns_run_in_chunks(tag, dim):
     rng = np.random.default_rng(16)
     nums, dens = rng.integers(-9, 10, size=(16, dim)), rng.integers(1, 10, size=(16, dim))
     fam = VectorFamily.make([[F(int(a), int(b)) for a, b in zip(*row)] for row in zip(nums, dens)],
-                            SpaceOracle.from_tag(tag, dim))
+                            SpaceOracle(tag, dim))
     rademacher_ratio(fam, "type")  # plans compiled outside the measurement
     tracemalloc.start()
     try:
@@ -495,7 +495,7 @@ def test_rademacher_patterns_run_in_chunks(tag, dim):
 # --------------------------------------------------------------------------
 
 def test_gaussian_hilbert_close_to_one():
-    fam = _basis_family(SpaceOracle.euclidean(2), 2)
+    fam = _basis_family(SpaceOracle("l2", 2), 2)
     est = gaussian_ratio(fam, "type", samples=100_000, seed=11)
     assert est.ci_low <= 1.0 <= est.ci_high
     assert est.point == pytest.approx(1.0, abs=0.02)
@@ -503,7 +503,7 @@ def test_gaussian_hilbert_close_to_one():
 
 def test_gaussian_l1_type_closed_form():
     # E(|g1| + |g2|)^2 = 2 + 4/pi over sum of norms 2
-    fam = _basis_family(SpaceOracle.lp(2, 1.0), 2)
+    fam = _basis_family(SpaceOracle("l1", 2), 2)
     est = gaussian_ratio(fam, "type", samples=200_000, seed=3)
     target = (2 + 4 / math.pi) / 2
     assert est.ci_low <= target <= est.ci_high
@@ -511,7 +511,7 @@ def test_gaussian_l1_type_closed_form():
 
 
 def test_gaussian_deterministic():
-    fam = _basis_family(SpaceOracle.lp(2, 1.0), 2)
+    fam = _basis_family(SpaceOracle("l1", 2), 2)
     a = gaussian_ratio(fam, "cotype", samples=5_000, seed=42)
     b = gaussian_ratio(fam, "cotype", samples=5_000, seed=42)
     assert a == b
@@ -520,7 +520,7 @@ def test_gaussian_deterministic():
 
 
 def test_gaussian_sample_floor():
-    fam = _basis_family(SpaceOracle.euclidean(2), 2)
+    fam = _basis_family(SpaceOracle("l2", 2), 2)
     with pytest.raises(Exception):
         gaussian_ratio(fam, "type", samples=10, seed=0)
 
@@ -582,22 +582,22 @@ def test_caratheodory_rejects_outer_products_out_of_float_range():
 def test_gaussian_cell_cap_checked_before_drawing(monkeypatch):
     monkeypatch.setattr("banach_gauge.gauss.np.random.default_rng",
                         lambda seed: pytest.fail("drew samples past the cell cap"))
-    fam = _basis_family(SpaceOracle.tsirelson_span(3), 3)
+    fam = _basis_family(SpaceOracle("T", 3), 3)
     with pytest.raises(DomainError, match="cap"):
         gaussian_ratio(fam, "type", samples=MC_CELL_CAP // 3 + 1, seed=0)
 
 
 def test_gaussian_rejects_norms_out_of_float_range():
     for tag in ("T", "l1"):
-        fam = VectorFamily.make([[1e300, 1e300], [1e300, -1e300]], SpaceOracle.from_tag(tag, 2))
+        fam = VectorFamily.make([[1e300, 1e300], [1e300, -1e300]], SpaceOracle(tag, 2))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
             gaussian_ratio(fam, "type", samples=200, seed=0)
 
 
 def test_gaussian_ci_finite_for_squared_norms_near_float_max():
     # the squared norms are ~1e300: their deviations squared would overflow
-    huge = VectorFamily.make([[1e150, 0.0], [0.0, 1e150]], SpaceOracle.from_tag("l2", 2))
-    unit = VectorFamily.make([[1.0, 0.0], [0.0, 1.0]], SpaceOracle.from_tag("l2", 2))
+    huge = VectorFamily.make([[1e150, 0.0], [0.0, 1e150]], SpaceOracle("l2", 2))
+    unit = VectorFamily.make([[1.0, 0.0], [0.0, 1.0]], SpaceOracle("l2", 2))
     for kind in ("type", "cotype"):
         est = gaussian_ratio(huge, kind, samples=200, seed=0)
         assert 0 < est.ci_low <= est.point <= est.ci_high < math.inf
@@ -610,7 +610,7 @@ def test_gaussian_ci_finite_for_squared_norms_near_float_max():
 @pytest.mark.parametrize("tag", ["T", "T2"])
 def test_gaussian_on_tsirelson_spans_deterministic(tag):
     rng = np.random.default_rng(4)
-    fam = VectorFamily.make(rng.standard_normal((5, 6)).tolist(), SpaceOracle.from_tag(tag, 6))
+    fam = VectorFamily.make(rng.standard_normal((5, 6)).tolist(), SpaceOracle(tag, 6))
     a = gaussian_ratio(fam, "cotype", samples=3_000, seed=9)
     assert a == gaussian_ratio(fam, "cotype", samples=3_000, seed=9)
     assert a.point != gaussian_ratio(fam, "cotype", samples=3_000, seed=10).point
@@ -631,14 +631,14 @@ def test_engine_reference_runs_no_batch_plan(monkeypatch):
                             lambda *a, name=name: pytest.fail(f"{name} was run"))
     pts = np.array([[1.0, 0.0, -2.5, 0.5], [0.0, 3.0, 1.0, -1.0]])
     for tag in ("T", "T2", "mod2"):
-        assert all(v > 0 for v in _row_norms(SpaceOracle.from_tag(tag, 4), pts))
+        assert all(v > 0 for v in _row_norms(SpaceOracle(tag, 4), pts))
 
 
 @pytest.mark.parametrize("space", [
-    SpaceOracle.tsirelson_span(7),
-    SpaceOracle.t2_span(7),
-    SpaceOracle.mod2_span(7),
-    SpaceOracle.polytope(7, [[F(1), F(-2), 0, 0, F(1, 3), 0, 1], [0, 1, 1, 1, 0, F(-1, 2), 0]]),
+    SpaceOracle("T", 7),
+    SpaceOracle("T2", 7),
+    SpaceOracle("mod2", 7),
+    SpaceOracle("polytope", 7, [[F(1), F(-2), 0, 0, F(1, 3), 0, 1], [0, 1, 1, 1, 0, F(-1, 2), 0]]),
 ])
 def test_norm_array_matches_per_row_norm(space):
     rng = np.random.default_rng(12)
@@ -654,7 +654,7 @@ def test_norm_array_matches_per_row_norm(space):
 
 def test_norm_array_uses_the_union_support():
     # a wide span with few nonzero columns runs; the cap is on the union support
-    space = SpaceOracle.tsirelson_span(MAX_DP_SUPPORT + 50)
+    space = SpaceOracle("T", MAX_DP_SUPPORT + 50)
     pts = np.zeros((3, space.dim))
     pts[0, [0, 99]] = [1.0, -3.0]
     pts[1, [99, 200]] = [2.0, 2.0]
@@ -663,21 +663,21 @@ def test_norm_array_uses_the_union_support():
     with pytest.raises(SupportTooLarge):
         space.norm_array(pts)
     # rows of the wrong width are rejected on every tag, l_p included
-    for narrow in (space, SpaceOracle.lp(5, 1.0)):
+    for narrow in (space, SpaceOracle("l1", 5)):
         with pytest.raises(DomainError):
             narrow.norm_array(np.ones((2, 3)))
 
 
 def test_diagonal_sqrt_family_rejects_negative_squares():
     with pytest.raises(DomainError):
-        diagonal_sqrt_family(SpaceOracle.t2_span(3), {1: -4})
+        diagonal_sqrt_family(SpaceOracle("T2", 3), {1: -4})
     with pytest.raises(DomainError):
-        diagonal_sqrt_family(SpaceOracle.t2_span(3), [1, F(-1, 3)])
+        diagonal_sqrt_family(SpaceOracle("T2", 3), [1, F(-1, 3)])
 
 
 def test_tsirelson_span_irrational_roots_are_not_exact():
     # sqrt 2 and sqrt 3 have no exact value: the oracle answers in float
-    space = SpaceOracle.tsirelson_span(4)
+    space = SpaceOracle("T", 4)
     fam = diagonal_sqrt_family(space, {3: 2, 4: 3})
     assert fam.col_sq == (1, 1, 2, 3)
     for kind, ratio in (("cotype", 5 / 3), ("type", 3 / 5)):
@@ -692,13 +692,13 @@ def test_tsirelson_span_irrational_roots_are_not_exact():
 # --------------------------------------------------------------------------
 
 def test_flm_noop_when_small():
-    fam = _basis_family(SpaceOracle.euclidean(3), 2)  # bound = 6 > 2
+    fam = _basis_family(SpaceOracle("l2", 3), 2)  # bound = 6 > 2
     out = flm_reduce(fam, "type", mc_samples=500, seed=1)
     assert out.vectors == fam.vectors
 
 
 def test_flm_one_dimensional_hilbert():
-    space = SpaceOracle.euclidean(1)
+    space = SpaceOracle("l2", 1)
     fam = VectorFamily.make([[1.0], [1.0], [1.0]], space)
     out = flm_reduce(fam, "type", mc_samples=2_000, seed=5)
     assert len(out) == 1
@@ -709,7 +709,7 @@ def test_flm_one_dimensional_hilbert():
 
 
 def test_flm_cotype_kind():
-    space = SpaceOracle.lp(2, 1.0)
+    space = SpaceOracle("l1", 2)
     rng = np.random.default_rng(17)
     fam = VectorFamily.make(rng.standard_normal((8, 2)).tolist(), space)
     out = flm_reduce(fam, "cotype", mc_samples=5_000, seed=2)
@@ -718,13 +718,13 @@ def test_flm_cotype_kind():
 
 def test_flm_on_t2_span():
     rng = np.random.default_rng(21)
-    fam = VectorFamily.make(rng.standard_normal((7, 2)).tolist(), SpaceOracle.t2_span(2))
+    fam = VectorFamily.make(rng.standard_normal((7, 2)).tolist(), SpaceOracle("T2", 2))
     out = flm_reduce(fam, "type", mc_samples=5_000, seed=3)
     assert 1 <= len(out) <= 3
 
 
 def test_flm_ratio_preserved_l1():
-    space = SpaceOracle.lp(2, 1.0)
+    space = SpaceOracle("l1", 2)
     rng = np.random.default_rng(99)
     fam = VectorFamily.make(rng.standard_normal((10, 2)).tolist(), space)
     samples, seed = 50_000, 123
@@ -740,7 +740,7 @@ def test_flm_ratio_preserved_l1():
 def test_flm_rejects_squared_norms_out_of_float_range(kind):
     # the outer products stay finite, but the branch ratios' squared norms do not
     rows = np.random.default_rng(1).standard_normal((8, 2)) * 3e152
-    fam = VectorFamily.make(rows.tolist(), SpaceOracle.lp(2, 1.0))
+    fam = VectorFamily.make(rows.tolist(), SpaceOracle("l1", 2))
     with pytest.raises(DomainError, match="squared norms"):
         flm_reduce(fam, kind, mc_samples=2000)
 
@@ -758,7 +758,7 @@ def test_kwapien_upper():
 
 
 def test_c2_lower_from_witness():
-    space = SpaceOracle.t2_span(4)
+    space = SpaceOracle("T2", 4)
     fam = VectorFamily.make(
         [[F(0), F(0), F(1), F(0)], [F(0), F(0), F(0), F(1)]], space
     )
@@ -768,8 +768,8 @@ def test_c2_lower_from_witness():
     assert low.certified and low.mode == "rademacher-exact"
     assert low.exact_sq == 2
 
-    hil = rademacher_ratio(_basis_family(SpaceOracle.euclidean(3), 3), "type")
+    hil = rademacher_ratio(_basis_family(SpaceOracle("l2", 3), 3), "type")
     assert c2_lower_from_witness(hil).value == 1.0
 
-    l1 = rademacher_ratio(_basis_family(SpaceOracle.lp(2, 1.0), 2), "type")
+    l1 = rademacher_ratio(_basis_family(SpaceOracle("l1", 2), 2), "type")
     assert c2_lower_from_witness(l1).value == pytest.approx(math.sqrt(2))

@@ -149,7 +149,7 @@ def test_scaled_identity():
 
 def test_l1_to_l2_four_points_sqrt2():
     rep = distortion_of_map(
-        _corner_points(), LinearMap(np.eye(2)), source_norm=SpaceOracle.lp(2, 1.0)
+        _corner_points(), LinearMap(np.eye(2)), source_norm=SpaceOracle("l1", 2)
     )
     assert rep.distortion == pytest.approx(math.sqrt(2), rel=1e-12)
     # diagonal pairs contract by exactly 1/sqrt(2), axis pairs keep ratio 1
@@ -173,7 +173,7 @@ def test_all_points_coincide():
 
 
 def test_ratio_undefined_for_degenerate_source_seminorm():
-    degenerate = SpaceOracle.polytope(2, [[1, 0]])  # blind to the second axis
+    degenerate = SpaceOracle("polytope", 2, [[1, 0]])  # blind to the second axis
     pts = PointSet(np.array([[0.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(RatioUndefined):
         distortion_of_map(pts, LinearMap(np.eye(2)), source_norm=degenerate)
@@ -181,10 +181,10 @@ def test_ratio_undefined_for_degenerate_source_seminorm():
 
 _SOURCE_NORMS = {
     "euclidean": lambda d: None,
-    "l1": lambda d: SpaceOracle.lp(d, 1.0),
-    "linf": lambda d: SpaceOracle.lp(d, math.inf),
+    "l1": lambda d: SpaceOracle("l1", d),
+    "linf": lambda d: SpaceOracle("linf", d),
     # sees only the first axis, so rows can coincide in the source only
-    "blind": lambda d: SpaceOracle.polytope(d, [[1] + [0] * (d - 1)]),
+    "blind": lambda d: SpaceOracle("polytope", d, [[1] + [0] * (d - 1)]),
 }
 
 
@@ -224,7 +224,7 @@ def test_scan_cases_named():
     square = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]))
     rep = distortion_of_map(square, eye)
     assert (rep.argmin, rep.argmax, rep.distortion) == ((0, 1), (0, 1), 1.0)
-    blind = SpaceOracle.polytope(2, [[1, 0]])
+    blind = SpaceOracle("polytope", 2, [[1, 0]])
     with pytest.raises(RatioUndefined, match="points 0 and 3 "):
         distortion_of_map(square, eye, source_norm=blind)
 
@@ -238,7 +238,7 @@ def test_scan_spans_many_row_blocks():
     pts[699] = pts[120]
     # 2 I doubles every Euclidean distance exactly, so all those ratios tie
     for M in (rng.standard_normal((3, 4)), 2 * np.eye(4)):
-        for src_norm in (SpaceOracle.lp(4, 1.0), None):
+        for src_norm in (SpaceOracle("l1", 4), None):
             lmap = LinearMap(M)
             got = _report_or_error(lambda: distortion_of_map(PointSet(pts), lmap, src_norm))
             want = _ref_ratio_report(_ref_pair_norms(pts, src_norm),
@@ -253,7 +253,7 @@ def test_scan_orders_nan_first_across_blocks():
     rng = np.random.default_rng(4)
     pts = np.column_stack([np.arange(700.0), rng.standard_normal(700)])
     pts[650], pts[690] = [650.0, 1e200], [650.0, 2e200]
-    blind = SpaceOracle.polytope(2, [[1, 0]])
+    blind = SpaceOracle("polytope", 2, [[1, 0]])
     lmap = LinearMap(np.eye(2))
     with np.errstate(over="ignore", invalid="ignore"):
         got = _report_or_error(lambda: distortion_of_map(PointSet(pts), lmap, blind))
@@ -344,6 +344,13 @@ def test_embedding_failed_carries_best_attempt():
 def test_jl_embed_one_dimensional_points_is_a_domain_error():
     with pytest.raises(DomainError, match=r"\(n, dim\) array"):
         jl_embed(np.zeros(5), 0.5)
+    ragged = [[1.0, 2.0], [3.0]]  # rows of mixed lengths
+    for call in (lambda: jl_embed(ragged, 0.5), lambda: PointSet(ragged),
+                 lambda: LinearMap(ragged), lambda: WalshEnsemble.from_vectors(ragged),
+                 lambda: walsh_orthogonality_check(ragged),
+                 lambda: jl_mechanism_experiment(SpaceOracle("l2", 2), ragged)):
+        with pytest.raises(DomainError, match=r"\(n, dim\) array"):
+            call()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -354,13 +361,24 @@ def test_jl_embed_non_finite_points_is_a_domain_error(bad):
         warnings.simplefilter("error")  # refused before any distance is computed
         with pytest.raises(DomainError, match="points must be finite"):
             jl_embed(pts, 0.5)
+        for call, what in ((lambda: PointSet(pts), "points"), (lambda: LinearMap(pts), "matrix"),
+                           (lambda: WalshEnsemble.from_vectors(pts), "vectors"),
+                           (lambda: walsh_orthogonality_check(pts), "z"),
+                           (lambda: jl_mechanism_experiment(SpaceOracle("l2", 3), pts), "family")):
+            with pytest.raises(DomainError, match=f"{what} must be finite"):
+                call()
+        # a map with a non-finite entry or scale would make the ratios NaN or inf
+        with pytest.raises(DomainError, match="matrix must be finite"):
+            distortion_of_map(PointSet([[0.0, 1.0], [1.0, 0.0]]), LinearMap([[bad, 1.0]]))
+        with pytest.raises(DomainError, match="scale must be positive and finite"):
+            LinearMap(np.eye(2), bad)
 
 
 def test_distortion_of_map_dimension_mismatch_is_a_domain_error():
     with pytest.raises(DomainError, match="source_dim 3 != point dim 2"):
         distortion_of_map(_corner_points(), LinearMap(np.eye(3)))
     with pytest.raises(DomainError, match="source norm dim 3 != point dim 2"):
-        distortion_of_map(_corner_points(), LinearMap(np.eye(2)), SpaceOracle.lp(3, 1.0))
+        distortion_of_map(_corner_points(), LinearMap(np.eye(2)), SpaceOracle("l1", 3))
 
 
 def _traced_peak_mib(call):
@@ -383,7 +401,7 @@ def test_oracle_distortion_holds_no_pair_matrix():
     rng = np.random.default_rng(25)
     pts = PointSet(rng.standard_normal((1000, 8)))
     lmap = LinearMap(rng.standard_normal((4, 8)))
-    l1 = SpaceOracle.lp(8, 1.0)
+    l1 = SpaceOracle("l1", 8)
     assert _traced_peak_mib(lambda: distortion_of_map(pts, lmap, l1)) < 6
 
 
@@ -501,7 +519,7 @@ def test_sign_flipped_weights_permute_the_point_set():
 def test_mechanism_hilbert_tight():
     # orthonormal family in a roomy ambient space, so the target dimension is
     # not capped and the draws concentrate
-    space = SpaceOracle.euclidean(100)
+    space = SpaceOracle("l2", 100)
     rep = jl_mechanism_experiment(space, np.eye(100)[:4], eps=0.5, seed=3, trials=5)
     assert rep.max_ratio <= 1.0 + 1e-9
     for t in rep.trials:
@@ -511,7 +529,7 @@ def test_mechanism_hilbert_tight():
 
 
 def test_mechanism_l1_inequality_never_violated():
-    space = SpaceOracle.lp(2, 1.0)
+    space = SpaceOracle("l1", 2)
     family = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
     rep = jl_mechanism_experiment(space, family, eps=0.5, seed=17, trials=25)
     assert len(rep.trials) == 25
@@ -519,9 +537,9 @@ def test_mechanism_l1_inequality_never_violated():
     assert all(t.d_composite <= t.d_jl * t.delta_proxy + 1e-9 for t in rep.trials)
 
 
-_MECHANISM_SPACES = {"l1": lambda d: SpaceOracle.lp(d, 1.0),
-                     "linf": lambda d: SpaceOracle.lp(d, math.inf),
-                     "T": SpaceOracle.tsirelson_span}
+_MECHANISM_SPACES = {"l1": lambda d: SpaceOracle("l1", d),
+                     "linf": lambda d: SpaceOracle("linf", d),
+                     "T": lambda d: SpaceOracle("T", d)}
 
 
 @st.composite
@@ -548,21 +566,23 @@ def test_mechanism_shared_source_scan_equals_condensed_reference(family, tag, se
         assert _same((t.d_composite, t.delta_proxy), (composite[2], proxy[2]))
 
 
-@pytest.mark.parametrize("family", [[], [[]], [1.0, 2.0], np.zeros((0, 2))],
-                         ids=["empty", "empty-row", "one-dimensional", "no-rows"])
+@pytest.mark.parametrize("family", [[], [[]], [1.0, 2.0], np.zeros((0, 2)), [[1.0, 2.0], [3.0]],
+                                    [[1.0, math.inf], [0.0, 1.0]]],
+                         ids=["empty", "empty-row", "one-dimensional", "no-rows", "ragged",
+                              "non-finite"])
 def test_mechanism_malformed_family_is_a_domain_error(family):
     with pytest.raises(DomainError):
-        jl_mechanism_experiment(SpaceOracle.euclidean(2), family, trials=1)
+        jl_mechanism_experiment(SpaceOracle("l2", 2), family, trials=1)
 
 
 def test_mechanism_trials_zero():
-    rep = jl_mechanism_experiment(SpaceOracle.euclidean(2), np.eye(2), trials=0)
+    rep = jl_mechanism_experiment(SpaceOracle("l2", 2), np.eye(2), trials=0)
     assert rep.trials == () and rep.max_ratio is None and rep.mean_lhs is None
 
 
 def test_mechanism_negative_trials_is_a_domain_error():
     with pytest.raises(DomainError, match="trials must be >= 0, got -1"):
-        jl_mechanism_experiment(SpaceOracle.euclidean(2), np.eye(2), trials=-1)
+        jl_mechanism_experiment(SpaceOracle("l2", 2), np.eye(2), trials=-1)
 
 
 def test_array_dataclasses_compare_by_identity_and_hash():
@@ -579,5 +599,5 @@ def test_array_dataclasses_compare_by_identity_and_hash():
 
 def test_mechanism_on_convexified_span_oracle():
     # exact-norm oracles ride the same pipeline through their float interface
-    rep = jl_mechanism_experiment(SpaceOracle.t2_span(2), np.eye(2), seed=6, trials=3)
+    rep = jl_mechanism_experiment(SpaceOracle("T2", 2), np.eye(2), seed=6, trials=3)
     assert all(t.ratio <= 1.0 + 1e-9 for t in rep.trials)

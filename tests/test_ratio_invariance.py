@@ -30,8 +30,8 @@ KINDS = st.sampled_from(["type", "cotype"])
 def _space(tag, dim):
     if tag == "polytope":  # the coordinate functionals plus one mixed one span
         mixed = [F(1), F(-1, 2), F(2), F(1, 3)][:dim]
-        return SpaceOracle.polytope(dim, [*np.eye(dim, dtype=int).tolist(), mixed])
-    return SpaceOracle.from_tag(tag, dim)
+        return SpaceOracle("polytope", dim, [*np.eye(dim, dtype=int).tolist(), mixed])
+    return SpaceOracle(tag, dim)
 
 
 def _variants(rows, c):
@@ -67,7 +67,7 @@ def test_exact_ratio_invariance(tag, rows, c, kind):
 @settings(max_examples=30, deadline=None)
 @given(rows=_families(rationals), c=scales, kind=KINDS)
 def test_lp_ratio_invariance(rows, c, kind):
-    space = SpaceOracle.from_tag("lp3", len(rows[0]))
+    space = SpaceOracle("lp3", len(rows[0]))
     point = rademacher_ratio(VectorFamily.make(rows, space), kind).point
     for variant in _variants(rows, c):
         got = rademacher_ratio(VectorFamily.make(variant, space), kind).point
@@ -82,7 +82,7 @@ floats = st.floats(min_value=-8, max_value=8, allow_nan=False).map(
 @settings(max_examples=40, deadline=None)
 @given(rows=_families(floats), k=st.integers(-20, 20), kind=KINDS)
 def test_mc_ratio_is_bitwise_invariant_under_powers_of_two(tag, rows, k, kind):
-    space = SpaceOracle.from_tag(tag, len(rows[0]))
+    space = SpaceOracle(tag, len(rows[0]))
     base = gaussian_ratio(VectorFamily.make(rows, space), kind, samples=200, seed=3)
     scaled_rows = [[v * 2.0**k for v in row] for row in rows]
     scaled = gaussian_ratio(VectorFamily.make(scaled_rows, space), kind, samples=200, seed=3)
@@ -96,5 +96,5 @@ def test_diagonal_family_matches_cotype_certificate(N, data):
                                  min_size=N, max_size=N))
     x = FinVec(enumerate(squares, start=1))
     assume(any(x[j] for j in range(3, N + 1)))
-    family = diagonal_sqrt_family(SpaceOracle.t2_span(N), x)
+    family = diagonal_sqrt_family(SpaceOracle("T2", N), x)
     assert cotype_certificate(x, N).ratio == rademacher_ratio(family, "cotype").exact
