@@ -23,7 +23,9 @@ oracle, and the modified recursion.
   fill depends only on the index labels, so its rules are compiled once per
   label tuple into a cached plan (``_interval_plan``).  ``tsirelson_norm``
   runs the plan on Python ints and records argmax tables for the
-  certificate; ``batch`` runs it on numpy columns of many vectors.
+  certificate; ``batch`` runs it on numpy columns of many vectors.  Covers
+  whose budget cannot bind are l1 sums, which the exact run reads off a
+  running sum; ``batch`` keeps their float max, which a float sum may miss.
 * ``_all_subsets`` -- ``tsirelson_norm_bruteforce``, a memoized recursion
   on support bitmasks over successive parts of arbitrary finite sets,
   deliberately independent of the interval argument.  What may follow a
@@ -46,11 +48,6 @@ oracle, and the modified recursion.
 
 Both exhaustive engines are capped, and one vector compiles nothing.  This
 module imports no numpy; the batched engines live in ``batch``.
-
-The exact engines run on integer-scaled values: every value appearing in the
-recursion is a dyadic multiple of the input entries with halving depth at
-most support-1, so after multiplying by lcm(denominators) * 2^(s-1) the whole
-computation stays in Python ints.  Results are exact ``Fraction`` values.
 
 A ``NormCertificate`` is one unfolding of the recursion's sup: a tree whose
 leaves name coordinates and whose splits record the family intervals.  Its
@@ -256,10 +253,9 @@ def _scaled_weights(x: FinVec, cap: int, engine: str) -> tuple[tuple[int, ...], 
 # Interval dynamic program: the plan, and its exact evaluation
 # --------------------------------------------------------------------------
 
-#: Largest support the interval DP accepts.  At this size one Python 3.11 core
-#: of a shared 2-core Xeon takes ~6 s from index 1 and ~14 s in the worst case
-#: (a support starting near index s/2, where most part budgets bind), with
-#: ~20 MiB of tables.
+#: Largest support the interval DP accepts.  At this size one call takes ~4 s
+#: from index 1 and ~8.5 s at worst (from near index s/2, where most budgets
+#: bind), with 12-20 MiB of tables (Python 3.11, shared 2-core Xeon).
 MAX_DP_SUPPORT = 200
 
 
@@ -277,8 +273,8 @@ def _interval_plan(sup: tuple[int, ...]) -> tuple:
     the max over p is a running suffix max.  Covers of [i, j] by at most t
     blocks ("chains") are kept per column only for unbounded t and for
     t <= t_max, the largest budget that binds (b < j-p) in the column.  Past
-    index s no budget binds and the cost is O(s^3); binding budgets add a
-    factor up to s.
+    index s no budget binds and every cover is an l1 sum: O(s^2) exactly,
+    O(s^3) in floats; binding budgets add a factor up to s.
 
     One entry (j, t_max, steps) per column filled (a column labelled below 3
     is only read by the root range).  ``steps`` runs i = j-1 down to 0, each
@@ -313,21 +309,16 @@ def _chain_rows(n: int) -> tuple:
                  for t in range(MAX_DP_SUPPORT))
 
 
-def _best_sum(left: list[int], right: list[int], lo: int) -> tuple[int, int]:
-    """max_k left[k] + right[k] and the first k attaining it, offset by lo."""
-    sums = list(map(operator.add, left, right))
-    top = max(sums)
-    return top, lo + sums.index(top)
-
-
 def tsirelson_norm(x: FinVec) -> NormResult:
     """Exact ||x||_T with a certificate attaining it.
 
-    Runs the support's cached ``_interval_plan`` on Python ints, recording
-    each range's first block with the chain row its rest was read from, and
-    each chain cell's first-block end.  The certificate is read off these
-    argmax tables at the end.  Ties keep the leaf, then the smallest start,
-    then the smallest end; the tests pin the trees this order picks.
+    Runs the support's cached ``_interval_plan`` on Python ints and reads
+    the certificate off argmax tables: each range's first block with the
+    chain row its rest was read from, and each chain cell's first-block end.
+    Ties keep the leaf, then the smallest start, then the smallest end; the
+    tests pin the trees this order picks.  An unbounded cover is its range's
+    l1 sum, first attained by singletons (no block beats its l1 sum; weights
+    are positive); other covers pair ``iv[i]`` with a chain row in place.
 
     ``stats.expansions`` counts the ranges evaluated (s(s+1)/2 once the
     support starts at index 3) and ``stats.memo_entries`` the chain cells
@@ -337,55 +328,64 @@ def tsirelson_norm(x: FinVec) -> NormResult:
     sup, w, scale = _scaled_weights(x, MAX_DP_SUPPORT, "interval-DP")
     s = len(sup)
     if s == 0:
-        zero = Fraction(0)
-        return NormResult(zero, NormCertificate(Leaf(1), zero), EvalStats(0, 0))
+        return NormResult(Fraction(0), NormCertificate(Leaf(1), Fraction(0)), EvalStats(0, 0))
 
-    iv = [[0] * s for _ in range(s)]  # iv[i][j]: scaled norm of positions [i, j]
-    cut: list[list[tuple[int, int, int] | None]] = [[None] * s for _ in range(s)]
-    chain_end: list = [None] * s  # [j][t][i]: first block's end, -1 if one block
+    plan = _interval_plan(sup)
+    iv = [[0] * (plan[0][0] - i) for i in range(plan[0][0])]  # iv[i][k - i]: norm of [i, k]
+    cut: list = [None] * s  # [j][i]: first block and chain row of [i, j], None for a leaf
+    chain_end: list = [None] * s  # [j][t][j - i]: first block's end, -1 if one block
     cells = ranges = 0
-    for j, t_max, steps in _interval_plan(sup):
+    for j, t_max, steps in plan:
         ranges += j + 1
-        iv[j][j] = w[j]
-        # val[t][i]: best cover of [i, j] by at most t blocks; t = 0 is unbounded
-        val = [[w[j]] * (j + 1) for _ in range(t_max + 1)]
-        end = [[-1] * (j + 1) for _ in range(t_max + 1)]
-        leaf, g_best, g_cut = j, -1, None
+        iv.append([w[j]])
+        cut[j] = cut_j = [None] * (j + 1)
+        # val[t][j - i]: best cover of [i, j] by <= t blocks (0: unbounded), read reversed
+        val = [[w[j]] for _ in range(t_max + 1)] if t_max else [[w[j]]]
+        chain_end[j] = end = [[-1] for _ in range(t_max + 1)] if t_max else [[-1]]
+        leaf, g_best, g_cut, ell = j, -1, None, w[j]
         for i, b, k in steps:
-            if w[i] >= w[leaf]:
-                leaf = i
-            if b is not None:
-                row = iv[i][i:j]
-                g, c = cover = _best_sum(row, val[b][i + 1:], i)
+            ell += w[i]  # the l1 sum of [i, j]
+            leaf = i if w[i] >= w[leaf] else leaf
+            row = iv[i]
+            if b:
+                sums = list(map(operator.add, row, reversed(val[b])))
+                g = max(sums)
                 if g >= g_best:
-                    g_best, g_cut = g, (i, c, b)
+                    g_best, g_cut = g, (i, i + sums.index(g), b)
+            elif b == 0:  # the l1 sum, above every cover from a later start
+                g_best, g_cut = ell, (i, i, 0)
             top = w[leaf]
             if g_best // 2 > top:
-                top, cut[i][j] = g_best // 2, g_cut
-            iv[i][j] = top
+                top, cut_j[i] = g_best // 2, g_cut
             if k:
-                unb = cover if b == 0 else _best_sum(row, val[0][i + 1:], i)
-                for t, src in enumerate(_chain_rows(j - i + 1)[:k]):
-                    lv, lc = (unb if src == 0 else (-1, -1) if src is None
-                              else _best_sum(row, val[src][i + 1:], i))
-                    val[t][i], end[t][i] = (lv, lc) if lv > top else (top, -1)
+                rows = _chain_rows(j - i + 1)
+                for t in range(k - 1, -1, -1):  # descending: row t - 1 does not hold i yet
+                    src = rows[t]
+                    if src:
+                        sums = list(map(operator.add, row, reversed(val[src])))
+                        lv = max(sums)
+                        lv, lc = (lv, i + sums.index(lv)) if lv > top else (top, -1)
+                    else:  # one block (None), or the l1 sum, which tops the range's value
+                        lv, lc = (top, -1) if src is None else (ell, i)
+                    val[t].append(lv)
+                    end[t].append(lc)
                 cells += k
-        chain_end[j] = end
+            row.append(top)
 
     def node(i: int, j: int) -> CertNode:
-        if cut[i][j] is None:
+        if cut[j][i] is None:
             return Leaf(sup[max(range(i, j + 1), key=w.__getitem__)])
-        p, c, t = cut[i][j]
+        p, c, t = cut[j][i]
         blocks = [(p, c)]
         while c >= 0:
-            a, c = c + 1, chain_end[j][t][c + 1]
+            a, c = c + 1, chain_end[j][t][j - c - 1]
             blocks.append((a, j if c < 0 else c))
             t = _chain_rows(j - a + 1)[t]
         return Split(sup[p] - 1, tuple(Part(sup[a], sup[b], node(a, b)) for a, b in blocks))
 
     root = node(0, s - 1)
     del node  # empty its cell: the tables go by refcount, not at a gc pass
-    value = Fraction(iv[0][s - 1], scale)
+    value = Fraction(iv[0][-1], scale)
     return NormResult(value, NormCertificate(root, value), EvalStats(cells, ranges))
 
 

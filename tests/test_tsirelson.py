@@ -407,16 +407,44 @@ NORM_PINS = [
 ]
 
 
-@pytest.mark.parametrize("indices,entries,digest", NORM_PINS)
-def test_norm_certificates_pinned(indices, entries, digest):
+# digest of (memo_entries, expansions) over the same corpus, recorded from the
+# interval DP that sliced its rows: the work counts that `norm` prints
+NORM_STATS_PINS = [
+    ("offset-1", "fractions", "f816fd76a89fd03f"),
+    ("offset-1", "ones", "f816fd76a89fd03f"),
+    ("offset-1", "one-two", "f816fd76a89fd03f"),
+    ("offset-quarter", "fractions", "72734e3faf621445"),
+    ("offset-quarter", "ones", "72734e3faf621445"),
+    ("offset-quarter", "one-two", "72734e3faf621445"),
+    ("offset-far", "fractions", "9a759e4059945c9f"),
+    ("offset-far", "ones", "9a759e4059945c9f"),
+    ("offset-far", "one-two", "9a759e4059945c9f"),
+    ("sparse", "fractions", "136c49c435619930"),
+    ("sparse", "ones", "5115fe65af32d89d"),
+    ("sparse", "one-two", "6a8b1cfc00fa629a"),
+]
+
+
+def _pin_results(indices: str, entries: str):
+    """``tsirelson_norm`` of the pinned corpus: one vector per support 0..40."""
     rng = random.Random(f"{indices}/{entries}")
-    canon = []
     for s in range(41):
         idx = _PIN_INDICES[indices](rng, s)
-        x = FinVec({j: _PIN_ENTRIES[entries](rng) for j in idx})
-        res = tsirelson_norm(x)
-        canon.append((str(res.value), certificate_to_json(res.certificate)))
+        yield tsirelson_norm(FinVec({j: _PIN_ENTRIES[entries](rng) for j in idx}))
+
+
+@pytest.mark.parametrize("indices,entries,digest", NORM_PINS)
+def test_norm_certificates_pinned(indices, entries, digest):
+    canon = [(str(res.value), certificate_to_json(res.certificate))
+             for res in _pin_results(indices, entries)]
     assert hashlib.sha256(json.dumps(canon, sort_keys=True).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("indices,entries,digest", NORM_STATS_PINS)
+def test_norm_stats_pinned(indices, entries, digest):
+    stats = [(res.stats.memo_entries, res.stats.expansions)
+             for res in _pin_results(indices, entries)]
+    assert hashlib.sha256(json.dumps(stats).encode()).hexdigest()[:16] == digest
 
 
 _entries = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.sampled_from([1, 1, 2, 3]))
@@ -881,3 +909,18 @@ def test_cached_plan_is_small(start):
     finally:
         tracemalloc.stop()
     assert plan and held <= 4 << 20
+
+
+def test_dp_tables_are_small():
+    # one call at labels 3..82 traced 1 159 544 bytes at its peak when each
+    # step copied its row slices into full s x s tables; a design that keeps
+    # more per column (its values, say) shows up here
+    x = FinVec({j: Fraction(j % 7 + 1, j % 3 + 1) for j in range(3, 83)})
+    tsirelson_norm(x)  # a warm-up, so the cached plan is not traced
+    tracemalloc.start()
+    try:
+        tsirelson_norm(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 1_159_544
